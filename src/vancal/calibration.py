@@ -23,6 +23,7 @@ from .exterior import (
     FormField,
     closedness_order,
     comass,
+    constant_form_field,
     evaluate,
     interior_product,
     n_coefficients,
@@ -69,8 +70,6 @@ class VanishingCalibration:
     profile: CutoffProfile
     params: CutoffParams
     field: FormField
-    c_coef: Callable[[np.ndarray], np.ndarray]
-    s_coef: Callable[[np.ndarray], np.ndarray]
     orientation: float = 1.0
 
     @property
@@ -175,8 +174,6 @@ def build_vanishing_calibration(
         profile=profile,
         params=params,
         field=None,  # placeholder, replaced below
-        c_coef=profile.c_coefficient,
-        s_coef=profile.s_coefficient,
         orientation=sign,
     )
     field = FormField(
@@ -491,7 +488,6 @@ def sum_pair_calibration(
         evaluator=evaluator,
         singular_locus_descriptor=singular,
         pointwise_comass=pointwise,
-        summands=(cal1.field, cal2.field),
     )
     return field, (cal1, cal2)
 
@@ -700,7 +696,6 @@ def scaled_calibration(
         evaluator=evaluator,
         singular_locus_descriptor=cal.field.singular_locus_descriptor,
         pointwise_comass=pointwise,
-        summands=(cal.field,),
     )
 
 
@@ -728,21 +723,4 @@ def coordinate_plane_sum(c: int, ambient_dim: int, *, shared: int = 0) -> FormFi
             ambient_dim, tuple(range(2 * c, 2 * c + shared))
         )
         tensor = wedge(tensor, l_tensor)
-
-    def evaluator(point: np.ndarray) -> AlternatingTensor:
-        return tensor
-
-    comass_cache: dict = {}
-
-    def pointwise(points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if "value" not in comass_cache:
-            comass_cache["value"] = comass(tensor)
-        return np.full(points.shape[0], comass_cache["value"])
-
-    return FormField(
-        ambient_dim=ambient_dim,
-        degree=c + shared,
-        evaluator=evaluator,
-        pointwise_comass=pointwise,
-    )
+    return constant_form_field(tensor)

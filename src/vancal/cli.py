@@ -19,6 +19,8 @@ import numpy as np
 
 from . import __version__
 from .calibration import (
+    CALIBRATED_VALUE_TOL,
+    OPTIMIZER_AGREEMENT_TOL,
     build_vanishing_calibration,
     coordinate_plane_sum,
     verify_calibration,
@@ -33,7 +35,13 @@ from .cutoff import (
     verify_inequality_one,
 )
 from .currents import calibration_inequality_check, read_mesh
-from .exterior import AlternatingTensor, comass, comass_oracle, n_coefficients
+from .exterior import (
+    AlternatingTensor,
+    comass,
+    comass_oracle,
+    constant_form_field,
+    n_coefficients,
+)
 from .fermi import (
     catenoid_patch,
     cylinder_patch,
@@ -273,9 +281,9 @@ def cmd_verify_pair(args) -> int:
     )
     report.add(
         "optimizer_agreement",
-        rep.optimizer_max_deviation <= 1e-6,
+        rep.optimizer_max_deviation <= OPTIMIZER_AGREEMENT_TOL,
         measured=rep.optimizer_max_deviation,
-        tolerance=1e-6,
+        tolerance=OPTIMIZER_AGREEMENT_TOL,
     )
     report.add(
         "closedness_order",
@@ -286,15 +294,15 @@ def cmd_verify_pair(args) -> int:
     )
     report.add(
         "calibrates_plane1",
-        rep.plane1_value_max_error <= 1e-10,
+        rep.plane1_value_max_error <= CALIBRATED_VALUE_TOL,
         measured=rep.plane1_value_max_error,
-        tolerance=1e-10,
+        tolerance=CALIBRATED_VALUE_TOL,
     )
     report.add(
         "calibrates_plane2",
-        rep.plane2_value_max_error <= 1e-10,
+        rep.plane2_value_max_error <= CALIBRATED_VALUE_TOL,
         measured=rep.plane2_value_max_error,
-        tolerance=1e-10,
+        tolerance=CALIBRATED_VALUE_TOL,
     )
     report.add(
         "vanishes_outside_wedges",
@@ -506,8 +514,6 @@ def cmd_integrate(args) -> int:
             tensor = AlternatingTensor.basis(
                 current.ambient_dim, tuple(range(current.degree))
             )
-            from .exterior import constant_form_field
-
             field = constant_form_field(tensor)
         elif args.field == "plane-sum":
             field = coordinate_plane_sum(args.c, current.ambient_dim)

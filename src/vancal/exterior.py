@@ -2,10 +2,17 @@
 
 Alternating k-tensors are stored by their coefficients on the basis of
 strictly increasing multi-indices in lexicographic order, so antisymmetry
-carries no redundant storage.  The comass of a tensor (its supremum over
-orthonormal k-frames) is computed two independent ways: projected ascent
-on the frame manifold with multistarts, and a brute-force sampling oracle
-over random orthonormal frames.
+carries no redundant storage.  Every pairing with frames goes through one
+Pluecker kernel, ``_batched_plucker``.  The comass of a tensor (its
+supremum over orthonormal k-frames) is computed two independent ways:
+
+- alternating maximization over unit vectors (the higher-order power
+  method), with multistarts.  Replacing one frame vector at a time by its
+  normalized gradient never lowers the value, and by Hadamard's inequality
+  the value on unit vectors never exceeds the comass;
+- a brute-force sampling oracle over Haar-random orthonormal frames, with
+  an optional derivative-free refinement.  It shares only the Pluecker
+  kernel with the optimizer.
 """
 
 from __future__ import annotations
@@ -37,14 +44,6 @@ def multi_indices(ambient_dim: int, degree: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _index_positions(ambient_dim: int, degree: int) -> dict:
     return {mi: pos for pos, mi in enumerate(multi_indices(ambient_dim, degree))}
-
-
-@lru_cache(maxsize=None)
-def _index_array(ambient_dim: int, degree: int) -> np.ndarray:
-    mis = multi_indices(ambient_dim, degree)
-    if degree == 0:
-        return np.zeros((1, 0), dtype=np.intp)
-    return np.array(mis, dtype=np.intp)
 
 
 def n_coefficients(ambient_dim: int, degree: int) -> int:
@@ -284,18 +283,36 @@ def interior_product(w: np.ndarray, u: AlternatingTensor) -> AlternatingTensor:
     return AlternatingTensor(u.ambient_dim, u.degree - 1, out)
 
 
-# -- evaluation ------------------------------------------------------------
+# -- Pluecker coordinates and evaluation ------------------------------------
 
 
-def frame_plucker(frame: np.ndarray, ambient_dim: int) -> np.ndarray:
-    """Pluecker coordinates of a k-frame: determinants over increasing indices."""
-    frame = np.asarray(frame, dtype=float)
-    k = frame.shape[0]
-    idx = _index_array(ambient_dim, k)
-    if k == 0:
-        return np.ones(1)
-    sub = frame[:, idx]  # (k, M, k)
-    return np.linalg.det(np.moveaxis(sub, 1, 0))
+@lru_cache(maxsize=None)
+def _laplace_plan(ambient_dim: int, degree: int):
+    """``_wedge_table(N, degree - 1, 1)`` as (M, degree) arrays, a row per output.
+
+    Row I lists the (degree-1)-faces of the multi-index I, the axis that
+    completes each face to I, and the sign of that completion.
+    """
+    faces, axes, _, signs = _wedge_table(ambient_dim, degree - 1, 1)
+    shape = (n_coefficients(ambient_dim, degree), degree)
+    return faces.reshape(shape), axes.reshape(shape), signs.reshape(shape)
+
+
+def _batched_plucker(frames: np.ndarray, ambient_dim: int, degree: int) -> np.ndarray:
+    """Pluecker coordinates for a (S, k, N) stack of frames, returned as (S, M).
+
+    The rows are wedged in one at a time: each j x j minor is the Laplace
+    expansion, along its last row, of (j-1)-minors already computed.
+    """
+    if degree == 0:
+        return np.ones((frames.shape[0], 1))
+    plucker = frames[:, 0, :].copy()
+    for j in range(2, degree + 1):
+        faces, axes, signs = _laplace_plan(ambient_dim, j)
+        plucker = np.einsum(
+            "smj,smj,mj->sm", plucker[:, faces], frames[:, j - 1, axes], signs
+        )
+    return plucker
 
 
 def evaluate(u: AlternatingTensor, xi) -> float:
@@ -309,98 +326,33 @@ def evaluate(u: AlternatingTensor, xi) -> float:
         raise ValueError(
             f"degree mismatch: tensor has degree {u.degree}, frame has {frame.shape[0]} vectors"
         )
-    return float(u.coefficients @ frame_plucker(frame, u.ambient_dim))
+    plucker = _batched_plucker(frame[None], u.ambient_dim, u.degree)[0]
+    return float(u.coefficients @ plucker)
 
 
-# -- batched machinery for the comass optimizer -----------------------------
+# -- comass ------------------------------------------------------------------
 
 
-def _batched_plucker(frames: np.ndarray, ambient_dim: int, degree: int) -> np.ndarray:
-    """Pluecker coordinates for a (S, k, N) stack of frames, returned as (S, M)."""
-    if degree == 0:
-        return np.ones((frames.shape[0], 1))
-    idx = _index_array(ambient_dim, degree)
-    sub = frames[:, :, idx]  # (S, k, M, k)
-    return np.linalg.det(np.moveaxis(sub, 2, 1))
-
-
-@lru_cache(maxsize=None)
-def _minor_index_pairs(k: int):
-    keep = []
-    for a in range(k):
-        keep.append(np.array([r for r in range(k) if r != a], dtype=np.intp))
-    return keep
-
-
-def _batched_cofactors(mats: np.ndarray) -> np.ndarray:
-    """Cofactor matrices of a (..., k, k) stack, via explicit minors.
-
-    Robust at singular matrices, unlike det * inv.
-    """
-    k = mats.shape[-1]
-    if k == 1:
-        return np.ones_like(mats)
-    keep = _minor_index_pairs(k)
-    cof = np.empty_like(mats)
-    for a in range(k):
-        rows = mats[..., keep[a], :]
-        for b in range(k):
-            minor = rows[..., :, keep[b]]
-            sign = -1.0 if (a + b) % 2 else 1.0
-            cof[..., a, b] = sign * np.linalg.det(minor)
-    return cof
-
-
-@lru_cache(maxsize=None)
-def _scatter_matrices(ambient_dim: int, degree: int):
-    idx = _index_array(ambient_dim, degree)
-    mats = []
-    for b in range(degree):
-        s = np.zeros((idx.shape[0], ambient_dim))
-        s[np.arange(idx.shape[0]), idx[:, b]] = 1.0
-        mats.append(s)
-    return tuple(mats)
-
-
-def _batched_values(coeff: np.ndarray, frames: np.ndarray, ambient_dim: int, degree: int):
-    return _batched_plucker(frames, ambient_dim, degree) @ coeff
-
-
-def _batched_gradients(coeff, frames, ambient_dim, degree):
-    """d/dQ of <coeff, pluecker(Q)> for a (S, k, N) stack Q."""
-    idx = _index_array(ambient_dim, degree)
-    sub = np.moveaxis(frames[:, :, idx], 2, 1)  # (S, M, k, k)
-    cof = _batched_cofactors(sub)
-    grad = np.zeros_like(frames)
-    scatter = _scatter_matrices(ambient_dim, degree)
-    for b in range(degree):
-        contrib = coeff[None, :, None] * cof[:, :, :, b]  # (S, M, k)
-        grad += np.einsum("smk,mn->skn", contrib, scatter[b])
-    return grad
-
-
-def _polar_orthonormalize(frames: np.ndarray) -> np.ndarray:
-    """Nearest orthonormal frames (polar retraction) for a (S, k, N) stack."""
-    u, _, vt = np.linalg.svd(frames, full_matrices=False)
-    return u @ vt
-
-
-def random_orthonormal_frames(
-    count: int, ambient_dim: int, degree: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Haar-distributed orthonormal frames, shape (count, degree, ambient_dim).
+def _orthonormal_rows(mats: np.ndarray) -> np.ndarray:
+    """Q factors of a (S, N, k) stack with positive R diagonal, as (S, k, N) rows.
 
     QR of a Gaussian matrix is Haar only after fixing the R diagonal to be
     positive; LAPACK's Householder sign convention would otherwise bias
     every column into a half-space.
     """
-    if degree == 0:
-        return np.zeros((count, 0, ambient_dim))
-    gauss = rng.standard_normal((count, ambient_dim, degree))
-    q, r = np.linalg.qr(gauss)
+    q, r = np.linalg.qr(mats)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
     return np.swapaxes(q * signs[:, None, :], 1, 2)
+
+
+def random_orthonormal_frames(
+    count: int, ambient_dim: int, degree: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Haar-distributed orthonormal frames, shape (count, degree, ambient_dim)."""
+    if degree == 0:
+        return np.zeros((count, 0, ambient_dim))
+    return _orthonormal_rows(rng.standard_normal((count, ambient_dim, degree)))
 
 
 def comass(
@@ -410,113 +362,80 @@ def comass(
     *,
     seed: int = 0,
     max_iter: int = 10_000,
-    return_frame: bool = False,
-):
-    """Comass by projected ascent on orthonormal k-frames with multistarts.
+) -> float:
+    """Comass by alternating maximization over unit vectors, with multistarts.
 
-    Ascends the pairing in the frame variables and re-orthonormalizes after
-    every step (polar retraction); a start is converged when its accepted
-    frame update has norm below ``tol``.  The largest local maximum over all
-    starts is returned.  Since flipping one frame vector negates the value,
-    the magnitude of any converged value is a valid lower bound, so the
-    maximum of absolute values is reported.
+    The higher-order power method (De Lathauwer, De Moor & Vandewalle 2000):
+    each sweep replaces every frame vector in turn by its normalized
+    gradient, v_b <- g_b / |g_b| with g_b = u(v_1, .., e_j, .., v_k) (e_j in
+    slot b), leaving v_b alone where g_b = 0.  The value u(V) = |g_b| after
+    each update never decreases, so no step size is needed.  On unit vectors
+    |u(V)| <= comass * |v_1 ^ .. ^ v_k| <= comass by Hadamard's inequality,
+    so every value is a lower bound; and since each new v_b is orthogonal to
+    the other rows, the frame is orthonormal after one sweep.  A start is
+    converged when a sweep moves its frame by less than ``tol``; the largest
+    value over all starts is returned.
     """
     N, k = u.ambient_dim, u.degree
     if k == 0:
-        val = abs(float(u.coefficients[0]))
-        return (val, np.zeros((0, N))) if return_frame else val
+        return abs(float(u.coefficients[0]))
     if u.is_zero():
-        frame = np.zeros((k, N))
-        frame[:, :k] = np.eye(k)
-        return (0.0, frame) if return_frame else 0.0
+        return 0.0
 
     rng = np.random.default_rng(seed)
     frames = random_orthonormal_frames(multistarts, N, k, rng)
-    coeff = u.coefficients
-    vals = _batched_values(coeff, frames, N, k)
-    eta = np.full(multistarts, 0.25)
-    active = np.ones(multistarts, dtype=bool)
+    # u(w_1, .., w_{k-1}, e_j) = (plucker(W) @ last_slot)[j]
+    faces, axes, out, signs = _wedge_table(N, k - 1, 1)
+    last_slot = np.zeros((n_coefficients(N, k - 1), N))
+    last_slot[faces, axes] = signs * u.coefficients[out]
+    active = np.arange(multistarts)
+    for _ in range(max_iter):
+        if active.size == 0:
+            break
+        sweep = frames[active]
+        before = sweep.copy()
+        for b in range(k):
+            # moving slot b to the end takes k-1-b transpositions
+            grad = _batched_plucker(np.delete(sweep, b, axis=1), N, k - 1) @ last_slot
+            norm = np.linalg.norm(grad, axis=1)
+            moved = norm > 0.0
+            sign = -1.0 if (k - 1 - b) % 2 else 1.0
+            sweep[moved, b] = (sign / norm[moved])[:, None] * grad[moved]
+        frames[active] = sweep
+        step = np.linalg.norm((sweep - before).reshape(active.size, -1), axis=1)
+        active = active[step >= tol]
 
-    iterations = 0
-    while active.any() and iterations < max_iter:
-        iterations += 1
-        grads = _batched_gradients(coeff, frames[active], N, k)
-        cand = _polar_orthonormalize(
-            frames[active] + eta[active, None, None] * grads
-        )
-        cand_vals = _batched_values(coeff, cand, N, k)
-        improved = cand_vals > vals[active]
-        step_norm = np.linalg.norm(
-            (cand - frames[active]).reshape(cand.shape[0], -1), axis=1
-        )
-
-        idx_active = np.flatnonzero(active)
-        take = idx_active[improved]
-        frames[take] = cand[improved]
-        vals[take] = cand_vals[improved]
-        eta[take] *= 1.25
-        eta[idx_active[~improved]] *= 0.5
-
-        done = np.zeros(len(idx_active), dtype=bool)
-        done |= improved & (step_norm < tol)
-        done |= eta[idx_active] < 1e-17
-        active[idx_active[done]] = False
-
-    if active.any():
+    if active.size:
         warnings.warn(
-            f"comass ascent: {int(active.sum())} of {multistarts} starts did not "
-            f"converge within {max_iter} iterations",
+            f"comass: {active.size} of {multistarts} starts did not "
+            f"converge within {max_iter} sweeps",
             RuntimeWarning,
         )
-
-    best = int(np.argmax(np.abs(vals)))
-    value = abs(float(vals[best]))
-    if return_frame:
-        frame = frames[best]
-        if vals[best] < 0:
-            frame = frame.copy()
-            frame[0] *= -1.0
-        return value, frame
-    return value
+    values = _batched_plucker(frames, N, k) @ u.coefficients
+    return float(np.abs(values).max())
 
 
-def comass_oracle(u: AlternatingTensor, samples: int, seed: int) -> float:
-    """Brute-force comass lower bound: max pairing over random orthonormal frames.
-
-    Deterministic for a fixed seed and never exceeds the true comass.
-    """
+def _sampled_maximum(u: AlternatingTensor, samples: int, rng: np.random.Generator):
+    """Largest |pairing| over Haar-random frames, drawn in bounded chunks, and its frame."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     N, k = u.ambient_dim, u.degree
-    if k == 0 or u.is_zero():
-        return abs(float(u.coefficients[0])) if k == 0 else 0.0
-    rng = np.random.default_rng(seed)
-    best = -math.inf
-    remaining = samples
-    while remaining > 0:
-        batch = min(_ORACLE_CHUNK, remaining)
-        frames = random_orthonormal_frames(batch, N, k, rng)
-        vals = _batched_values(u.coefficients, frames, N, k)
-        best = max(best, float(vals.max()))
-        remaining -= batch
-    return best
+    best, best_frame = -math.inf, None
+    for drawn in range(0, samples, _ORACLE_CHUNK):
+        frames = random_orthonormal_frames(min(_ORACLE_CHUNK, samples - drawn), N, k, rng)
+        values = np.abs(_batched_plucker(frames, N, k) @ u.coefficients)
+        j = int(np.argmax(values))
+        if values[j] > best:
+            best, best_frame = float(values[j]), frames[j].copy()
+    return best, best_frame
 
 
-def _best_sampled_frame(u: AlternatingTensor, samples: int, rng: np.random.Generator):
-    N, k = u.ambient_dim, u.degree
-    best_val = -math.inf
-    best_frame = None
-    remaining = samples
-    while remaining > 0:
-        batch = min(_ORACLE_CHUNK, remaining)
-        frames = random_orthonormal_frames(batch, N, k, rng)
-        vals = np.abs(_batched_values(u.coefficients, frames, N, k))
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_frame = frames[j]
-        remaining -= batch
-    return best_val, best_frame
+def comass_oracle(u: AlternatingTensor, samples: int, seed: int) -> float:
+    """Brute-force comass lower bound: max |pairing| over random orthonormal frames.
+
+    Deterministic for a fixed seed and never exceeds the true comass.
+    """
+    return _sampled_maximum(u, samples, np.random.default_rng(seed))[0]
 
 
 def comass_oracle_refined(
@@ -531,28 +450,23 @@ def comass_oracle_refined(
 
     Shrinking-radius random search around the best sampled frame; every
     candidate is a genuine orthonormal frame, so the result is still a lower
-    bound for the comass.  Independent of the gradient-ascent optimizer.
+    bound for the comass.  Independent of the alternating-maximization
+    optimizer.
     """
     N, k = u.ambient_dim, u.degree
-    if k == 0 or u.is_zero():
-        return comass_oracle(u, max(samples, 1), seed)
     rng = np.random.default_rng(seed)
-    val, frame = _best_sampled_frame(u, samples, rng)
-    if frame is None:
-        return 0.0
+    val, frame = _sampled_maximum(u, samples, rng)
+    if k == 0 or u.is_zero():
+        return val
     sigma = 0.3
     for _ in range(rounds):
         noise = sigma * rng.standard_normal((proposals, N, k))
-        cand = noise + frame.T[None, :, :]
-        q, r = np.linalg.qr(cand)
-        signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-        signs[signs == 0] = 1.0
-        cand_frames = np.swapaxes(q * signs[:, None, :], 1, 2)
-        vals = np.abs(_batched_values(u.coefficients, cand_frames, N, k))
+        cand = _orthonormal_rows(noise + frame.T[None, :, :])
+        vals = np.abs(_batched_plucker(cand, N, k) @ u.coefficients)
         j = int(np.argmax(vals))
         if vals[j] > val:
             val = float(vals[j])
-            frame = cand_frames[j]
+            frame = cand[j]
         else:
             sigma *= 0.6
             if sigma < 1e-14:
@@ -571,8 +485,7 @@ class FormField:
     of the set where the field is undefined or merely Lipschitz.
     ``pointwise_comass`` is an optional vectorized fast path returning the
     exact pointwise comass for a (num_points, N) batch; it is only provided
-    by constructions whose values are known to be simple.  ``summands``
-    records an additive decomposition when the field is built as a sum.
+    by constructions whose values are known to be simple or constant.
     """
 
     ambient_dim: int
@@ -580,7 +493,6 @@ class FormField:
     evaluator: Callable[[np.ndarray], AlternatingTensor]
     singular_locus_descriptor: Callable[..., bool] = _never_singular
     pointwise_comass: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    summands: tuple = ()
 
     def __call__(self, point: np.ndarray) -> AlternatingTensor:
         return self.evaluator(np.asarray(point, dtype=float))
@@ -596,7 +508,7 @@ def constant_form_field(tensor: AlternatingTensor) -> FormField:
         nonlocal comass_value
         if comass_value is None:
             comass_value = comass(tensor)
-        return np.full(points.shape[0], comass_value)
+        return np.full(np.atleast_2d(points).shape[0], comass_value)
 
     return FormField(
         ambient_dim=tensor.ambient_dim,

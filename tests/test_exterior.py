@@ -1,10 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vancal.exterior import (
     AlternatingTensor,
+    _batched_plucker,
     FormField,
     SimpleKVector,
     closedness_order,
@@ -32,6 +36,48 @@ def random_tensor(N, k, rng):
 def random_frame(N, k, rng):
     q, _ = np.linalg.qr(rng.standard_normal((N, k)))
     return q.T
+
+
+def signed_basis_sum(N, terms):
+    out = AlternatingTensor.zero(N, len(terms[0][1]))
+    for sign, idx in terms:
+        out = out + sign * basis(N, idx)
+    return out
+
+
+def associative_form():
+    """e123 + e145 + e167 + e246 - e257 - e347 - e356 on R^7."""
+    return signed_basis_sum(7, [
+        (1, (0, 1, 2)), (1, (0, 3, 4)), (1, (0, 5, 6)), (1, (1, 3, 5)),
+        (-1, (1, 4, 6)), (-1, (2, 3, 6)), (-1, (2, 4, 5)),
+    ])
+
+
+def special_lagrangian_form():
+    """Re dz1^dz2^dz3 on R^6 with axes (x1, y1, x2, y2, x3, y3)."""
+    return signed_basis_sum(6, [
+        (1, (0, 2, 4)), (-1, (0, 3, 5)), (-1, (1, 2, 5)), (-1, (1, 3, 4)),
+    ])
+
+
+def half_kahler_square():
+    """omega^2 / 2 on R^8 for omega = dx1^dy1 + .. + dx4^dy4."""
+    omega = signed_basis_sum(8, [(1, (2 * i, 2 * i + 1)) for i in range(4)])
+    return 0.5 * wedge(omega, omega)
+
+
+def converged_comass(u):
+    """comass(u), failing the test if any start did not converge."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return comass(u)
+
+
+# (N, k) with 1 <= k <= N <= 6, and a seed for numpy
+dims_and_seed = st.tuples(
+    st.integers(1, 6).flatmap(lambda N: st.tuples(st.just(N), st.integers(1, N))),
+    st.integers(0, 2**32 - 1),
+)
 
 
 # -- wedge -------------------------------------------------------------------
@@ -171,6 +217,19 @@ def test_evaluate_degree_mismatch():
         evaluate(basis(4, (0, 1)), np.eye(4)[:3])
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 7])
+def test_batched_plucker_matches_determinants_of_minors(N):
+    rng = np.random.default_rng(N)
+    for k in sorted({0, 1, N // 2, N}):
+        frames = rng.standard_normal((5, k, N))
+        expected = np.array([
+            [np.linalg.det(frame[:, list(idx)]) if k else 1.0
+             for idx in multi_indices(N, k)]
+            for frame in frames
+        ])
+        assert np.allclose(_batched_plucker(frames, N, k), expected, rtol=0.0, atol=1e-13)
+
+
 def test_simple_k_vector_orthonormality_check():
     xi = SimpleKVector(np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert xi.is_orthonormal()
@@ -242,6 +301,55 @@ def test_comass_of_orthogonal_factor_products():
         assert abs(measured - expected) <= 1e-7 * max(1.0, expected), (
             trial, N, k, measured, expected
         )
+
+
+@pytest.mark.parametrize(
+    "form", [associative_form, special_lagrangian_form, half_kahler_square]
+)
+def test_comass_one_calibrations(form):
+    # non-simple forms of comass exactly 1 (Harvey & Lawson 1982)
+    u = form()
+    assert abs(converged_comass(u) - 1.0) <= 1e-12
+    assert comass_oracle(u, 20_000, 0) <= 1.0
+
+
+def test_comass_warns_when_starts_do_not_converge():
+    u = random_tensor(6, 3, np.random.default_rng(14))
+    with pytest.warns(RuntimeWarning, match="did not converge"):
+        comass(u, max_iter=1)
+
+
+def orthogonal_matrix(N, rng):
+    q, r = np.linalg.qr(rng.standard_normal((N, N)))
+    return q * np.sign(np.diagonal(r))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(dims_and_seed)
+def test_comass_invariant_under_orthogonal_change_of_basis(case):
+    (N, k), seed = case
+    rng = np.random.default_rng(seed)
+    u = random_tensor(N, k, rng)
+    q = orthogonal_matrix(N, rng)
+    # (u o q)(e_J) = u(q e_j1, .., q e_jk)
+    pulled = AlternatingTensor(
+        N, k, [evaluate(u, q[:, list(idx)].T) for idx in multi_indices(N, k)]
+    )
+    assert converged_comass(pulled) == pytest.approx(converged_comass(u), rel=1e-9)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(dims_and_seed)
+def test_comass_at_most_norm_with_equality_on_simple_forms(case):
+    (N, k), seed = case
+    rng = np.random.default_rng(seed)
+    u = random_tensor(N, k, rng)
+    assert converged_comass(u) <= u.norm * (1.0 + 1e-12)
+    q = orthogonal_matrix(N, rng)
+    simple = AlternatingTensor.scalar(N, 1.0)
+    for i in range(k):
+        simple = wedge(simple, AlternatingTensor(N, 1, q[:, i] * rng.uniform(0.3, 2.5)))
+    assert converged_comass(simple) == pytest.approx(simple.norm, rel=1e-9)
 
 
 def test_comass_oracle_deterministic_and_covering():
