@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -87,16 +87,16 @@ class VanishingCalibration:
     def pointwise_comass(self, points: np.ndarray) -> np.ndarray:
         """Exact pointwise comass sqrt(c(t)^2 + s(t)^2); zero outside the wedge."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        r = self.coords.r(points)
-        z = self.coords.z(points)
+        return self._comass_rz(self.coords.r(points), self.coords.z(points))[0]
+
+    def _comass_rz(self, r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Closed-form comass from r and z, and the open-wedge mask z < tan(theta) r."""
         inside = z < self.profile.tan_theta * r
-        out = np.zeros(points.shape[0])
-        if inside.any():
-            t = z[inside] / r[inside]
+        with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 lies outside
+            t = z / r
             c = self.profile.c_coefficient(t)
             s = self.profile.s_coefficient(t)
-            out[inside] = np.sqrt(c * c + s * s)
-        return out
+            return np.where(inside, np.sqrt(c * c + s * s), 0.0), inside
 
     def primitive_norm(self, points: np.ndarray) -> np.ndarray:
         """Norm of the Lipschitz primitive gamma * psi_bar (up to the l factor)."""
@@ -198,25 +198,51 @@ def region_box(lows: Sequence[float], highs: Sequence[float]) -> tuple[np.ndarra
     return lows, highs
 
 
-def iter_grid_chunks(
-    lows: np.ndarray, highs: np.ndarray, grid: int, chunk_axes: int = 2
-) -> Iterator[np.ndarray]:
-    """Tensor-product grid points, yielded in chunks along the first axes."""
-    N = lows.size
-    axes = [np.linspace(lows[i], highs[i], grid) for i in range(N)]
-    chunk_axes = max(1, min(chunk_axes, N - 1)) if N > 1 else 0
-    if chunk_axes == 0:
-        yield axes[0][:, None]
-        return
-    tail = np.meshgrid(*axes[chunk_axes:], indexing="ij")
-    tail = np.stack([a.reshape(-1) for a in tail], axis=1)
-    head_axes = np.meshgrid(*axes[:chunk_axes], indexing="ij")
-    head = np.stack([a.reshape(-1) for a in head_axes], axis=1)
-    for row in head:
-        chunk = np.empty((tail.shape[0], N))
-        chunk[:, :chunk_axes] = row
-        chunk[:, chunk_axes:] = tail
-        yield chunk
+def _flat_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
+    """Tensor product of 1-D axes as (prod of lengths, len(axes)) rows, last axis fastest."""
+    if not axes:
+        return np.zeros((1, 0))
+    return np.stack([a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+def _block_norms(rows: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """Per-column |rows[:, j] + offset|, squares summed in row order as np.linalg.norm does."""
+    acc = np.zeros(rows.shape[1])
+    for row, h in zip(rows, offset):
+        d = row + h
+        acc += d * d
+    return np.sqrt(acc)
+
+
+def _scan_grid(
+    lows: np.ndarray,
+    highs: np.ndarray,
+    grid: int,
+    blocks: Sequence[np.ndarray],
+    kernel: Callable[[list], tuple],
+) -> list:
+    """Stream a grid^N box scan through the norms of its projections onto frame blocks.
+
+    The grid is a tensor product, so a point's projection onto a frame F is
+    head @ F[:, :2].T + tail @ F[:, 2:].T, with head over the first two
+    axes and tail over the rest.  The tail projections are computed once;
+    each of the grid^2 head rows then adds its offset and hands ``kernel``
+    the list of per-point norms |x F_b^T| for every (rows, N) block F_b.
+    No grid points are materialised: memory is O(grid^(N-2)) per block
+    rather than O(grid^N).  Returns the kernel results in head-row order,
+    mapped on the VANCAL_THREADS pool.
+    """
+    axes = [np.linspace(lo, hi, grid) for lo, hi in zip(lows, highs)]
+    h = min(2, len(axes))
+    head, tail = _flat_grid(axes[:h]), _flat_grid(axes[h:])
+    # (rows, points) layout: each frame row is one contiguous pass per head row
+    head_proj = [F[:, :h] @ head.T for F in blocks]
+    tail_proj = [F[:, h:] @ tail.T for F in blocks]
+
+    def scan_row(i: int) -> tuple:
+        return kernel([_block_norms(T, H[:, i]) for T, H in zip(tail_proj, head_proj)])
+
+    return ordered_map(scan_row, range(head.shape[0]))
 
 
 def sample_box_points(
@@ -242,6 +268,7 @@ class CalibrationReport:
     closedness_order: float
     plane_value_max_error: float
     vanishing_max_abs: float
+    vanishing_samples: int  # points outside the wedge behind vanishing_max_abs
     primitive_interface_norm: float
     comass_tol: float = COMASS_GRID_TOL
 
@@ -305,7 +332,8 @@ def verify_calibration(
     The grid comass uses the closed-form pointwise value (exact for this
     simple field) on every grid point; the frame optimizer re-derives it on
     a seeded subsample.  Closedness is finite-difference with an order fit,
-    away from the interface and the r = 0 axis by 2h.
+    away from the interface and the r = 0 axis by 2h.  The scan streams the
+    grid (``_scan_grid``), so its memory is O(grid^(N-2)), not O(grid^N).
     """
     lows, highs = region_box(*region)
     if lows.size != cal.coords.ambient_dim:
@@ -316,27 +344,24 @@ def verify_calibration(
     delta = cal.params.delta
     tan_theta = cal.profile.tan_theta
 
-    def scan_chunk(chunk):
-        r = cal.coords.r(chunk)
-        values = cal.pointwise_comass(chunk)
-        z = cal.coords.z(chunk)
-        inside = z < tan_theta * r
-        env_min = math.inf
-        if inside.any():
-            t = z[inside] / r[inside]
-            envelope = np.sqrt(1.0 - delta * t * t)
-            env_min = float((envelope - values[inside]).min())
+    def row_summary(norms):
+        r, z = norms
+        values, inside = cal._comass_rz(r, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = z / r
+            slack = np.sqrt(1.0 - delta * t * t) - values
         return (
-            chunk.shape[0],
+            r.size,
             float(r.min()),
             float(values.max(initial=0.0)),
             int(inside.sum()),
-            env_min,
+            float(slack.min(where=inside, initial=math.inf)),
         )
 
-    # max/min/count reductions are scheduling-independent, so the chunk scan
-    # may run on the VANCAL_THREADS pool without affecting the report
-    results = ordered_map(scan_chunk, list(iter_grid_chunks(lows, highs, grid)))
+    # max/min/count reductions are scheduling-independent, so the rows may
+    # run on the VANCAL_THREADS pool without affecting the report
+    results = _scan_grid(lows, highs, grid, (cal.coords.x_frame, cal.coords.y_frame),
+                         row_summary)
     total = sum(r[0] for r in results)
     min_grid_r = min(r[1] for r in results)
     max_comass = max(r[2] for r in results)
@@ -406,6 +431,7 @@ def verify_calibration(
         closedness_order=order,
         plane_value_max_error=plane_err,
         vanishing_max_abs=vanish_max,
+        vanishing_samples=len(vanish_pts),
         primitive_interface_norm=primitive_interface,
     )
 
@@ -475,12 +501,10 @@ def sum_pair_calibration(
 
     def pointwise(points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        v1 = cal1.pointwise_comass(points)
-        v2 = cal2.pointwise_comass(points)
-        both = (v1 > 0) & (v2 > 0)
-        out = np.maximum(v1, v2)
-        out[both] = np.nan  # overlapping supports: no closed form, flagged
-        return out
+        return _pair_comass(
+            cal1._comass_rz(cal1.coords.r(points), cal1.coords.z(points)),
+            cal2._comass_rz(cal2.coords.r(points), cal2.coords.z(points)),
+        )[0]
 
     field = FormField(
         ambient_dim=N,
@@ -490,6 +514,21 @@ def sum_pair_calibration(
         pointwise_comass=pointwise,
     )
     return field, (cal1, cal2)
+
+
+def _pair_comass(
+    first: tuple[np.ndarray, np.ndarray], second: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Comass of Phi + Psi from each summand's (values, inside), and the overlap mask.
+
+    Disjoint supports give the larger summand value; where both wedges
+    contain a point there is no closed form and the value is NaN.
+    """
+    (v1, in1), (v2, in2) = first, second
+    both = in1 & in2
+    out = np.maximum(v1, v2)
+    out[both] = np.nan
+    return out, both
 
 
 @dataclass(frozen=True)
@@ -509,6 +548,7 @@ class PairReport:
     plane1_value_max_error: float
     plane2_value_max_error: float
     vanishing_max_abs: float
+    vanishing_samples: int  # points outside both wedges behind vanishing_max_abs
     comass_tol: float = COMASS_GRID_TOL
 
     @property
@@ -543,26 +583,22 @@ def verify_pair_calibration(
     closedness_points: int = 3,
     fd_h_values: Sequence[float] = (1e-2, 5e-3, 2.5e-3),
 ) -> tuple[PairReport, FormField]:
-    """Full pipeline for Phi + Psi over a box region around the intersection."""
+    """Full pipeline for Phi + Psi over a box region around the intersection.
+
+    The grid scan streams like ``verify_calibration``'s: memory O(grid^(N-2)).
+    """
     field, (cal1, cal2) = sum_pair_calibration(params, pair)
     lows, highs = region_box(*region)
     rng = np.random.default_rng(seed)
     tan_theta = cal1.profile.tan_theta
 
-    def scan_chunk(chunk):
-        r1, z1 = cal1.coords.r(chunk), cal1.coords.z(chunk)
-        r2, z2 = cal2.coords.r(chunk), cal2.coords.z(chunk)
-        active1 = z1 < tan_theta * r1
-        active2 = z2 < tan_theta * r2
-        values = field.pointwise_comass(chunk)
-        finite = values[~np.isnan(values)]
-        return (
-            chunk.shape[0],
-            int((active1 & active2).sum()),
-            float(finite.max(initial=0.0)) if finite.size else 0.0,
-        )
+    def row_summary(norms):
+        r1, z1, r2, z2 = norms
+        values, both = _pair_comass(cal1._comass_rz(r1, z1), cal2._comass_rz(r2, z2))
+        return (r1.size, int(both.sum()), float(values[~both].max(initial=0.0)))
 
-    results = ordered_map(scan_chunk, list(iter_grid_chunks(lows, highs, grid)))
+    blocks = (cal1.coords.x_frame, cal1.coords.y_frame, cal2.coords.x_frame, cal2.coords.y_frame)
+    results = _scan_grid(lows, highs, grid, blocks, row_summary)
     total = sum(r[0] for r in results)
     overlap = sum(r[1] for r in results)
     max_comass = max(r[2] for r in results)
@@ -645,6 +681,7 @@ def verify_pair_calibration(
         plane1_value_max_error=plane_errs[0],
         plane2_value_max_error=plane_errs[1],
         vanishing_max_abs=vanish_max,
+        vanishing_samples=found,
     )
     return report, field
 

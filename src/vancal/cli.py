@@ -309,6 +309,7 @@ def cmd_verify_pair(args) -> int:
         rep.vanishing_max_abs == 0.0,
         measured=rep.vanishing_max_abs,
         threshold=0.0,
+        detail=f"{rep.vanishing_samples} samples outside both wedges",
     )
     return _finish(report, started, args.json)
 

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
-from ._threads import max_workers  # noqa: F401  (part of the public surface)
 
 
 def _jsonable(value):

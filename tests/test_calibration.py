@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -224,6 +225,100 @@ def test_orientation_flag_flips_sign():
     assert evaluate(flipped.field.evaluator(p), base_frame) == pytest.approx(
         -1.0, abs=1e-14
     )
+
+
+# -- streamed grid scan ------------------------------------------------------------
+
+
+def random_rotation(N: int, seed: int) -> np.ndarray:
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(N, N)))
+    return q * np.sign(np.diag(r))
+
+
+def brute_force_grid(region, grid: int) -> np.ndarray:
+    axes = [np.linspace(lo, hi, grid) for lo, hi in zip(*region)]
+    return np.stack([a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
+@pytest.fixture(scope="module")
+def rotated_cal():
+    q = random_rotation(6, 11)
+    coords = WedgeCoordinates(6, q[:3], q[3:])
+    return build_vanishing_calibration(make_params(3, 2.5), coords)
+
+
+def rotated_region(cal, halfwidth: float = 0.4):
+    center = cal.coords.assemble(np.array([1.0, 0.5, 0.3]), np.array([0.4, -0.3, 0.2]))
+    return list(center - halfwidth), list(center + halfwidth)
+
+
+def test_streamed_scan_matches_materialised_grid(rotated_cal):
+    cal = rotated_cal
+    region = rotated_region(cal)
+    rep = verify_calibration(cal, region, 6, seed=0, optimizer_subsample=0,
+                             closedness_points=0)
+    pts = brute_force_grid(region, 6)
+    values = cal.pointwise_comass(pts)
+    r, z = cal.coords.r(pts), cal.coords.z(pts)
+    inside = z < cal.profile.tan_theta * r
+    t = z[inside] / r[inside]
+    slack = np.sqrt(1.0 - cal.params.delta * t * t) - values[inside]
+    assert 0 < inside.sum() < pts.shape[0]  # the box straddles the interface
+    assert rep.grid_points_total == pts.shape[0] == 6**6
+    assert rep.points_in_wedge == int(inside.sum())
+    assert rep.max_comass == pytest.approx(float(values.max()), abs=1e-12)
+    assert rep.envelope_min_slack == pytest.approx(float(slack.min()), abs=1e-12)
+
+
+def test_streamed_scan_still_rejects_singular_axis(rotated_cal):
+    center = rotated_cal.coords.assemble(np.zeros(3), np.array([0.4, -0.3, 0.2]))
+    region = (list(center - 0.4), list(center + 0.4))
+    with pytest.raises(ValueError, match="singular"):
+        verify_calibration(rotated_cal, region, 6, seed=0, optimizer_subsample=0,
+                           closedness_points=0)
+
+
+def rotated_pair():
+    q = random_rotation(6, 12)
+    p1 = OrientedSubspace(6, np.eye(6)[:3] @ q)
+    p2 = OrientedSubspace(6, np.eye(6)[3:] @ q)
+    return intersect_and_split(p1, p2)
+
+
+def test_streamed_pair_scan_matches_materialised_grid():
+    region = ([-1.2] * 6, [1.2] * 6)
+    rep, field = verify_pair_calibration(make_params(3, 2.5), rotated_pair(), region, 6,
+                                         seed=0, optimizer_subsample=0,
+                                         closedness_points=0)
+    values = field.pointwise_comass(brute_force_grid(region, 6))
+    overlap = np.isnan(values)
+    assert rep.grid_points_total == 6**6
+    assert rep.overlap_count == int(overlap.sum()) == 0
+    assert 0.0 < rep.max_comass == pytest.approx(float(values[~overlap].max()), abs=1e-12)
+
+
+def test_scan_memory_does_not_grow_with_the_grid(cal):
+    # a materialised 12^6 grid would hold 12^6 * 6 * 8 bytes = 143 MB
+    tracemalloc.start()
+    try:
+        verify_calibration(cal, STANDARD_REGION, 12, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_scan_reports_do_not_depend_on_thread_count(cal, monkeypatch):
+    params = make_params(3, 2.5)
+    reports = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("VANCAL_THREADS", threads)
+        reports.append((
+            verify_calibration(cal, STANDARD_REGION, 8, seed=1),
+            verify_pair_calibration(params, rotated_pair(), ([-1.2] * 6, [1.2] * 6), 6,
+                                    seed=4)[0],
+        ))
+    assert reports[0] == reports[1]
 
 
 # -- k-block (shared intersection directions) --------------------------------------

@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
+from vancal._threads import max_workers
 from vancal.cli import main, parse_config, parse_matrix
 from vancal.currents import square_mesh, write_mesh
-from vancal.reports import Check, VerificationReport, max_workers
+from vancal.reports import Check, VerificationReport
 
 
 PAIR_CONFIG = """\
@@ -151,6 +152,9 @@ def test_verify_pair_command(capsys, tmp_path):
     names = {c["name"] for c in report["checks"]}
     assert {"angle_budget", "wedges_disjoint", "max_comass",
             "calibrates_plane1", "calibrates_plane2"} <= names
+    vanishing = next(c for c in report["checks"] if c["name"] == "vanishes_outside_wedges")
+    samples = int(re.match(r"(\d+) samples outside both wedges", vanishing["detail"]).group(1))
+    assert samples > 0
 
 
 def test_verify_pair_near_threshold_failure(capsys, tmp_path):
