@@ -29,6 +29,7 @@ from .exterior import (
     n_coefficients,
     wedge,
 )
+from .reports import Check
 from .retraction import RetractionMap
 from .subspaces import PlanePair
 
@@ -36,6 +37,7 @@ COMASS_GRID_TOL = 1e-9
 CALIBRATED_VALUE_TOL = 1e-10
 CLOSEDNESS_MIN_ORDER = 1.8
 OPTIMIZER_AGREEMENT_TOL = 1e-6
+ENVELOPE_SLACK_TOL = 1e-9
 
 
 def covector_volume(frame: np.ndarray, ambient_dim: int) -> AlternatingTensor:
@@ -256,64 +258,243 @@ def sample_box_points(
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Grid verification of a single vanishing calibration."""
+    """Verification of a sum of vanishing calibrations with disjoint wedges.
+
+    A single calibration is one summand, Phi + Psi is two.  Every field is a
+    plain JSON-serialisable value; ``checks()`` is the verdict.
+    """
 
     grid: int
     grid_points_total: int
-    points_in_wedge: int
+    intersection_dim: int
+    points_in_wedge: int  # grid points inside some wedge
+    overlap_count: int  # grid points inside two or more wedges
+    min_grid_r: float  # smallest distance from a grid point to a summand's axis
     max_comass: float
-    envelope_min_slack: float  # min of sqrt(1 - delta t^2) - comass inside the wedge
+    envelope_min_slack: float  # min of sqrt(1 - delta t^2) - comass inside the wedges
     optimizer_max_deviation: float
+    optimizer_samples: int
     closedness_max_residual: float
     closedness_order: float
-    plane_value_max_error: float
+    closedness_samples: int
+    plane_value_max_errors: tuple  # one per summand
     vanishing_max_abs: float
-    vanishing_samples: int  # points outside the wedge behind vanishing_max_abs
+    vanishing_samples: int  # points outside every wedge behind vanishing_max_abs
     primitive_interface_norm: float
     comass_tol: float = COMASS_GRID_TOL
+    closedness_min_order: float = CLOSEDNESS_MIN_ORDER
+
+    @property
+    def plane_value_max_error(self) -> float:
+        return max(self.plane_value_max_errors)
+
+    def checks(self) -> list[Check]:
+        """Every pass/fail rule; a sampled check fails when it has no samples."""
+        order = self.closedness_order
+        outside = "both wedges" if len(self.plane_value_max_errors) == 2 else "the wedge"
+        return [
+            Check("wedges_disjoint", self.overlap_count == 0, measured=self.overlap_count,
+                  threshold=0),
+            Check("max_comass", self.max_comass <= 1.0 + self.comass_tol,
+                  measured=self.max_comass, threshold=1.0, tolerance=self.comass_tol),
+            Check("envelope", self.envelope_min_slack >= -ENVELOPE_SLACK_TOL,
+                  measured=self.envelope_min_slack, threshold=0.0,
+                  tolerance=ENVELOPE_SLACK_TOL,
+                  detail=f"{self.points_in_wedge} grid points inside a wedge"),
+            Check("optimizer_agreement",
+                  self.optimizer_samples > 0
+                  and self.optimizer_max_deviation <= OPTIMIZER_AGREEMENT_TOL,
+                  measured=self.optimizer_max_deviation, tolerance=OPTIMIZER_AGREEMENT_TOL,
+                  detail=f"{self.optimizer_samples} samples"),
+            Check("closedness_order",
+                  self.closedness_samples > 0
+                  and (math.isinf(order) or order >= self.closedness_min_order),
+                  measured=None if math.isinf(order) else order,
+                  threshold=self.closedness_min_order,
+                  detail=f"{self.closedness_samples} samples, "
+                         f"max residual {self.closedness_max_residual:.3e}"),
+            *(
+                Check(f"calibrates_plane{i}", err <= CALIBRATED_VALUE_TOL, measured=err,
+                      tolerance=CALIBRATED_VALUE_TOL)
+                for i, err in enumerate(self.plane_value_max_errors, 1)
+            ),
+            Check("vanishes_outside_wedges",
+                  self.vanishing_samples > 0 and self.vanishing_max_abs == 0.0,
+                  measured=self.vanishing_max_abs, threshold=0.0,
+                  detail=f"{self.vanishing_samples} samples outside {outside}"),
+        ]
 
     @property
     def passed(self) -> bool:
-        return (
-            self.max_comass <= 1.0 + self.comass_tol
-            and self.envelope_min_slack >= -1e-9
-            and self.optimizer_max_deviation <= OPTIMIZER_AGREEMENT_TOL
-            and (
-                math.isinf(self.closedness_order)
-                or self.closedness_order >= CLOSEDNESS_MIN_ORDER
-            )
-            and self.plane_value_max_error <= CALIBRATED_VALUE_TOL
-            and self.vanishing_max_abs == 0.0
-        )
+        return all(c.passed for c in self.checks())
 
 
-def _interior_sample(
-    cal: VanishingCalibration,
+def _box_sample(
+    cals: Sequence[VanishingCalibration],
     lows: np.ndarray,
     highs: np.ndarray,
     count: int,
     rng: np.random.Generator,
     margin: float,
-    *,
-    inside_wedge: bool,
+    inside: int | None,
 ) -> np.ndarray:
-    """Seeded region points with the requested wedge side and singular margins."""
+    """Up to ``count`` seeded box points, as a (found, N) array.
+
+    Every point is farther than ``margin`` from each summand's axis and
+    interface, and lies inside summand ``inside``'s wedge, or outside every
+    wedge when ``inside`` is None.
+    """
     picked = []
-    attempts = 0
-    while len(picked) < count and attempts < 400:
-        attempts += 1
+    for _ in range(400):
+        if len(picked) >= count:
+            break
         pts = sample_box_points(lows, highs, 4 * count, rng)
-        r = cal.coords.r(pts)
-        z = cal.coords.z(pts)
-        iface = cal.coords.interface_distance(pts, cal.profile.tan_theta)
-        good = (r > margin) & (iface > margin)
-        side = z < cal.profile.tan_theta * r if inside_wedge else z > cal.profile.tan_theta * r
-        good &= side
-        for p in pts[good]:
-            picked.append(p)
-            if len(picked) == count:
-                break
-    return np.array(picked)
+        keep = np.ones(pts.shape[0], dtype=bool)
+        for i, cal in enumerate(cals):
+            tan_theta = cal.profile.tan_theta
+            r, z = cal.coords.r(pts), cal.coords.z(pts)
+            keep &= (r > margin) & (cal.coords.interface_distance(pts, tan_theta) > margin)
+            if inside is None:
+                keep &= z > tan_theta * r
+            elif i == inside:
+                keep &= z < tan_theta * r
+        picked.extend(pts[keep][: count - len(picked)])
+    return np.array(picked).reshape(-1, lows.size)
+
+
+def _verify(
+    field: FormField,
+    cals: Sequence[VanishingCalibration],
+    region: tuple[Sequence[float], Sequence[float]],
+    grid: int,
+    seed: int,
+    optimizer_subsample: int,
+    closedness_points: int,
+    fd_h_values: Sequence[float],
+) -> CalibrationReport:
+    """Verify ``field``, the sum of the vanishing calibrations ``cals``, on a box.
+
+    The summands share one cutoff and have disjoint wedges, so the comass of
+    the sum is each summand's closed form sqrt(c^2 + s^2) inside its own
+    wedge and 0 outside all of them.  The grid scan streams every grid^N
+    point through that closed form (``_scan_grid``, memory O(grid^(N-2))),
+    counting the points inside two or more wedges when there are several
+    summands.  Seeded samples, each farther than 2 max(h) from every axis
+    and interface, then check the closed form against the frame optimizer
+    (``optimizer_subsample`` per wedge) and fit the finite-difference
+    closedness order (``closedness_points`` shared between the wedges).
+    Calibrated values are sampled on each summand's plane, and exact
+    vanishing at up to 50 points outside every wedge.  ``min_grid_r`` is the
+    smallest grid distance to a summand's r = 0 axis; this function does
+    not judge it, because pair boxes contain the shared origin.
+    """
+    lows, highs = region_box(*region)
+    if lows.size != field.ambient_dim:
+        raise ValueError("region dimension does not match the ambient dimension")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
+    rng = np.random.default_rng(seed)
+
+    def summarize_row(norms):
+        top, slack, insides = 0.0, math.inf, []
+        for cal, r, z in zip(cals, norms[0::2], norms[1::2]):
+            values, inside = cal._comass_rz(r, z)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = z / r
+                envelope = np.sqrt(1.0 - cal.params.delta * t * t) - values
+            top = max(top, float(values.max(initial=0.0)))
+            slack = min(slack, float(envelope.min(where=inside, initial=math.inf)))
+            insides.append(inside)
+        if len(insides) == 1:
+            in_wedge, overlap = int(insides[0].sum()), 0
+        else:
+            hits = np.sum(insides, axis=0)
+            in_wedge, overlap = int((hits > 0).sum()), int((hits > 1).sum())
+        min_r = min(float(r.min()) for r in norms[0::2])
+        return norms[0].size, min_r, top, slack, in_wedge, overlap
+
+    # max/min/count reductions are scheduling-independent, so the rows may
+    # run on the VANCAL_THREADS pool without affecting the report
+    blocks = [F for cal in cals for F in (cal.coords.x_frame, cal.coords.y_frame)]
+    totals, min_rs, tops, slacks, in_wedges, overlaps = zip(
+        *_scan_grid(lows, highs, grid, blocks, summarize_row)
+    )
+    envelope_min = min(slacks)
+
+    # optimizer cross-check of the closed-form pointwise comass, in every wedge
+    margin = 2.0 * max(fd_h_values)
+    opt_pts = np.concatenate(
+        [_box_sample(cals, lows, highs, optimizer_subsample, rng, margin, i)
+         for i in range(len(cals))]
+    )
+    opt_dev = 0.0
+    for p in opt_pts:
+        measured = comass(field.evaluator(p), multistarts=24, tol=1e-12, seed=seed)
+        opt_dev = max(opt_dev, abs(measured - float(field.pointwise_comass(p[None])[0])))
+
+    # closedness with order fit
+    shares = [part.size for part in np.array_split(np.arange(closedness_points), len(cals))]
+    fd_pts = np.concatenate(
+        [_box_sample(cals, lows, highs, share, rng, margin, i)
+         for i, share in enumerate(shares)]
+    )
+    max_res, order, _ = closedness_order(field, fd_pts, fd_h_values)
+
+    # calibrated value on each plane frame (z = 0 section of its coordinates)
+    plane_errs = []
+    for cal in cals:
+        frame = cal.plane_frame()
+        err = 0.0
+        for _ in range(50 // len(cals)):
+            point = cal.coords.assemble(
+                rng.uniform(0.25, 1.5, size=cal.coords.n) * rng.choice([-1.0, 1.0], size=cal.coords.n),
+                np.zeros(cal.coords.m),
+                rng.uniform(-1.0, 1.0, size=cal.coords.k) if cal.coords.k else None,
+            )
+            err = max(err, abs(evaluate(field.evaluator(point), frame) - 1.0))
+        plane_errs.append(err)
+
+    # exact vanishing beyond every wedge
+    vanish_pts = _box_sample(cals, lows, highs, 50, rng, 0.0, None)
+    vanish_max = max(
+        (float(np.abs(field.evaluator(p).coefficients).max()) for p in vanish_pts), default=0.0
+    )
+
+    # the Lipschitz primitive gamma psi_bar tends to 0 at the interface; the
+    # summands share one profile, so the first one stands for all
+    cal = cals[0]
+    ts = cal.profile.tan_theta * (1.0 - np.geomspace(1e-8, 0.2, 12))
+    ray_x = np.full(cal.coords.n, 1.0 / math.sqrt(cal.coords.n))
+    ray_pts = np.array(
+        [
+            cal.coords.assemble(
+                ray_x,
+                t / math.sqrt(cal.coords.m) * np.ones(cal.coords.m) if cal.coords.m else np.zeros(0),
+            )
+            for t in ts
+        ]
+    )
+    prim = cal.primitive_norm(ray_pts)
+
+    return CalibrationReport(
+        grid=grid,
+        grid_points_total=sum(totals),
+        intersection_dim=cal.coords.k,
+        points_in_wedge=sum(in_wedges),
+        overlap_count=sum(overlaps),
+        min_grid_r=min(min_rs),
+        max_comass=max(tops),
+        envelope_min_slack=envelope_min if envelope_min < math.inf else 0.0,
+        optimizer_max_deviation=opt_dev,
+        optimizer_samples=len(opt_pts),
+        closedness_max_residual=max_res,
+        closedness_order=order,
+        closedness_samples=len(fd_pts),
+        plane_value_max_errors=tuple(plane_errs),
+        vanishing_max_abs=vanish_max,
+        vanishing_samples=len(vanish_pts),
+        primitive_interface_norm=float(prim[0]),
+    )
 
 
 def verify_calibration(
@@ -327,113 +508,21 @@ def verify_calibration(
     fd_h_values: Sequence[float] = (1e-2, 5e-3, 2.5e-3),
     r_margin: float = 0.05,
 ) -> CalibrationReport:
-    """Scan a box region: comass, closedness, calibrated values, vanishing.
+    """Verify a single vanishing calibration on a box: ``_verify`` with one summand.
 
-    The grid comass uses the closed-form pointwise value (exact for this
-    simple field) on every grid point; the frame optimizer re-derives it on
-    a seeded subsample.  Closedness is finite-difference with an order fit,
-    away from the interface and the r = 0 axis by 2h.  The scan streams the
-    grid (``_scan_grid``), so its memory is O(grid^(N-2)), not O(grid^N).
+    Comass on every grid point, the optimizer cross-check, closedness,
+    calibrated values and vanishing; see ``_verify``.  The field is singular
+    on the r = 0 axis, so a box whose grid comes within ``r_margin`` of it
+    is rejected with a ValueError.
     """
-    lows, highs = region_box(*region)
-    if lows.size != cal.coords.ambient_dim:
-        raise ValueError("region dimension does not match the ambient dimension")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-    rng = np.random.default_rng(seed)
-    delta = cal.params.delta
-    tan_theta = cal.profile.tan_theta
-
-    def row_summary(norms):
-        r, z = norms
-        values, inside = cal._comass_rz(r, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = z / r
-            slack = np.sqrt(1.0 - delta * t * t) - values
-        return (
-            r.size,
-            float(r.min()),
-            float(values.max(initial=0.0)),
-            int(inside.sum()),
-            float(slack.min(where=inside, initial=math.inf)),
-        )
-
-    # max/min/count reductions are scheduling-independent, so the rows may
-    # run on the VANCAL_THREADS pool without affecting the report
-    results = _scan_grid(lows, highs, grid, (cal.coords.x_frame, cal.coords.y_frame),
-                         row_summary)
-    total = sum(r[0] for r in results)
-    min_grid_r = min(r[1] for r in results)
-    max_comass = max(r[2] for r in results)
-    in_wedge = sum(r[3] for r in results)
-    envelope_min = min(r[4] for r in results)
-    if min_grid_r <= r_margin:
+    report = _verify(cal.field, (cal,), region, grid, seed, optimizer_subsample,
+                     closedness_points, fd_h_values)
+    if report.min_grid_r <= r_margin:
         raise ValueError(
-            f"region reaches r = {min_grid_r:g} <= margin {r_margin:g}; "
+            f"region reaches r = {report.min_grid_r:g} <= margin {r_margin:g}; "
             "the field is singular on r = 0"
         )
-
-    # optimizer cross-check of the closed-form pointwise comass
-    opt_dev = 0.0
-    sub = _interior_sample(cal, lows, highs, optimizer_subsample, rng,
-                           2.0 * max(fd_h_values), inside_wedge=True)
-    for p in np.atleast_2d(sub) if sub.size else []:
-        tensor = cal.field.evaluator(p)
-        measured = comass(tensor, multistarts=24, tol=1e-12, seed=seed)
-        opt_dev = max(opt_dev, abs(measured - float(cal.pointwise_comass(p[None])[0])))
-
-    # closedness with order fit
-    fd_pts = _interior_sample(cal, lows, highs, closedness_points, rng,
-                              2.0 * max(fd_h_values), inside_wedge=True)
-    max_res, order, _ = closedness_order(cal.field, fd_pts, fd_h_values)
-
-    # calibrated value on plane frames (z = 0 section of the region)
-    frame = cal.plane_frame()
-    plane_err = 0.0
-    for _ in range(50):
-        point = cal.coords.assemble(
-            rng.uniform(0.25, 1.5, size=cal.coords.n) * rng.choice([-1.0, 1.0], size=cal.coords.n),
-            np.zeros(cal.coords.m),
-            rng.uniform(-1.0, 1.0, size=cal.coords.k) if cal.coords.k else None,
-        )
-        value = evaluate(cal.field.evaluator(point), frame)
-        plane_err = max(plane_err, abs(value - 1.0))
-
-    # exact vanishing beyond the wedge
-    vanish_pts = _interior_sample(cal, lows, highs, 50, rng, 0.0, inside_wedge=False)
-    vanish_max = 0.0
-    for p in vanish_pts:
-        vanish_max = max(vanish_max, float(np.abs(cal.field.evaluator(p).coefficients).max()))
-
-    # the Lipschitz primitive gamma psi_bar tends to 0 at the interface
-    ts = tan_theta * (1.0 - np.geomspace(1e-8, 0.2, 12))
-    ray_x = np.full(cal.coords.n, 1.0 / math.sqrt(cal.coords.n))
-    ray_pts = np.array(
-        [
-            cal.coords.assemble(
-                ray_x,
-                t / math.sqrt(cal.coords.m) * np.ones(cal.coords.m) if cal.coords.m else np.zeros(0),
-            )
-            for t in ts
-        ]
-    )
-    prim = cal.primitive_norm(ray_pts)
-    primitive_interface = float(prim[0])
-
-    return CalibrationReport(
-        grid=grid,
-        grid_points_total=total,
-        points_in_wedge=in_wedge,
-        max_comass=max_comass,
-        envelope_min_slack=float(envelope_min) if envelope_min < math.inf else 0.0,
-        optimizer_max_deviation=opt_dev,
-        closedness_max_residual=max_res,
-        closedness_order=order,
-        plane_value_max_error=plane_err,
-        vanishing_max_abs=vanish_max,
-        vanishing_samples=len(vanish_pts),
-        primitive_interface_norm=primitive_interface,
-    )
+    return report
 
 
 # -- pair calibration ---------------------------------------------------------
@@ -531,47 +620,6 @@ def _pair_comass(
     return out, both
 
 
-@dataclass(frozen=True)
-class PairReport:
-    """Grid verification of a two-plane calibration."""
-
-    grid: int
-    grid_points_total: int
-    intersection_dim: int
-    min_principal_angle: float
-    double_wedge_angle: float
-    overlap_count: int
-    max_comass: float
-    optimizer_max_deviation: float
-    closedness_max_residual: float
-    closedness_order: float
-    plane1_value_max_error: float
-    plane2_value_max_error: float
-    vanishing_max_abs: float
-    vanishing_samples: int  # points outside both wedges behind vanishing_max_abs
-    comass_tol: float = COMASS_GRID_TOL
-
-    @property
-    def angle_budget_ok(self) -> bool:
-        return self.min_principal_angle > self.double_wedge_angle
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.angle_budget_ok
-            and self.overlap_count == 0
-            and self.max_comass <= 1.0 + self.comass_tol
-            and self.optimizer_max_deviation <= OPTIMIZER_AGREEMENT_TOL
-            and (
-                math.isinf(self.closedness_order)
-                or self.closedness_order >= CLOSEDNESS_MIN_ORDER
-            )
-            and self.plane1_value_max_error <= CALIBRATED_VALUE_TOL
-            and self.plane2_value_max_error <= CALIBRATED_VALUE_TOL
-            and self.vanishing_max_abs == 0.0
-        )
-
-
 def verify_pair_calibration(
     params: CutoffParams,
     pair: PlanePair,
@@ -582,107 +630,17 @@ def verify_pair_calibration(
     optimizer_subsample: int = 4,
     closedness_points: int = 3,
     fd_h_values: Sequence[float] = (1e-2, 5e-3, 2.5e-3),
-) -> tuple[PairReport, FormField]:
-    """Full pipeline for Phi + Psi over a box region around the intersection.
+) -> tuple[CalibrationReport, FormField]:
+    """Verify Phi + Psi on a box around the intersection: ``_verify`` with two summands.
 
-    The grid scan streams like ``verify_calibration``'s: memory O(grid^(N-2)).
+    The summands are ``sum_pair_calibration``'s, one per plane.  No
+    ``r_margin`` rule applies: a box around the intersection holds points of
+    both axes (an odd grid holds the origin itself), and the samples keep
+    their own distance from every axis.
     """
-    field, (cal1, cal2) = sum_pair_calibration(params, pair)
-    lows, highs = region_box(*region)
-    rng = np.random.default_rng(seed)
-    tan_theta = cal1.profile.tan_theta
-
-    def row_summary(norms):
-        r1, z1, r2, z2 = norms
-        values, both = _pair_comass(cal1._comass_rz(r1, z1), cal2._comass_rz(r2, z2))
-        return (r1.size, int(both.sum()), float(values[~both].max(initial=0.0)))
-
-    blocks = (cal1.coords.x_frame, cal1.coords.y_frame, cal2.coords.x_frame, cal2.coords.y_frame)
-    results = _scan_grid(lows, highs, grid, blocks, row_summary)
-    total = sum(r[0] for r in results)
-    overlap = sum(r[1] for r in results)
-    max_comass = max(r[2] for r in results)
-
-    # optimizer cross-check inside each wedge
-    opt_dev = 0.0
-    margin = 2.0 * max(fd_h_values)
-    for cal in (cal1, cal2):
-        sub = _interior_sample(cal, lows, highs, optimizer_subsample, rng, margin,
-                               inside_wedge=True)
-        for p in sub:
-            tensor = field.evaluator(p)
-            measured = comass(tensor, multistarts=24, tol=1e-12, seed=seed)
-            expected = float(field.pointwise_comass(p[None])[0])
-            opt_dev = max(opt_dev, abs(measured - expected))
-
-    # closedness of the sum away from both interfaces
-    def pair_safe(points: np.ndarray) -> np.ndarray:
-        keep = np.ones(points.shape[0], dtype=bool)
-        for cal in (cal1, cal2):
-            keep &= cal.coords.r(points) > margin
-            keep &= cal.coords.interface_distance(points, tan_theta) > margin
-        return keep
-
-    fd_pts = []
-    attempts = 0
-    while len(fd_pts) < closedness_points and attempts < 200:
-        attempts += 1
-        cand = _interior_sample(cal1 if attempts % 2 else cal2, lows, highs, 8, rng,
-                                margin, inside_wedge=True)
-        if cand.size == 0:
-            continue
-        cand = cand[pair_safe(cand)]
-        for p in cand:
-            fd_pts.append(p)
-            if len(fd_pts) == closedness_points:
-                break
-    max_res, order, _ = closedness_order(field, np.array(fd_pts), fd_h_values)
-
-    # calibrated values on both plane frames
-    plane_errs = []
-    for cal in (cal1, cal2):
-        frame = cal.plane_frame()
-        err = 0.0
-        for _ in range(25):
-            xi = rng.uniform(0.25, 1.25, size=cal.coords.n) * rng.choice(
-                [-1.0, 1.0], size=cal.coords.n
-            )
-            lam = rng.uniform(-1.0, 1.0, size=cal.coords.k) if cal.coords.k else None
-            p = cal.coords.assemble(xi, np.zeros(cal.coords.m), lam)
-            err = max(err, abs(evaluate(field.evaluator(p), frame) - 1.0))
-        plane_errs.append(err)
-
-    # exact vanishing outside both wedges
-    vanish_max = 0.0
-    found = 0
-    for _ in range(200):
-        p = sample_box_points(lows, highs, 1, rng)[0]
-        r1, z1 = float(cal1.coords.r(p)), float(cal1.coords.z(p))
-        r2, z2 = float(cal2.coords.r(p)), float(cal2.coords.z(p))
-        if z1 > tan_theta * r1 and z2 > tan_theta * r2 and min(r1, r2) > 1e-9:
-            vanish_max = max(
-                vanish_max, float(np.abs(field.evaluator(p).coefficients).max())
-            )
-            found += 1
-            if found >= 40:
-                break
-
-    report = PairReport(
-        grid=grid,
-        grid_points_total=total,
-        intersection_dim=pair.intersection_dim,
-        min_principal_angle=float(pair.principal_angles.min()),
-        double_wedge_angle=2.0 * params.theta,
-        overlap_count=overlap,
-        max_comass=max_comass,
-        optimizer_max_deviation=opt_dev,
-        closedness_max_residual=max_res,
-        closedness_order=order,
-        plane1_value_max_error=plane_errs[0],
-        plane2_value_max_error=plane_errs[1],
-        vanishing_max_abs=vanish_max,
-        vanishing_samples=found,
-    )
+    field, cals = sum_pair_calibration(params, pair)
+    report = _verify(field, cals, region, grid, seed, optimizer_subsample, closedness_points,
+                     fd_h_values)
     return report, field
 
 

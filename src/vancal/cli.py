@@ -14,13 +14,12 @@ import io
 import math
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .calibration import (
-    CALIBRATED_VALUE_TOL,
-    OPTIMIZER_AGREEMENT_TOL,
     build_vanishing_calibration,
     coordinate_plane_sum,
     verify_calibration,
@@ -156,38 +155,7 @@ def cmd_cutoff(args) -> int:
     report.parameters.update(
         {"c": params.c, "theta": params.theta, "delta": params.delta, "kappa": params.kappa}
     )
-    report.add("admissible", True, measured=args.a)
-    report.add(
-        "lower_bound_slack",
-        rep.min_slack_lower >= -1e-12,
-        measured=rep.min_slack_lower,
-        threshold=0.0,
-        tolerance=1e-12,
-        detail="min over grid of middle - kappa",
-    )
-    report.add(
-        "upper_bound_slack",
-        rep.min_slack_upper >= -1e-12,
-        measured=rep.min_slack_upper,
-        threshold=0.0,
-        tolerance=1e-12,
-        detail="min over grid of (1 - delta t^2) - middle",
-    )
-    if rep.axis_in_range:
-        report.add(
-            "grid_min_matches_kappa",
-            abs(rep.grid_min_middle - params.kappa) <= 1e-6,
-            measured=rep.grid_min_middle,
-            threshold=params.kappa,
-            tolerance=1e-6,
-        )
-    report.add(
-        "profile_continuous_at_interface",
-        abs(rep.endpoint_gamma) <= 1e-12,
-        measured=rep.endpoint_gamma,
-        threshold=0.0,
-        tolerance=1e-12,
-    )
+    report.checks.extend(rep.checks())
     return _finish(report, started, args.json)
 
 
@@ -270,46 +238,8 @@ def cmd_verify_pair(args) -> int:
         report.add("pipeline", False, detail=str(err))
         _finish(report, started, args.json)
         return 2
-    report.add("wedges_disjoint", rep.overlap_count == 0, measured=rep.overlap_count,
-               threshold=0)
-    report.add(
-        "max_comass",
-        rep.max_comass <= 1.0 + args.tol_comass,
-        measured=rep.max_comass,
-        threshold=1.0,
-        tolerance=args.tol_comass,
-    )
-    report.add(
-        "optimizer_agreement",
-        rep.optimizer_max_deviation <= OPTIMIZER_AGREEMENT_TOL,
-        measured=rep.optimizer_max_deviation,
-        tolerance=OPTIMIZER_AGREEMENT_TOL,
-    )
-    report.add(
-        "closedness_order",
-        math.isinf(rep.closedness_order) or rep.closedness_order >= args.tol_closed,
-        measured=None if math.isinf(rep.closedness_order) else rep.closedness_order,
-        threshold=args.tol_closed,
-        detail=f"max residual {rep.closedness_max_residual:.3e}",
-    )
-    report.add(
-        "calibrates_plane1",
-        rep.plane1_value_max_error <= CALIBRATED_VALUE_TOL,
-        measured=rep.plane1_value_max_error,
-        tolerance=CALIBRATED_VALUE_TOL,
-    )
-    report.add(
-        "calibrates_plane2",
-        rep.plane2_value_max_error <= CALIBRATED_VALUE_TOL,
-        measured=rep.plane2_value_max_error,
-        tolerance=CALIBRATED_VALUE_TOL,
-    )
-    report.add(
-        "vanishes_outside_wedges",
-        rep.vanishing_max_abs == 0.0,
-        measured=rep.vanishing_max_abs,
-        threshold=0.0,
-        detail=f"{rep.vanishing_samples} samples outside both wedges",
+    report.checks.extend(
+        replace(rep, comass_tol=args.tol_comass, closedness_min_order=args.tol_closed).checks()
     )
     return _finish(report, started, args.json)
 
@@ -344,26 +274,7 @@ def cmd_retraction(args) -> int:
     rep = verify_area_nonincreasing(
         retraction, args.samples, args.planes, args.seed
     )
-    report.add(
-        "plane_volume_scaling",
-        rep.max_plane_scaling <= 1.0 + rep.tolerance,
-        measured=rep.max_plane_scaling,
-        threshold=1.0,
-        tolerance=rep.tolerance,
-    )
-    report.add(
-        "top_volume_scaling",
-        rep.max_top_scaling <= 1.0 + rep.tolerance,
-        measured=rep.max_top_scaling,
-        threshold=1.0,
-        tolerance=rep.tolerance,
-    )
-    report.add(
-        "identity_on_plane",
-        rep.x_plane_scaling_error <= 1e-8,
-        measured=rep.x_plane_scaling_error,
-        tolerance=1e-8,
-    )
+    report.checks.extend(rep.checks())
     rng = np.random.default_rng(args.seed)
     pts = rng.uniform(-1.5, 1.5, size=(200, N))
     scales = rng.uniform(0.1, 3.0, size=200)

@@ -18,7 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .reports import Check
+
 INEQUALITY_SLACK_TOL = -1e-12
+KAPPA_MATCH_TOL = 1e-6
+CONTINUITY_TOL = 1e-12
 
 
 def admissible_interval(n: int) -> tuple[float, float]:
@@ -168,13 +172,36 @@ class InequalityReport:
     axis_in_range: bool
     endpoint_gamma: float  # gamma at tan theta from the left (continuity)
 
+    def checks(self) -> list[Check]:
+        slack_tol = -INEQUALITY_SLACK_TOL
+        checks = [
+            Check("admissible", self.kappa_positive > 0.0, measured=self.a, detail="kappa > 0"),
+            Check("lower_bound_slack", self.min_slack_lower >= INEQUALITY_SLACK_TOL,
+                  measured=self.min_slack_lower, threshold=0.0, tolerance=slack_tol,
+                  detail="min over grid of middle - kappa"),
+            Check("upper_bound_slack", self.min_slack_upper >= INEQUALITY_SLACK_TOL,
+                  measured=self.min_slack_upper, threshold=0.0, tolerance=slack_tol,
+                  detail="min over grid of (1 - delta t^2) - middle"),
+        ]
+        if self.axis_in_range:
+            checks.append(
+                Check("grid_min_matches_kappa",
+                      abs(self.grid_min_middle - self.kappa) <= KAPPA_MATCH_TOL,
+                      measured=self.grid_min_middle, threshold=self.kappa,
+                      tolerance=KAPPA_MATCH_TOL)
+            )
+        checks.append(
+            Check("profile_continuous_at_interface", abs(self.endpoint_gamma) <= CONTINUITY_TOL,
+                  measured=self.endpoint_gamma, threshold=0.0, tolerance=CONTINUITY_TOL)
+        )
+        return checks
+
     @property
     def passed(self) -> bool:
-        return (
-            self.min_slack_lower >= INEQUALITY_SLACK_TOL
-            and self.min_slack_upper >= INEQUALITY_SLACK_TOL
-            and self.kappa_positive > 0.0
-        )
+        # grid_min_matches_kappa measures how closely the grid resolves the
+        # minimum of the middle expression, not the inequality: a coarse grid
+        # (e.g. 500 points) misses it by more than KAPPA_MATCH_TOL for some a
+        return all(c.passed for c in self.checks() if c.name != "grid_min_matches_kappa")
 
 
 def verify_inequality_one(params: CutoffParams, grid_points: int) -> InequalityReport:

@@ -16,6 +16,9 @@ import numpy as np
 from .coords import WedgeCoordinates
 from .cutoff import CutoffProfile
 from .exterior import random_orthonormal_frames
+from .reports import Check
+
+IDENTITY_ON_PLANE_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,13 +142,19 @@ class AreaScalingReport:
     x_plane_scaling_error: float  # |scaling - 1| for tangent planes at x-plane points
     tolerance: float
 
+    def checks(self) -> list[Check]:
+        return [
+            Check("plane_volume_scaling", self.max_plane_scaling <= 1.0 + self.tolerance,
+                  measured=self.max_plane_scaling, threshold=1.0, tolerance=self.tolerance),
+            Check("top_volume_scaling", self.max_top_scaling <= 1.0 + self.tolerance,
+                  measured=self.max_top_scaling, threshold=1.0, tolerance=self.tolerance),
+            Check("identity_on_plane", self.x_plane_scaling_error <= IDENTITY_ON_PLANE_TOL,
+                  measured=self.x_plane_scaling_error, tolerance=IDENTITY_ON_PLANE_TOL),
+        ]
+
     @property
     def passed(self) -> bool:
-        return (
-            self.max_plane_scaling <= 1.0 + self.tolerance
-            and self.max_top_scaling <= 1.0 + self.tolerance
-            and self.x_plane_scaling_error <= 1e-8
-        )
+        return all(c.passed for c in self.checks())
 
 
 def sample_wedge_points(

@@ -210,7 +210,7 @@ def test_criterion_06_pair_calibrations():
     )
     record(6, "two-plane calibrations (R6 orthogonal, R7 shared axis)", ok,
            f"R6 max comass {rep6.max_comass:.10f}, R7 max comass {rep7.max_comass:.10f}, "
-           f"plane errors {max(rep6.plane1_value_max_error, rep6.plane2_value_max_error, rep7.plane1_value_max_error, rep7.plane2_value_max_error):.1e}")
+           f"plane errors {max(rep6.plane_value_max_error, rep7.plane_value_max_error):.1e}")
 
 
 def test_criterion_07_retraction_scalings():

@@ -183,7 +183,7 @@ def test_refining_grids_stay_bounded_and_approach_one(cal):
 
 
 def test_verify_calibration_region_fully_outside_wedge(cal):
-    # region with t > tan(theta) everywhere: trivially passes with comass 0
+    # region with t > tan(theta) everywhere: comass 0 on every grid point
     region = ([0.08] * 3 + [1.0] * 3, [0.12] * 3 + [2.0] * 3)
     rep = verify_calibration(cal, region, 4, seed=2, optimizer_subsample=0,
                              closedness_points=0, r_margin=0.01)
@@ -377,6 +377,28 @@ def test_sum_pair_r7_shared_axis():
     rep, field = verify_pair_calibration(params, pair, ([-1.1] * 7, [1.1] * 7), 5, seed=5)
     assert rep.passed
     assert rep.intersection_dim == 1
+
+
+def test_pair_negative_control_inadmissible_a_exceeds_comass_one():
+    # delta < 0: each summand's comass exceeds 1 near its own interface
+    pair = intersect_and_split(coordinate_plane(6, (0, 1, 2)), coordinate_plane(6, (3, 4, 5)))
+    rep, _ = verify_pair_calibration(forced_params(3, 2.0), pair, ([-1.2] * 6, [1.2] * 6), 6)
+    assert rep.max_comass > 1.0 + 1e-9
+    assert [c.name for c in rep.checks() if not c.passed] == ["max_comass"]
+    assert rep.passed is False
+
+
+def test_sampled_checks_fail_without_samples(cal):
+    # boxes inside the wedges hold no point outside every wedge, so the
+    # vanishing check has nothing to measure and must not pass
+    single = verify_calibration(cal, ([0.5] * 3 + [0.0] * 3, [1.5] * 3 + [0.1] * 3), 4)
+    pair = intersect_and_split(coordinate_plane(6, (0, 1, 2)), coordinate_plane(6, (3, 4, 5)))
+    double, _ = verify_pair_calibration(make_params(3, 2.5), pair,
+                                        ([0.3] * 3 + [0.0] * 3, [1.0] * 3 + [0.05] * 3), 6)
+    for rep in (single, double):
+        assert rep.vanishing_samples == 0
+        assert [c.name for c in rep.checks() if not c.passed] == ["vanishes_outside_wedges"]
+        assert rep.passed is False
 
 
 def test_sum_pair_rejects_tight_angle():

@@ -155,6 +155,10 @@ def test_verify_pair_command(capsys, tmp_path):
     vanishing = next(c for c in report["checks"] if c["name"] == "vanishes_outside_wedges")
     samples = int(re.match(r"(\d+) samples outside both wedges", vanishing["detail"]).group(1))
     assert samples > 0
+    # the tolerance flags reach the report's own verdict
+    code, out = run_cli(capsys, "verify-pair", "--config", str(cfg), "--tol-closed", "2.5")
+    assert code == 1
+    assert [c["name"] for c in report_of(out)["checks"] if not c["passed"]] == ["closedness_order"]
 
 
 def test_verify_pair_near_threshold_failure(capsys, tmp_path):

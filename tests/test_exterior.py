@@ -352,6 +352,35 @@ def test_comass_at_most_norm_with_equality_on_simple_forms(case):
     assert converged_comass(simple) == pytest.approx(simple.norm, rel=1e-9)
 
 
+@st.composite
+def wedge_factors(draw, count):
+    """Ambient dimension, `count` degrees summing to at most it, and a seed."""
+    N = draw(st.integers(1, 6))
+    degrees = []
+    for _ in range(count):
+        degrees.append(draw(st.integers(0, N - sum(degrees))))
+    return N, degrees, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(wedge_factors(2))
+def test_wedge_graded_anticommutative_property(case):
+    N, (p, q), seed = case
+    rng = np.random.default_rng(seed)
+    a, b = random_tensor(N, p, rng), random_tensor(N, q, rng)
+    assert np.array_equal(wedge(a, b).coefficients, (-1) ** (p * q) * wedge(b, a).coefficients)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None, database=None)
+@given(wedge_factors(3))
+def test_wedge_associative_property(case):
+    N, (p, q, r), seed = case
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_tensor(N, k, rng) for k in (p, q, r))
+    np.testing.assert_allclose(wedge(wedge(a, b), c).coefficients,
+                               wedge(a, wedge(b, c)).coefficients, rtol=0, atol=1e-12)
+
+
 def test_comass_oracle_deterministic_and_covering():
     u = basis(4, (0, 1))
     a = comass_oracle(u, 100_000, 123)
