@@ -1,10 +1,10 @@
-"""Worker-count cap and scheduling-independent reductions."""
+"""Worker-count cap and an order-preserving map for the grid scans."""
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 
 def max_workers() -> int:
@@ -23,16 +23,3 @@ def ordered_map(fn: Callable, items: Sequence) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
-
-
-def pairwise_sum(values: Iterable[float]) -> float:
-    """Fixed pairwise tree reduction; independent of worker scheduling."""
-    vals = [float(v) for v in values]
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        vals = [
-            vals[i] + vals[i + 1] if i + 1 < len(vals) else vals[i]
-            for i in range(0, len(vals), 2)
-        ]
-    return vals[0]

@@ -21,10 +21,12 @@ from .cutoff import CutoffParams, CutoffProfile
 from .exterior import (
     AlternatingTensor,
     FormField,
+    _batched_plucker,
+    _interior_rows,
+    _wedge_rows,
     closedness_order,
     comass,
     constant_form_field,
-    evaluate,
     interior_product,
     n_coefficients,
     wedge,
@@ -117,7 +119,9 @@ def build_vanishing_calibration(
     """Assemble (c dr + s dz) ^ (n/r) psi_bar (^ dl) for admissible parameters.
 
     The field is identically zero for t >= tan(theta), equals the plane's
-    volume form on the plane itself, and is undefined on r = 0.
+    volume form on the plane itself, and is undefined on r = 0.  Its batched
+    evaluator builds the form on all wedge rows at once: i_radial(vol_x) is
+    linear in the radial rows and the wedges are bilinear in the rows.
     """
     if coords.n != params.n:
         raise ValueError(
@@ -126,50 +130,49 @@ def build_vanishing_calibration(
     if orientation not in (1.0, -1.0, 1, -1):
         raise ValueError("orientation must be +1 or -1")
     profile = CutoffProfile.from_params(params)
-    N = coords.ambient_dim
-    degree = coords.n + coords.k
-    vol_x = covector_volume(coords.x_frame, N)
-    l_vol = covector_volume(coords.l_frame, N) if coords.k else None
+    N, n, k = coords.ambient_dim, coords.n, coords.k
+    degree = n + k
+    vol_x = covector_volume(coords.x_frame, N).coefficients[None]
+    l_vol = covector_volume(coords.l_frame, N).coefficients[None] if k else None
     sign = float(orientation)
     tan_theta = profile.tan_theta
 
-    def evaluator(point: np.ndarray) -> AlternatingTensor:
-        point = np.asarray(point, dtype=float)
-        xi = coords.x_part(point)
-        r = float(np.linalg.norm(xi))
-        z = float(coords.z(point))
-        if z >= tan_theta * r:
-            # closed wedge exterior; the form extends there by zero, except
-            # on the shared subspace r = z = 0 where it is discontinuous
-            if r == 0.0 and z == 0.0:
-                raise ValueError(
-                    "vanishing calibration is singular on the shared subspace (r = 0)"
-                )
-            return AlternatingTensor.zero(N, degree)
+    def coefficients(points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        xi = coords.x_part(points)
+        r = np.linalg.norm(xi, axis=1)
+        z = coords.z(points)
+        # the closed wedge exterior z >= tan(theta) r carries the zero form,
+        # except the shared subspace r = z = 0, where the form is discontinuous
+        inside = z < tan_theta * r
+        if np.any((r == 0.0) & (z == 0.0)):
+            raise ValueError(
+                "vanishing calibration is singular on the shared subspace (r = 0)"
+            )
+        out = np.zeros((points.shape[0], n_coefficients(N, degree)))
+        if not inside.any():
+            return out
+        xi, r, z = xi[inside], r[inside], z[inside]
         t = z / r  # wedge interior forces r > 0
-        c = float(profile.c_coefficient(t))
-        s = float(profile.s_coefficient(t))
-        radial = coords.x_frame.T @ (xi / r)
-        one_form = c * radial
-        if z > 0.0:
-            eta = coords.y_part(point)
-            one_form = one_form + s * (coords.y_frame.T @ (eta / z))
-        sphere = interior_product(radial, vol_x)
-        tensor = wedge(AlternatingTensor(N, 1, one_form), sphere)
+        radial = (xi / r[:, None]) @ coords.x_frame
+        one_form = profile.c_coefficient(t)[:, None] * radial
+        tilted = z > 0.0
+        if tilted.any():
+            eta = coords.y_part(points[inside][tilted])
+            s = profile.s_coefficient(t[tilted])
+            one_form[tilted] += s[:, None] * ((eta / z[tilted, None]) @ coords.y_frame)
+        sphere = _interior_rows(radial, vol_x, N, n)
+        tensor = _wedge_rows(one_form, sphere, N, 1, n - 1)
         if l_vol is not None:
-            tensor = wedge(tensor, l_vol)
-        return sign * tensor
+            tensor = _wedge_rows(tensor, l_vol, N, n, k)
+        out[inside] = sign * tensor
+        return out
 
-    def singular(point: np.ndarray, margin: float = 0.0) -> bool:
-        point = np.asarray(point, dtype=float)
-        r = float(coords.r(point))
-        z = float(coords.z(point))
-        iface = float(coords.interface_distance(point, tan_theta))
-        if iface <= margin:
-            return True  # Lipschitz kink across the interface
+    def singular(points: np.ndarray, margin: float = 0.0) -> np.ndarray:
+        r, z = coords.r(points), coords.z(points)
+        kink = coords.interface_distance(points, tan_theta) <= margin
         # the 1/r singular axis matters only where the wedge is reachable
-        near_wedge = z < tan_theta * r or iface <= margin
-        return near_wedge and r <= margin
+        return kink | ((z < tan_theta * r) & (r <= margin))
 
     cal = VanishingCalibration(
         coords=coords,
@@ -181,7 +184,7 @@ def build_vanishing_calibration(
     field = FormField(
         ambient_dim=N,
         degree=degree,
-        evaluator=evaluator,
+        coefficients=coefficients,
         singular_locus_descriptor=singular,
         pointwise_comass=cal.pointwise_comass,
     )
@@ -297,7 +300,8 @@ class CalibrationReport:
                   threshold=0),
             Check("max_comass", self.max_comass <= 1.0 + self.comass_tol,
                   measured=self.max_comass, threshold=1.0, tolerance=self.comass_tol),
-            Check("envelope", self.envelope_min_slack >= -ENVELOPE_SLACK_TOL,
+            Check("envelope",
+                  self.points_in_wedge > 0 and self.envelope_min_slack >= -ENVELOPE_SLACK_TOL,
                   measured=self.envelope_min_slack, threshold=0.0,
                   tolerance=ENVELOPE_SLACK_TOL,
                   detail=f"{self.points_in_wedge} grid points inside a wedge"),
@@ -427,10 +431,11 @@ def _verify(
         [_box_sample(cals, lows, highs, optimizer_subsample, rng, margin, i)
          for i in range(len(cals))]
     )
+    N, k = field.ambient_dim, field.degree
     opt_dev = 0.0
-    for p in opt_pts:
-        measured = comass(field.evaluator(p), multistarts=24, tol=1e-12, seed=seed)
-        opt_dev = max(opt_dev, abs(measured - float(field.pointwise_comass(p[None])[0])))
+    for coeffs, closed in zip(field.coefficients(opt_pts), field.pointwise_comass(opt_pts)):
+        measured = comass(AlternatingTensor(N, k, coeffs), multistarts=24, tol=1e-12, seed=seed)
+        opt_dev = max(opt_dev, abs(measured - float(closed)))
 
     # closedness with order fit
     shares = [part.size for part in np.array_split(np.arange(closedness_points), len(cals))]
@@ -443,22 +448,20 @@ def _verify(
     # calibrated value on each plane frame (z = 0 section of its coordinates)
     plane_errs = []
     for cal in cals:
-        frame = cal.plane_frame()
-        err = 0.0
-        for _ in range(50 // len(cals)):
-            point = cal.coords.assemble(
+        points = np.array([
+            cal.coords.assemble(
                 rng.uniform(0.25, 1.5, size=cal.coords.n) * rng.choice([-1.0, 1.0], size=cal.coords.n),
                 np.zeros(cal.coords.m),
                 rng.uniform(-1.0, 1.0, size=cal.coords.k) if cal.coords.k else None,
             )
-            err = max(err, abs(evaluate(field.evaluator(point), frame) - 1.0))
-        plane_errs.append(err)
+            for _ in range(50 // len(cals))
+        ])
+        values = field.coefficients(points) @ _batched_plucker(cal.plane_frame()[None], N, k)[0]
+        plane_errs.append(float(np.abs(values - 1.0).max()))
 
     # exact vanishing beyond every wedge
     vanish_pts = _box_sample(cals, lows, highs, 50, rng, 0.0, None)
-    vanish_max = max(
-        (float(np.abs(field.evaluator(p).coefficients).max()) for p in vanish_pts), default=0.0
-    )
+    vanish_max = float(np.abs(field.coefficients(vanish_pts)).max(initial=0.0))
 
     # the Lipschitz primitive gamma psi_bar tends to 0 at the interface; the
     # summands share one profile, so the first one stands for all
@@ -580,13 +583,13 @@ def sum_pair_calibration(
     N = pair.ambient_dim
     degree = cal1.degree
 
-    def evaluator(point: np.ndarray) -> AlternatingTensor:
-        return cal1.field.evaluator(point) + cal2.field.evaluator(point)
+    def coefficients(points: np.ndarray) -> np.ndarray:
+        return cal1.field.coefficients(points) + cal2.field.coefficients(points)
 
-    def singular(point: np.ndarray, margin: float = 0.0) -> bool:
+    def singular(points: np.ndarray, margin: float = 0.0) -> np.ndarray:
         return cal1.field.singular_locus_descriptor(
-            point, margin
-        ) or cal2.field.singular_locus_descriptor(point, margin)
+            points, margin
+        ) | cal2.field.singular_locus_descriptor(points, margin)
 
     def pointwise(points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -598,7 +601,7 @@ def sum_pair_calibration(
     field = FormField(
         ambient_dim=N,
         degree=degree,
-        evaluator=evaluator,
+        coefficients=coefficients,
         singular_locus_descriptor=singular,
         pointwise_comass=pointwise,
     )
@@ -671,12 +674,14 @@ def scaled_calibration(
         )
     retraction = RetractionMap(cal.coords, cal.profile)
 
-    def evaluator(point: np.ndarray) -> AlternatingTensor:
-        tensor = cal.field.evaluator(point)
-        if tensor.is_zero():
-            return tensor
-        image = retraction.apply(point)
-        return float(f(cal.coords.x_part(image))) * tensor
+    def coefficients(points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        out = cal.field.coefficients(points)
+        live = np.any(out != 0.0, axis=1)
+        if live.any():
+            images = cal.coords.x_part(retraction.apply(points[live]))
+            out[live] *= np.array([float(f(x)) for x in images])[:, None]
+        return out
 
     def pointwise(points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -688,7 +693,7 @@ def scaled_calibration(
     return FormField(
         ambient_dim=cal.coords.ambient_dim,
         degree=cal.degree,
-        evaluator=evaluator,
+        coefficients=coefficients,
         singular_locus_descriptor=cal.field.singular_locus_descriptor,
         pointwise_comass=pointwise,
     )

@@ -16,8 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._threads import ordered_map, pairwise_sum
-from .exterior import FormField, SimpleKVector, evaluate
+from .exterior import FormField, _batched_plucker, _orthonormal_rows
 
 DEGENERACY_TOL = 1e-14
 
@@ -50,21 +49,33 @@ class Simplex:
         return self.vertices[1:] - self.vertices[0]
 
     def volume(self) -> float:
-        k = self.degree
-        if k == 0:
-            return 1.0
-        gram = self.edges @ self.edges.T
-        det = float(np.linalg.det(gram))
-        return math.sqrt(max(det, 0.0)) / math.factorial(k)
+        return float(_volumes(self.vertices[None])[0])
 
     def tangent_frame(self) -> np.ndarray:
         """Oriented orthonormal frame of the simplex plane (rows)."""
-        k = self.degree
-        q, r = np.linalg.qr(self.edges.T)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        frame = (q * signs).T
-        return frame if self.sign > 0 else np.vstack([-frame[:1], frame[1:]])
+        return _tangent_frames(self.vertices[None], np.array([self.sign]))[0]
+
+
+def _volumes(vertices: np.ndarray) -> np.ndarray:
+    """k-volumes of a (S, k+1, N) stack of simplices, by one batched Gram determinant."""
+    k = vertices.shape[1] - 1
+    if k == 0:
+        return np.ones(vertices.shape[0])
+    edges = vertices[:, 1:] - vertices[:, :1]
+    det = np.linalg.det(edges @ np.swapaxes(edges, 1, 2))
+    return np.sqrt(np.maximum(det, 0.0)) / math.factorial(k)
+
+
+def _tangent_frames(vertices: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Oriented orthonormal tangent frames (S, k, N) of a (S, k+1, N) stack of simplices.
+
+    One batched QR of the edge matrices with a positive R diagonal, so each
+    frame keeps the orientation of the edges; a simplex with sign -1 has its
+    first row negated.
+    """
+    frames = _orthonormal_rows(np.swapaxes(vertices[:, 1:] - vertices[:, :1], 1, 2))
+    frames[:, :1] *= np.where(signs < 0, -1.0, 1.0)[:, None, None]
+    return frames
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +96,9 @@ class TriangulatedCurrent:
                     f"simplex shape {s.vertices.shape} does not match "
                     f"(k+1, N) = ({self.degree + 1}, {self.ambient_dim})"
                 )
-            if self.degree >= 1 and s.multiplicity > 0 and s.volume() <= DEGENERACY_TOL:
-                raise ValueError("degenerate simplex (volume below tolerance)")
         object.__setattr__(self, "simplices", sims)
+        if self.degree >= 1 and np.any(_volumes(self._live_arrays()[0]) <= DEGENERACY_TOL):
+            raise ValueError("degenerate simplex (volume below tolerance)")
 
     @classmethod
     def from_arrays(
@@ -111,12 +122,21 @@ class TriangulatedCurrent:
     def __len__(self) -> int:
         return len(self.simplices)
 
+    def _live_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Vertices (S, k+1, N), multiplicities and signs of the simplices with multiplicity > 0."""
+        live = [s for s in self.simplices if s.multiplicity > 0]
+        vertices = np.array([s.vertices for s in live], dtype=float)
+        return (
+            vertices.reshape(len(live), self.degree + 1, self.ambient_dim),
+            np.array([s.multiplicity for s in live], dtype=float),
+            np.array([s.sign for s in live], dtype=float),
+        )
+
 
 def mass(current: TriangulatedCurrent) -> float:
     """Total k-volume weighted by |multiplicity|."""
-    return float(
-        sum(s.multiplicity * s.volume() for s in current.simplices)
-    )
+    vertices, multiplicities, _ = current._live_arrays()
+    return float(np.sum(multiplicities * _volumes(vertices)))
 
 
 # -- boundary ----------------------------------------------------------------
@@ -205,7 +225,16 @@ def _compositions(total: int, parts: int):
 def integrate_form(
     current: TriangulatedCurrent, field: FormField, quadrature_order: int = 2
 ) -> float:
-    """The pairing T(F): per-simplex quadrature on the constant tangent k-vector."""
+    """The pairing T(F): per-simplex quadrature on the constant tangent k-vector.
+
+    All simplices with nonzero multiplicity are stacked as (S, k+1, N): one
+    batched QR gives the oriented tangent frames, one Gram determinant the
+    volumes, and one field call the coefficients at all (S, Q) quadrature
+    nodes, paired with the frames' Pluecker coordinates.  The result is one
+    fixed reduction, ``np.sum``, over the per-simplex array, whose order
+    depends only on the order of the simplices; no thread pool is involved,
+    so the value is deterministic.
+    """
     if field.degree != current.degree:
         raise ValueError(
             f"degree mismatch: current has degree {current.degree}, "
@@ -213,28 +242,22 @@ def integrate_form(
         )
     if field.ambient_dim != current.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    k = current.degree
+    N, k = current.ambient_dim, current.degree
     nodes, weights = simplex_quadrature(k, quadrature_order)
-
-    def simplex_integral(s: Simplex) -> float:
-        if s.multiplicity == 0:
-            return 0.0
-        frame = s.tangent_frame()
-        points = nodes @ s.vertices
-        acc = 0.0
-        for w, p in zip(weights, points):
-            if field.singular_locus_descriptor(p, 0.0):
-                raise ValueError(
-                    f"quadrature node {p} lies on the field's singular locus"
-                )
-            acc += w * evaluate(field.evaluator(p), frame)
-        # the orientation sign is already carried by the tangent frame
-        return s.multiplicity * s.volume() * acc
-
-    # per-simplex integrals may run on the VANCAL_THREADS pool; the fixed
-    # pairwise tree reduction keeps the sum independent of scheduling
-    contributions = ordered_map(simplex_integral, current.simplices)
-    return pairwise_sum(contributions)
+    vertices, multiplicities, signs = current._live_arrays()
+    if vertices.shape[0] == 0:
+        return 0.0
+    points = (nodes @ vertices).reshape(-1, N)  # (S * Q, N)
+    singular = field.singular_locus_descriptor(points, 0.0)
+    if np.any(singular):
+        raise ValueError(
+            f"quadrature node {points[np.argmax(singular)]} lies on the field's singular locus"
+        )
+    values = field.coefficients(points).reshape(vertices.shape[0], nodes.shape[0], -1)
+    # the orientation sign is carried by the tangent frame
+    plucker = _batched_plucker(_tangent_frames(vertices, signs), N, k)
+    pairings = np.einsum("sqm,sm->sq", values, plucker) @ weights
+    return float(np.sum(multiplicities * _volumes(vertices) * pairings))
 
 
 # -- calibration inequality ----------------------------------------------------

@@ -198,14 +198,37 @@ class InequalityReport:
 
     @property
     def passed(self) -> bool:
-        # grid_min_matches_kappa measures how closely the grid resolves the
-        # minimum of the middle expression, not the inequality: a coarse grid
-        # (e.g. 500 points) misses it by more than KAPPA_MATCH_TOL for some a
-        return all(c.passed for c in self.checks() if c.name != "grid_min_matches_kappa")
+        return all(c.passed for c in self.checks())
+
+
+def _golden_section_minimum(fn, lo: float, hi: float) -> tuple[float, float]:
+    """(t, fn(t)) at the minimum of a unimodal fn on [lo, hi], by golden-section search.
+
+    80 steps shrink the bracket by 0.618^80 < 1e-16, below the spacing of
+    doubles near t.
+    """
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    fc, fd = fn(c), fn(d)
+    for _ in range(80):
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - ratio * (hi - lo)
+            fc = fn(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + ratio * (hi - lo)
+            fd = fn(d)
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def verify_inequality_one(params: CutoffParams, grid_points: int) -> InequalityReport:
-    """Evaluate both sides of the inequality on a uniform grid over [0, tan theta]."""
+    """Evaluate both sides of the inequality on a uniform grid over [0, tan theta].
+
+    The middle expression is unimodal in t >= 0, so its minimum lies in the
+    grid cell pair around the smallest grid value; ``grid_min_middle`` and
+    ``argmin_t`` refine it there by golden-section search.
+    """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     profile = CutoffProfile.from_params(params)
@@ -215,6 +238,12 @@ def verify_inequality_one(params: CutoffParams, grid_points: int) -> InequalityR
     slack_lower = middle - params.kappa
     slack_upper = upper - middle
     j = int(np.argmin(middle))
+    argmin_t, grid_min = _golden_section_minimum(
+        lambda s: float(profile.middle_expression(s)),
+        float(t[max(j - 1, 0)]), float(t[min(j + 1, grid_points - 1)]),
+    )
+    if middle[j] < grid_min:
+        argmin_t, grid_min = float(t[j]), float(middle[j])
     axis = quartic_axis(params)
     return InequalityReport(
         n=params.n,
@@ -223,8 +252,8 @@ def verify_inequality_one(params: CutoffParams, grid_points: int) -> InequalityR
         min_slack_lower=float(slack_lower.min()),
         min_slack_upper=float(slack_upper.min()),
         kappa_positive=params.kappa,
-        grid_min_middle=float(middle[j]),
-        argmin_t=float(t[j]),
+        grid_min_middle=grid_min,
+        argmin_t=argmin_t,
         kappa=params.kappa,
         axis_t_squared=axis,
         axis_in_range=bool(0.0 <= axis <= params.tan_theta**2),

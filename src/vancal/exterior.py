@@ -31,8 +31,8 @@ MAX_AMBIENT_DIM = 16
 _ORACLE_CHUNK = 1 << 16
 
 
-def _never_singular(point: np.ndarray, margin: float = 0.0) -> bool:
-    return False
+def _never_singular(points: np.ndarray, margin: float = 0.0) -> np.ndarray:
+    return np.zeros(np.shape(points)[0], dtype=bool)
 
 
 @lru_cache(maxsize=None)
@@ -222,6 +222,32 @@ def _wedge_table(ambient_dim: int, deg_a: int, deg_b: int):
     )
 
 
+def _sum_groups(terms: np.ndarray, outputs: int) -> np.ndarray:
+    """Sum (P, outputs * g) terms, grouped by output, over each run of g, in order."""
+    terms = terms.reshape(terms.shape[0], outputs, -1)
+    out = np.zeros(terms.shape[:2])
+    for j in range(terms.shape[2]):
+        out += terms[:, :, j]
+    return out
+
+
+def _wedge_rows(
+    a: np.ndarray, b: np.ndarray, ambient_dim: int, deg_a: int, deg_b: int
+) -> np.ndarray:
+    """Row-wise exterior products of (P, C(N, deg_a)) and (P, C(N, deg_b)) coefficients.
+
+    Either factor may have a single row, which is broadcast.  Every output
+    multi-index has the same number of table rows, and they are adjacent.
+    """
+    ia, ib, iout, signs = _wedge_table(ambient_dim, deg_a, deg_b)
+    terms = signs * a[:, ia] * b[:, ib]
+    if deg_a == deg_b and deg_a >= 1:
+        # swap-partner rows are adjacent; combining them first keeps
+        # anticommutativity bit-exact (IEEE addition commutes pairwise)
+        terms = terms[:, 0::2] + terms[:, 1::2]
+    return _sum_groups(terms, n_coefficients(ambient_dim, deg_a + deg_b))
+
+
 def wedge(u: AlternatingTensor, v: AlternatingTensor) -> AlternatingTensor:
     """Exterior product in the increasing-index basis."""
     if u.ambient_dim != v.ambient_dim:
@@ -233,16 +259,10 @@ def wedge(u: AlternatingTensor, v: AlternatingTensor) -> AlternatingTensor:
         raise ValueError(
             f"degree overflow: {u.degree} + {v.degree} > {u.ambient_dim}"
         )
-    ia, ib, iout, signs = _wedge_table(u.ambient_dim, u.degree, v.degree)
-    vals = signs * u.coefficients[ia] * v.coefficients[ib]
-    if u.degree == v.degree and u.degree >= 1 and vals.size:
-        # swap-partner rows are adjacent; combining them first keeps
-        # anticommutativity bit-exact (IEEE addition commutes pairwise)
-        vals = vals[0::2] + vals[1::2]
-        iout = iout[0::2]
-    out = np.zeros(n_coefficients(u.ambient_dim, k_out))
-    np.add.at(out, iout, vals)
-    return AlternatingTensor(u.ambient_dim, k_out, out)
+    out = _wedge_rows(
+        u.coefficients[None], v.coefficients[None], u.ambient_dim, u.degree, v.degree
+    )
+    return AlternatingTensor(u.ambient_dim, k_out, out[0])
 
 
 # -- interior product ------------------------------------------------------
@@ -250,21 +270,34 @@ def wedge(u: AlternatingTensor, v: AlternatingTensor) -> AlternatingTensor:
 
 @lru_cache(maxsize=None)
 def _interior_table(ambient_dim: int, degree: int):
-    """Table (pos_in, axis, pos_out, sign) for contraction with a vector."""
+    """Table (pos_in, axis, pos_out, sign) for contraction with a vector.
+
+    Rows are grouped by output, N - degree + 1 per output, each group in
+    increasing input order.
+    """
     out_positions = _index_positions(ambient_dim, degree - 1)
-    rows_in, axes, rows_out, signs = [], [], [], []
+    rows = []
     for p, idx in enumerate(multi_indices(ambient_dim, degree)):
         for j, axis in enumerate(idx):
             reduced = idx[:j] + idx[j + 1 :]
-            rows_in.append(p)
-            axes.append(axis)
-            rows_out.append(out_positions[reduced])
-            signs.append(-1.0 if j % 2 else 1.0)
+            rows.append((out_positions[reduced], p, axis, -1.0 if j % 2 else 1.0))
+    rows.sort(key=lambda row: row[:2])
     return (
-        np.array(rows_in, dtype=np.intp),
-        np.array(axes, dtype=np.intp),
-        np.array(rows_out, dtype=np.intp),
-        np.array(signs, dtype=float),
+        np.array([r[1] for r in rows], dtype=np.intp),
+        np.array([r[2] for r in rows], dtype=np.intp),
+        np.array([r[0] for r in rows], dtype=np.intp),
+        np.array([r[3] for r in rows], dtype=float),
+    )
+
+
+def _interior_rows(w: np.ndarray, u: np.ndarray, ambient_dim: int, degree: int) -> np.ndarray:
+    """Row-wise contractions i_w(u) of (P, N) vectors with (P, C(N, degree)) coefficients.
+
+    Either factor may have a single row, which is broadcast.
+    """
+    rows_in, axes, _, signs = _interior_table(ambient_dim, degree)
+    return _sum_groups(
+        signs * w[:, axes] * u[:, rows_in], n_coefficients(ambient_dim, degree - 1)
     )
 
 
@@ -277,10 +310,8 @@ def interior_product(w: np.ndarray, u: AlternatingTensor) -> AlternatingTensor:
         raise ValueError(
             f"vector length {w.size} does not match ambient dimension {u.ambient_dim}"
         )
-    rows_in, axes, rows_out, signs = _interior_table(u.ambient_dim, u.degree)
-    out = np.zeros(n_coefficients(u.ambient_dim, u.degree - 1))
-    np.add.at(out, rows_out, signs * w[axes] * u.coefficients[rows_in])
-    return AlternatingTensor(u.ambient_dim, u.degree - 1, out)
+    out = _interior_rows(w[None], u.coefficients[None], u.ambient_dim, u.degree)
+    return AlternatingTensor(u.ambient_dim, u.degree - 1, out[0])
 
 
 # -- Pluecker coordinates and evaluation ------------------------------------
@@ -479,30 +510,39 @@ def comass_oracle_refined(
 
 @dataclass(frozen=True, eq=False)
 class FormField:
-    """A k-form field on R^N given by a pointwise evaluator.
+    """A k-form field on R^N given by a batched evaluator.
 
-    ``singular_locus_descriptor(p, margin)`` flags points within ``margin``
-    of the set where the field is undefined or merely Lipschitz.
-    ``pointwise_comass`` is an optional vectorized fast path returning the
-    exact pointwise comass for a (num_points, N) batch; it is only provided
-    by constructions whose values are known to be simple or constant.
+    ``coefficients(points)`` maps a (P, N) array of points to the (P, M)
+    coefficients of the field there, M = C(N, k), in the increasing-index
+    basis.  ``singular_locus_descriptor(points, margin)`` maps (P, N) points
+    to a (P,) bool mask flagging those within ``margin`` of the set where
+    the field is undefined or merely Lipschitz.  ``pointwise_comass`` is an
+    optional vectorized fast path returning the exact pointwise comass for
+    a (P, N) batch; it is only provided by constructions whose values are
+    known to be simple or constant.  ``evaluator(point)``, also reached by
+    calling the field, is the one-point form and returns a tensor.
     """
 
     ambient_dim: int
     degree: int
-    evaluator: Callable[[np.ndarray], AlternatingTensor]
-    singular_locus_descriptor: Callable[..., bool] = _never_singular
+    coefficients: Callable[[np.ndarray], np.ndarray]
+    singular_locus_descriptor: Callable[..., np.ndarray] = _never_singular
     pointwise_comass: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    def evaluator(self, point: np.ndarray) -> AlternatingTensor:
+        """The field at a single point."""
+        row = np.asarray(point, dtype=float).reshape(1, self.ambient_dim)
+        return AlternatingTensor(self.ambient_dim, self.degree, self.coefficients(row)[0])
+
     def __call__(self, point: np.ndarray) -> AlternatingTensor:
-        return self.evaluator(np.asarray(point, dtype=float))
+        return self.evaluator(point)
 
 
 def constant_form_field(tensor: AlternatingTensor) -> FormField:
     comass_value = None
 
-    def _evaluate(point: np.ndarray) -> AlternatingTensor:
-        return tensor
+    def _coefficients(points: np.ndarray) -> np.ndarray:
+        return np.tile(tensor.coefficients, (np.shape(points)[0], 1))
 
     def _pointwise(points: np.ndarray) -> np.ndarray:
         nonlocal comass_value
@@ -513,9 +553,41 @@ def constant_form_field(tensor: AlternatingTensor) -> FormField:
     return FormField(
         ambient_dim=tensor.ambient_dim,
         degree=tensor.degree,
-        evaluator=_evaluate,
+        coefficients=_coefficients,
         pointwise_comass=_pointwise,
     )
+
+
+def _exterior_derivatives(field: FormField, points: np.ndarray, steps) -> np.ndarray:
+    """Central-difference dF at (P, N) points for each of H steps, as (P, H, C(N, k+1)).
+
+    One field call evaluates all P * H * 2N stencil points.  Each dF is the
+    sum of dx_axis ^ (F(p + h e_axis) - F(p - h e_axis)) / 2h, accumulated
+    in axis order; the error is O(h^2).
+    """
+    N, k = field.ambient_dim, field.degree
+    if k >= N:
+        raise ValueError("exterior derivative of a top-degree form is not representable")
+    steps = np.asarray(steps, dtype=float)
+    if np.any(steps <= 0):
+        raise ValueError("step h must be positive")
+    for h in steps:
+        touched = field.singular_locus_descriptor(points, 2.0 * h)
+        if np.any(touched):
+            raise ValueError(
+                f"finite-difference stencil at {points[np.argmax(touched)]} touches "
+                f"the singular locus (margin {2 * h:g})"
+            )
+    P, H = points.shape[0], steps.size
+    offsets = steps[:, None, None] * np.eye(N)  # (H, axis, N)
+    stencil = points[:, None, None, None, :] + np.stack([offsets, -offsets], axis=1)
+    values = field.coefficients(stencil.reshape(-1, N)).reshape(P * H, 2, N, -1)
+    partials = (values[:, 0] - values[:, 1]) / (2.0 * np.tile(steps, P)[:, None, None])
+    axes = np.eye(N)
+    out = np.zeros((P * H, n_coefficients(N, k + 1)))
+    for axis in range(N):
+        out += _wedge_rows(axes[axis][None], partials[:, axis], N, 1, k)
+    return out.reshape(P, H, -1)
 
 
 def finite_difference_exterior_derivative(
@@ -526,28 +598,7 @@ def finite_difference_exterior_derivative(
     N, k = field.ambient_dim, field.degree
     if point.size != N:
         raise ValueError(f"point must have length {N}")
-    if k >= N:
-        raise ValueError("exterior derivative of a top-degree form is not representable")
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    if field.singular_locus_descriptor(point, 2.0 * h):
-        raise ValueError(
-            f"finite-difference stencil at {point} touches the singular locus "
-            f"(margin {2 * h:g})"
-        )
-    out = np.zeros(n_coefficients(N, k + 1))
-    for axis in range(N):
-        offset = np.zeros(N)
-        offset[axis] = h
-        plus = field.evaluator(point + offset)
-        minus = field.evaluator(point - offset)
-        partial = (plus.coefficients - minus.coefficients) / (2.0 * h)
-        term = wedge(
-            AlternatingTensor.basis(N, (axis,)),
-            AlternatingTensor(N, k, partial),
-        )
-        out += term.coefficients
-    return AlternatingTensor(N, k + 1, out)
+    return AlternatingTensor(N, k + 1, _exterior_derivatives(field, point[None], [h])[0, 0])
 
 
 def closedness_order(
@@ -566,10 +617,7 @@ def closedness_order(
         return 0.0, math.inf, np.zeros((0, len(h_values)))
     points = np.atleast_2d(points)
     h_values = np.asarray(sorted(h_values, reverse=True), dtype=float)
-    residuals = np.empty((points.shape[0], h_values.size))
-    for i, p in enumerate(points):
-        for j, h in enumerate(h_values):
-            residuals[i, j] = finite_difference_exterior_derivative(field, p, h).norm
+    residuals = np.linalg.norm(_exterior_derivatives(field, points, h_values), axis=2)
     max_res = float(residuals[:, -1].max(initial=0.0))
     mean_res = residuals.mean(axis=0)
     if np.all(mean_res < 1e-12):

@@ -15,10 +15,13 @@ import numpy as np
 
 from .coords import WedgeCoordinates
 from .cutoff import CutoffProfile
-from .exterior import random_orthonormal_frames
+from .exterior import _batched_plucker, random_orthonormal_frames
 from .reports import Check
 
 IDENTITY_ON_PLANE_TOL = 1e-8
+# verify_area_nonincreasing takes samples in blocks of about this many plane
+# frames, so its memory does not grow with the sample count
+AREA_BLOCK_FRAMES = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,25 +60,34 @@ class RetractionMap:
     def __call__(self, points: np.ndarray) -> np.ndarray:
         return self.apply(points)
 
-    def differential(self, point: np.ndarray, h: float = 1e-6) -> np.ndarray:
-        """Central-difference Jacobian, error O(h^2); see ``differential_exact``."""
-        point = np.asarray(point, dtype=float)
+    def differential(self, points: np.ndarray, h: float = 1e-6) -> np.ndarray:
+        """Central-difference Jacobian, error O(h^2); see ``differential_exact``.
+
+        A point (N,) gives an (N, N) Jacobian and a batch (C, N) a (C, N, N)
+        stack; one ``apply`` call evaluates all (C, 2N, N) stencil points.
+        """
+        points = np.asarray(points, dtype=float)
+        pts = np.atleast_2d(points)
         N = self.coords.ambient_dim
         if h <= 0:
             raise ValueError("step h must be positive")
-        r = float(self.coords.r(point))
-        if r <= 2.0 * h:
-            raise ValueError(f"point has r = {r:g} <= 2h; stencil reaches the singular axis")
-        d_int = float(self.coords.interface_distance(point, self.profile.tan_theta))
-        if d_int <= 2.0 * h:
+        r = self.coords.r(pts)
+        if np.any(r <= 2.0 * h):
             raise ValueError(
-                f"point is {d_int:g} <= 2h from the wedge interface; the "
-                "differential jumps there"
+                f"point has r = {r[np.argmax(r <= 2.0 * h)]:g} <= 2h; "
+                "stencil reaches the singular axis"
+            )
+        d_int = self.coords.interface_distance(pts, self.profile.tan_theta)
+        if np.any(d_int <= 2.0 * h):
+            raise ValueError(
+                f"point is {d_int[np.argmax(d_int <= 2.0 * h)]:g} <= 2h from the wedge "
+                "interface; the differential jumps there"
             )
         steps = h * np.eye(N)
-        plus = self.apply(point[None, :] + steps)
-        minus = self.apply(point[None, :] - steps)
-        return (plus - minus).T / (2.0 * h)
+        stencil = pts[:, None, :] + np.concatenate([steps, -steps])  # (C, 2N, N)
+        images = self.apply(stencil.reshape(-1, N)).reshape(-1, 2, N, N)
+        jac = np.swapaxes(images[:, 0] - images[:, 1], 1, 2) / (2.0 * h)
+        return jac[0] if points.ndim == 1 else jac
 
     def differential_exact(self, point: np.ndarray) -> np.ndarray:
         """Chain-rule Jacobian on the smooth strata (independent oracle)."""
@@ -118,18 +130,24 @@ class RetractionMap:
 def plane_volume_scaling(jacobian: np.ndarray, plane_frames: np.ndarray) -> np.ndarray:
     """n-volume scaling |Lambda^n(J) xi| for orthonormal n-frames xi.
 
-    ``plane_frames`` has shape (count, n, N); the scaling is the product of
-    singular values of J restricted to each plane.
+    ``jacobian`` is (N, N) with ``plane_frames`` (count, n, N), or a stack
+    (C, N, N) with frames (C, count, n, N); the result is (count,) or
+    (C, count).  The images J v of a frame's rows span a parallelepiped
+    whose n-volume is the norm of their Pluecker coordinates.
     """
-    restricted = np.einsum("ij,pkj->pik", jacobian, plane_frames)  # (count, N, n)
-    svals = np.linalg.svd(restricted, compute_uv=False)
-    return np.prod(svals, axis=1)
+    images = plane_frames @ np.swapaxes(jacobian, -1, -2)[..., None, :, :]
+    *lead, n, N = images.shape
+    plucker = _batched_plucker(images.reshape(-1, n, N), N, n)
+    return np.linalg.norm(plucker, axis=1).reshape(lead)
 
 
-def top_volume_scaling(jacobian: np.ndarray, n: int) -> float:
-    """Max n-volume scaling over all n-planes: product of the top n singular values."""
+def top_volume_scaling(jacobian: np.ndarray, n: int):
+    """Max n-volume scaling over all n-planes: product of the top n singular values.
+
+    A float for one (N, N) Jacobian, a (C,) array for a (C, N, N) stack.
+    """
     svals = np.linalg.svd(jacobian, compute_uv=False)
-    return float(np.prod(svals[:n]))
+    return np.prod(svals[..., :n], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -197,10 +215,14 @@ def verify_area_nonincreasing(
 
     At every sampled interior point the finite-difference Jacobian is
     restricted to random orthonormal n-planes, and additionally maximized
-    over all planes via its top-n singular values.
+    over all planes via its top-n singular values.  Samples are taken in
+    blocks of about ``AREA_BLOCK_FRAMES`` plane frames: one ``differential``
+    call, one frame draw and one Pluecker pass per block.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if planes_per_sample < 1:
+        raise ValueError("planes_per_sample must be >= 1")
     coords, profile = retraction.coords, retraction.profile
     n, N = profile.n, coords.ambient_dim
     rng = np.random.default_rng(seed)
@@ -209,13 +231,16 @@ def verify_area_nonincreasing(
         coords, profile.tan_theta, samples, rng, t_fraction=(0.05, t_hi)
     )
 
+    # a block's frames come from one draw, the same stream as one draw per sample
+    block = max(1, AREA_BLOCK_FRAMES // planes_per_sample)
     max_plane = 0.0
     max_top = 0.0
-    for p in points:
-        jac = retraction.differential(p, h)
-        frames = random_orthonormal_frames(planes_per_sample, N, n, rng)
-        max_plane = max(max_plane, float(plane_volume_scaling(jac, frames).max()))
-        max_top = max(max_top, top_volume_scaling(jac, n))
+    for start in range(0, samples, block):
+        jacs = retraction.differential(points[start : start + block], h)
+        frames = random_orthonormal_frames(len(jacs) * planes_per_sample, N, n, rng)
+        scalings = plane_volume_scaling(jacs, frames.reshape(len(jacs), -1, n, N))
+        max_plane = max(max_plane, float(scalings.max()))
+        max_top = max(max_top, float(top_volume_scaling(jacs, n).max()))
 
     # tangent plane at a point of the calibrated plane scales exactly by 1
     x_point = coords.assemble(

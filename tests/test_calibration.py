@@ -9,6 +9,7 @@ from vancal.calibration import (
     adapted_wedge_coordinates,
     build_vanishing_calibration,
     coordinate_plane_sum,
+    covector_volume,
     psi_bar,
     scaled_calibration,
     sum_pair_calibration,
@@ -25,8 +26,11 @@ from vancal.exterior import (
     comass_oracle_refined,
     evaluate,
     finite_difference_exterior_derivative,
+    interior_product,
     multi_indices,
+    wedge,
 )
+from vancal.retraction import RetractionMap
 from vancal.subspaces import (
     OrientedSubspace,
     coordinate_plane,
@@ -72,9 +76,8 @@ def test_psi_bar_exterior_derivative_is_volume_form():
     coords = WedgeCoordinates.from_axes(5, (0, 1, 2), (3, 4))
     from vancal.exterior import FormField
 
-    field = FormField(5, 2, lambda p: psi_bar(coords, p),
-                      singular_locus_descriptor=lambda p, margin=0.0:
-                      float(coords.r(p)) <= margin)
+    field = FormField(5, 2, lambda pts: np.array([psi_bar(coords, p).coefficients for p in pts]),
+                      singular_locus_descriptor=lambda p, margin=0.0: coords.r(p) <= margin)
     rng = np.random.default_rng(0)
     vol_index = multi_indices(5, 3).index((0, 1, 2))
     for _ in range(5):
@@ -399,6 +402,13 @@ def test_sampled_checks_fail_without_samples(cal):
         assert rep.vanishing_samples == 0
         assert [c.name for c in rep.checks() if not c.passed] == ["vanishes_outside_wedges"]
         assert rep.passed is False
+    # a box beyond the wedge holds no grid point inside it, so the envelope
+    # and the in-wedge sampled checks have nothing to measure either
+    outside = verify_calibration(cal, ([0.08] * 3 + [1.0] * 3, [0.12] * 3 + [2.0] * 3), 4)
+    assert outside.points_in_wedge == 0
+    assert [c.name for c in outside.checks() if not c.passed] == [
+        "envelope", "optimizer_agreement", "closedness_order"]
+    assert outside.passed is False
 
 
 def test_sum_pair_rejects_tight_angle():
@@ -503,3 +513,84 @@ def test_coordinate_plane_sum_shared_block():
 def test_coordinate_plane_sum_dimension_guard():
     with pytest.raises(ValueError, match="ambient"):
         coordinate_plane_sum(3, 5)
+
+
+# -- batched form fields ------------------------------------------------------------------
+
+
+def reference_vanishing_tensor(cal, p: np.ndarray) -> np.ndarray:
+    """(c dr + s dz) ^ i_radial(vol_x) (^ dl) at one point, by one-point tensor algebra."""
+    coords, profile = cal.coords, cal.profile
+    N, degree = coords.ambient_dim, cal.degree
+    xi, r, z = coords.x_part(p), float(coords.r(p)), float(coords.z(p))
+    if z >= profile.tan_theta * r:
+        return np.zeros(math.comb(N, degree))
+    t = z / r
+    radial = coords.x_frame.T @ (xi / r)
+    one_form = float(profile.c_coefficient(t)) * radial
+    if z > 0.0:
+        one_form = one_form + float(profile.s_coefficient(t)) * (
+            coords.y_frame.T @ (coords.y_part(p) / z))
+    tensor = wedge(AlternatingTensor(N, 1, one_form),
+                   interior_product(radial, covector_volume(coords.x_frame, N)))
+    if coords.k:
+        tensor = wedge(tensor, covector_volume(coords.l_frame, N))
+    return cal.orientation * tensor.coefficients
+
+
+def reference_singular(cals, p: np.ndarray, margin: float) -> bool:
+    """Within margin of some summand's interface, or of its axis where its wedge is."""
+    for cal in cals:
+        r, z = float(cal.coords.r(p)), float(cal.coords.z(p))
+        tan_theta = cal.profile.tan_theta
+        if float(cal.coords.interface_distance(p, tan_theta)) <= margin:
+            return True
+        if z < tan_theta * r and r <= margin:
+            return True
+    return False
+
+
+def shared_axis_pair():
+    b1 = np.zeros((4, 7))
+    b1[0, 0] = b1[1, 1] = b1[2, 2] = b1[3, 3] = 1.0
+    b2 = np.zeros((4, 7))
+    b2[0, 4] = b2[1, 5] = b2[2, 6] = b2[3, 3] = 1.0
+    return intersect_and_split(OrientedSubspace(7, b1), OrientedSubspace(7, b2))
+
+
+@pytest.mark.parametrize("builder", ["constant", "vanishing", "pair", "scaled"])
+def test_batched_coefficients_match_one_point_calls(cal, builder):
+    params = make_params(3, 2.5)
+    if builder == "constant":
+        field = coordinate_plane_sum(2, 6, shared=1)
+        tensor = field.evaluator(np.zeros(6)).coefficients
+        reference, cals = (lambda p: tensor), ()
+    elif builder == "vanishing":
+        coords = WedgeCoordinates.from_axes(7, (0, 1, 2), (3, 4, 5), (6,))
+        cal7 = build_vanishing_calibration(params, coords, orientation=-1.0)
+        field, cals = cal7.field, (cal7,)
+        reference = lambda p: reference_vanishing_tensor(cal7, p)
+    elif builder == "pair":
+        field, cals = sum_pair_calibration(params, shared_axis_pair())
+        reference = lambda p: sum(reference_vanishing_tensor(c, p) for c in cals)
+    else:
+        f = lambda x: math.cos(float(x @ x))
+        field, cals = scaled_calibration(cal, f), (cal,)
+        retraction = RetractionMap(cal.coords, cal.profile)
+        reference = lambda p: f(cal.coords.x_part(retraction.apply(p))) * (
+            reference_vanishing_tensor(cal, p))
+    rng = np.random.default_rng(11)
+    points = rng.uniform(-1.0, 1.0, size=(300, field.ambient_dim))
+    points[::3, 3:6] *= 0.1  # many points inside a wedge, the rest mostly outside
+    points[::7, 3:6] = 0.0  # and some on a calibrated plane
+    batch = field.coefficients(points)
+    assert batch.shape == (300, math.comb(field.ambient_dim, field.degree))
+    for p, row in zip(points, batch):
+        assert np.allclose(field.evaluator(p).coefficients, row, rtol=0.0, atol=1e-15)
+        assert np.allclose(reference(p), row, rtol=0.0, atol=1e-14)
+    if builder != "constant":
+        assert np.count_nonzero(np.any(batch != 0.0, axis=1)) >= 50
+    for margin in (0.0, 0.05, 0.3):
+        mask = field.singular_locus_descriptor(points, margin)
+        assert mask.shape == (300,) and mask.dtype == bool
+        assert mask.tolist() == [reference_singular(cals, p, margin) for p in points]

@@ -106,6 +106,15 @@ def test_cutoff_command_pass(capsys):
     assert "grid_min_matches_kappa" in names
 
 
+def test_cutoff_command_resolves_the_minimum_on_a_coarse_grid(capsys):
+    # at 500 grid points the grid value of the minimum misses kappa by 1e-6;
+    # the refined minimum matches it
+    code, out = run_cli(capsys, "cutoff", "--n", "5", "--a", "3.8015", "--grid", "500")
+    assert code == 0
+    check = [c for c in report_of(out)["checks"] if c["name"] == "grid_min_matches_kappa"][0]
+    assert check["passed"]
+
+
 def test_cutoff_command_inadmissible(capsys):
     code, out = run_cli(capsys, "cutoff", "--n", "3", "--a", "3.5")
     assert code == 2

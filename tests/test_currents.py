@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from vancal.calibration import sum_pair_calibration
+from vancal.calibration import coordinate_plane_sum, sum_pair_calibration
 from vancal.currents import (
     Simplex,
     TriangulatedCurrent,
@@ -21,7 +21,7 @@ from vancal.currents import (
     write_mesh,
 )
 from vancal.cutoff import make_params
-from vancal.exterior import AlternatingTensor, FormField, constant_form_field
+from vancal.exterior import AlternatingTensor, FormField, constant_form_field, evaluate
 from vancal.subspaces import coordinate_plane, intersect_and_split
 
 
@@ -64,12 +64,10 @@ def test_quadrature_nodes_interior():
 def test_order_refinement_invariant():
     # on a smooth nonpolynomial field, order-2 vs order-4 differ by less
     # than the order-2 error against a subdivided reference
-    def evaluator(p):
-        coeff = np.zeros(1)
-        coeff[0] = math.cos(1.3 * p[0] + 0.4 * p[1] ** 2)
-        return AlternatingTensor(2, 2, coeff)
+    def coefficients(points):
+        return np.cos(1.3 * points[:, :1] + 0.4 * points[:, 1:2] ** 2)
 
-    field = FormField(2, 2, evaluator)
+    field = FormField(2, 2, coefficients)
     tri = TriangulatedCurrent(
         2, 2, (Simplex(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),)
     )
@@ -214,8 +212,19 @@ def test_integrate_rejects_singular_nodes():
     field = FormField(
         2,
         2,
-        lambda p: AlternatingTensor.basis(2, (0, 1)),
-        singular_locus_descriptor=lambda p, margin=0.0: True,
+        lambda p: np.ones((len(p), 1)),
+        singular_locus_descriptor=lambda p, margin=0.0: np.ones(len(p), dtype=bool),
+    )
+    with pytest.raises(ValueError, match="singular"):
+        integrate_form(sq, field)
+    # one singular node among all of them: the centroid of the second triangle
+    centroid = sq.simplices[1].vertices.mean(axis=0)
+    field = FormField(
+        2,
+        2,
+        lambda p: np.ones((len(p), 1)),
+        singular_locus_descriptor=lambda p, margin=0.0:
+            np.linalg.norm(p - centroid, axis=1) <= margin + 1e-12,
     )
     with pytest.raises(ValueError, match="singular"):
         integrate_form(sq, field)
@@ -312,3 +321,45 @@ def test_pairing_bounded_by_mass_times_comass(pair_field, ball_pair):
         )
         rep = calibration_inequality_check(shifted, pair_field)
         assert rep.pairing <= rep.mass * 1.0 + 1e-8
+
+
+def reference_integral(current, field, order):
+    """T(F) by a loop over simplices and quadrature nodes, one field call per node."""
+    nodes, weights = simplex_quadrature(current.degree, order)
+    total = 0.0
+    for s in current.simplices:
+        if s.multiplicity == 0:
+            continue
+        edges = s.vertices[1:] - s.vertices[0]
+        q, r = np.linalg.qr(edges.T)
+        signs = np.sign(np.diag(r))
+        signs[signs == 0] = 1.0
+        frame = (q * signs).T
+        if s.sign < 0:
+            frame[0] = -frame[0]
+        volume = math.sqrt(max(np.linalg.det(edges @ edges.T), 0.0)) / math.factorial(
+            current.degree)
+        acc = 0.0
+        for w, p in zip(weights, nodes @ s.vertices):
+            acc += w * evaluate(field.evaluator(p), frame)
+        total += s.multiplicity * volume * acc
+    return total
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_integrate_form_matches_per_simplex_loop(pair_field, ball_pair, order):
+    rng = np.random.default_rng(5)
+    _, _, both = ball_pair
+    shift = rng.uniform(-0.3, 0.3, size=6)
+    balls = TriangulatedCurrent(6, 3, tuple(
+        Simplex(s.vertices + shift, int(rng.integers(0, 4)), int(rng.choice([-1, 1, 1])))
+        for s in both.simplices
+    ))
+    assert any(s.multiplicity == 0 for s in balls.simplices)
+    assert any(s.sign < 0 for s in balls.simplices)
+    disk = graphical_perturbation(disk_mesh(6, ambient_dim=4), 2, 0.3, plane_axes=(0, 1))
+    for current, field in ((balls, pair_field), (disk, coordinate_plane_sum(2, 4))):
+        reference = reference_integral(current, field, order)
+        assert integrate_form(current, field, order) == pytest.approx(reference, rel=1e-13)
+        volumes = [s.multiplicity * s.volume() for s in current.simplices]
+        assert mass(current) == pytest.approx(sum(volumes), rel=1e-13)

@@ -205,6 +205,18 @@ def test_choose_a_rejects_threshold_target():
         choose_a_for_angle(n, threshold_half)
 
 
+def test_every_sweep_row_passes_every_check():
+    # the a values of `vancal cutoff --sweep 40` for n = 3..10, at 500 grid points
+    for n in range(3, 11):
+        lo, hi = admissible_interval(n)
+        margin = (hi - lo) * 1e-3
+        for a in np.linspace(lo + margin, hi - margin, 40):
+            rep = verify_inequality_one(make_params(n, float(a)), 500)
+            assert [c.name for c in rep.checks() if not c.passed] == [], (n, a)
+            assert rep.passed
+            assert abs(rep.grid_min_middle - rep.kappa) <= 1e-12 or not rep.axis_in_range
+
+
 def test_admissible_grid_inequality_sweep():
     # every admissible pair on a log grid passes the differential inequality
     for n in range(3, 11):

@@ -410,12 +410,12 @@ def test_fd_derivative_of_constant_form_vanishes():
 
 def test_fd_derivative_linear_coefficient():
     # d(x1 dx2) = dx1 ^ dx2, exact for central differences on linear data
-    def evaluator(p):
-        coeff = np.zeros(3)
-        coeff[1] = p[0]
-        return AlternatingTensor(3, 1, coeff)
+    def coefficients(points):
+        coeff = np.zeros((len(points), 3))
+        coeff[:, 1] = points[:, 0]
+        return coeff
 
-    field = FormField(3, 1, evaluator)
+    field = FormField(3, 1, coefficients)
     d = finite_difference_exterior_derivative(field, np.array([0.4, 1.2, -0.3]), 1e-3)
     expected = basis(3, (0, 1))
     assert np.allclose(d.coefficients, expected.coefficients, atol=1e-10)
@@ -423,12 +423,12 @@ def test_fd_derivative_linear_coefficient():
 
 def test_fd_derivative_second_order_convergence():
     # F = sin(x2) dx1: dF = cos(x2) dx2 ^ dx1 = -cos(x2) dx1^dx2; O(h^2) residual
-    def evaluator(p):
-        coeff = np.zeros(3)
-        coeff[0] = math.sin(p[1])
-        return AlternatingTensor(3, 1, coeff)
+    def coefficients(points):
+        coeff = np.zeros((len(points), 3))
+        coeff[:, 0] = np.sin(points[:, 1])
+        return coeff
 
-    field = FormField(3, 1, evaluator)
+    field = FormField(3, 1, coefficients)
     p = np.array([0.2, 0.7, -0.1])
     errors = []
     for h in (1e-2, 5e-3, 2.5e-3):
@@ -444,11 +444,37 @@ def test_fd_derivative_respects_singular_margin():
     field = FormField(
         2,
         1,
-        lambda p: AlternatingTensor(2, 1, p),
-        singular_locus_descriptor=lambda p, margin=0.0: np.linalg.norm(p) <= margin,
+        lambda p: p,
+        singular_locus_descriptor=lambda p, margin=0.0: np.linalg.norm(p, axis=1) <= margin,
     )
     with pytest.raises(ValueError, match="singular"):
         finite_difference_exterior_derivative(field, np.array([0.001, 0.0]), 1e-2)
+    # one stencil near the singular point among several
+    with pytest.raises(ValueError, match="singular"):
+        closedness_order(field, np.array([[1.0, 0.5], [0.001, 0.0], [0.7, -0.2]]))
+
+
+def test_closedness_residuals_match_per_point_loop():
+    # F = sin(x2) x3 dx1 + x1^2 dx3 in R^3, not closed
+    def coefficients(points):
+        coeff = np.zeros((len(points), 3))
+        coeff[:, 0] = np.sin(points[:, 1]) * points[:, 2]
+        coeff[:, 2] = points[:, 0] ** 2
+        return coeff
+
+    field = FormField(3, 1, coefficients)
+    points = np.random.default_rng(4).uniform(-1.0, 1.0, size=(5, 3))
+    h_values = (1e-2, 5e-3, 2.5e-3)
+    _, _, residuals = closedness_order(field, points, h_values)
+    for i, p in enumerate(points):
+        for j, h in enumerate(h_values):
+            d = np.zeros(3)
+            for axis in range(3):
+                step = np.zeros(3)
+                step[axis] = h
+                partial = (field(p + step).coefficients - field(p - step).coefficients) / (2 * h)
+                d += wedge(basis(3, (axis,)), AlternatingTensor(3, 1, partial)).coefficients
+            assert residuals[i, j] == pytest.approx(np.linalg.norm(d), rel=1e-14)
 
 
 def test_closedness_order_flags_exactly_closed_fields():

@@ -5,7 +5,9 @@ import pytest
 
 from vancal.coords import WedgeCoordinates
 from vancal.cutoff import CutoffProfile, make_params
+from vancal.exterior import random_orthonormal_frames
 from vancal.retraction import (
+    AREA_BLOCK_FRAMES,
     RetractionMap,
     level_set_curve_consistency,
     lipschitz_estimate,
@@ -114,6 +116,37 @@ def test_verify_area_nonincreasing_passes(retraction):
     assert rep.max_top_scaling <= 1.0 + 1e-8
 
 
+def reference_area_scalings(retraction, samples, planes, seed, h=1e-6):
+    """(max plane scaling, max top scaling) by one Jacobian, draw and SVD per sample."""
+    coords, profile = retraction.coords, retraction.profile
+    n, N = profile.n, coords.ambient_dim
+    rng = np.random.default_rng(seed)
+    t_hi = max(0.9, 1.0 - 4.0 * h / profile.tan_theta)
+    points = sample_wedge_points(coords, profile.tan_theta, samples, rng, t_fraction=(0.05, t_hi))
+    max_plane = max_top = 0.0
+    for p in points:
+        steps = h * np.eye(N)
+        jac = (retraction.apply(p + steps) - retraction.apply(p - steps)).T / (2.0 * h)
+        frames = random_orthonormal_frames(planes, N, n, rng)
+        restricted = np.einsum("ij,pkj->pik", jac, frames)
+        svals = np.linalg.svd(restricted, compute_uv=False)
+        max_plane = max(max_plane, float(np.prod(svals, axis=1).max()))
+        max_top = max(max_top, float(np.prod(np.linalg.svd(jac, compute_uv=False)[:n])))
+    return max_plane, max_top
+
+
+@pytest.mark.parametrize("profile_c", [None, 2.0])
+def test_verify_area_nonincreasing_matches_per_sample_loop(retraction, profile_c):
+    if profile_c is not None:  # the expanding negative control
+        retraction = RetractionMap(retraction.coords, CutoffProfile.forced(3, profile_c))
+    samples, planes = 100, 100
+    assert samples * planes > 2 * AREA_BLOCK_FRAMES  # several blocks, the last one partial
+    rep = verify_area_nonincreasing(retraction, samples, planes, seed=7)
+    max_plane, max_top = reference_area_scalings(retraction, samples, planes, seed=7)
+    assert rep.max_top_scaling == max_top
+    assert rep.max_plane_scaling == pytest.approx(max_plane, abs=1e-13)
+
+
 def test_negative_control_detects_expansion():
     # c' > n(n-2)/2 makes the t^2 coefficient of the scaling positive,
     # violating the upper bound of the cutoff inequality near t = 0
@@ -137,12 +170,21 @@ def test_level_set_curve_identity(retraction):
 
 
 def test_differential_guards(retraction):
+    tan_theta = retraction.profile.tan_theta
+    on_interface = np.array([1.0, 0.0, 0.0, tan_theta, 0.0, 0.0])
+    near_axis = np.array([1e-9, 0, 0, 0.0, 0, 0])
     with pytest.raises(ValueError, match="interface"):
-        tan_theta = retraction.profile.tan_theta
-        p = np.array([1.0, 0.0, 0.0, tan_theta, 0.0, 0.0])
-        retraction.differential(p, 1e-3)
+        retraction.differential(on_interface, 1e-3)
     with pytest.raises(ValueError, match="singular axis"):
-        retraction.differential(np.array([1e-9, 0, 0, 0.0, 0, 0]), 1e-3)
+        retraction.differential(near_axis, 1e-3)
+    # one bad point inside a batch of good ones
+    good = sample_wedge_points(retraction.coords, tan_theta, 6, np.random.default_rng(8))
+    for bad, match in ((on_interface, "interface"), (near_axis, "singular axis")):
+        with pytest.raises(ValueError, match=match):
+            retraction.differential(np.vstack([good[:3], bad, good[3:]]), 1e-3)
+    # a step so large that some samples' stencils reach the axis
+    with pytest.raises(ValueError, match="singular axis"):
+        verify_area_nonincreasing(retraction, 50, 10, seed=0, h=0.3)
 
 
 def test_retraction_with_shared_block():
