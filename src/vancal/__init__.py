@@ -43,7 +43,6 @@ from .calibration import (
 )
 from .fermi import SurfacePatch, fermi_volume_ratio, verify_first_order
 from .currents import (
-    Simplex,
     TriangulatedCurrent,
     boundary,
     calibration_inequality_check,

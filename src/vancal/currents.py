@@ -1,9 +1,10 @@
 """Triangulated integral currents: mass, boundary, and pairing with form fields.
 
-Simplices carry integer multiplicities and an orientation sign; boundary
-cancellation is exact integer arithmetic while geometry stays floating
-point.  Form integration uses symmetric barycentric (Grundmann-Moeller)
-quadrature on the constant unit tangent k-vector of each simplex.
+A chain is a vertex stack with signed integer multiplicities, the sign
+being the orientation; boundary cancellation is exact integer arithmetic
+while geometry stays floating point.  Form integration uses symmetric
+barycentric (Grundmann-Moeller) quadrature on the constant unit tangent
+k-vector of each simplex.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -19,41 +19,8 @@ import numpy as np
 from .exterior import FormField, _batched_plucker, _orthonormal_rows
 
 DEGENERACY_TOL = 1e-14
-
-
-@dataclass(frozen=True, eq=False)
-class Simplex:
-    vertices: np.ndarray  # (k+1, N)
-    multiplicity: int = 1
-    sign: int = 1
-
-    def __post_init__(self):
-        vertices = np.array(self.vertices, dtype=float)
-        if vertices.ndim != 2:
-            raise ValueError("simplex vertices must be a (k+1, N) array")
-        if int(self.multiplicity) != self.multiplicity or self.multiplicity < 0:
-            raise ValueError("multiplicity must be a nonnegative integer")
-        if self.sign not in (1, -1):
-            raise ValueError("orientation sign must be +1 or -1")
-        vertices.flags.writeable = False
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "multiplicity", int(self.multiplicity))
-        object.__setattr__(self, "sign", int(self.sign))
-
-    @property
-    def degree(self) -> int:
-        return self.vertices.shape[0] - 1
-
-    @property
-    def edges(self) -> np.ndarray:
-        return self.vertices[1:] - self.vertices[0]
-
-    def volume(self) -> float:
-        return float(_volumes(self.vertices[None])[0])
-
-    def tangent_frame(self) -> np.ndarray:
-        """Oriented orthonormal frame of the simplex plane (rows)."""
-        return _tangent_frames(self.vertices[None], np.array([self.sign]))[0]
+# relative slack below which T(F) = M(T) * cap counts as calibrated
+CALIBRATED_RTOL = 1e-6
 
 
 def _volumes(vertices: np.ndarray) -> np.ndarray:
@@ -66,39 +33,52 @@ def _volumes(vertices: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(det, 0.0)) / math.factorial(k)
 
 
-def _tangent_frames(vertices: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Oriented orthonormal tangent frames (S, k, N) of a (S, k+1, N) stack of simplices.
+def _tangent_frames(vertices: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent frames (S, k, N) of a (S, k+1, N) stack of simplices.
 
     One batched QR of the edge matrices with a positive R diagonal, so each
-    frame keeps the orientation of the edges; a simplex with sign -1 has its
-    first row negated.
+    frame keeps the orientation of the edges.
     """
-    frames = _orthonormal_rows(np.swapaxes(vertices[:, 1:] - vertices[:, :1], 1, 2))
-    frames[:, :1] *= np.where(signs < 0, -1.0, 1.0)[:, None, None]
-    return frames
+    return _orthonormal_rows(np.swapaxes(vertices[:, 1:] - vertices[:, :1], 1, 2))
 
 
 @dataclass(frozen=True, eq=False)
 class TriangulatedCurrent:
-    """An integer-multiplicity simplicial k-chain in R^N."""
+    """An integer-multiplicity simplicial k-chain in R^N.
+
+    ``simplices`` is a read-only (S, k+1, N) vertex stack and
+    ``multiplicities`` a read-only (S,) int64 array of signed multiplicities;
+    the sign is the orientation.  Rows of multiplicity 0 are the zero chain
+    and are dropped.
+    """
 
     ambient_dim: int
     degree: int
-    simplices: tuple
+    simplices: np.ndarray
+    multiplicities: np.ndarray
 
     def __post_init__(self):
-        sims = tuple(self.simplices)
-        for s in sims:
-            if not isinstance(s, Simplex):
-                raise TypeError("simplices must be Simplex instances")
-            if s.vertices.shape != (self.degree + 1, self.ambient_dim):
-                raise ValueError(
-                    f"simplex shape {s.vertices.shape} does not match "
-                    f"(k+1, N) = ({self.degree + 1}, {self.ambient_dim})"
-                )
-        object.__setattr__(self, "simplices", sims)
-        if self.degree >= 1 and np.any(_volumes(self._live_arrays()[0]) <= DEGENERACY_TOL):
+        vertices = np.array(self.simplices, dtype=float)
+        shape = (self.degree + 1, self.ambient_dim)
+        if vertices.ndim != 3 or vertices.shape[1:] != shape:
+            raise ValueError(
+                f"simplex shape {vertices.shape[1:]} does not match "
+                f"(k+1, N) = ({self.degree + 1}, {self.ambient_dim})"
+            )
+        given = np.asarray(self.multiplicities)
+        multiplicities = given.astype(np.int64)
+        if multiplicities.shape != vertices.shape[:1]:
+            raise ValueError(f"expected {len(vertices)} multiplicities, got {given.shape}")
+        if not np.array_equal(multiplicities, given):
+            raise ValueError("multiplicities must be integers")
+        live = multiplicities != 0
+        vertices, multiplicities = vertices[live], multiplicities[live]
+        if self.degree >= 1 and np.any(_volumes(vertices) <= DEGENERACY_TOL):
             raise ValueError("degenerate simplex (volume below tolerance)")
+        vertices.flags.writeable = False
+        multiplicities.flags.writeable = False
+        object.__setattr__(self, "simplices", vertices)
+        object.__setattr__(self, "multiplicities", multiplicities)
 
     @classmethod
     def from_arrays(
@@ -111,72 +91,57 @@ class TriangulatedCurrent:
         vertices = list(vertices)
         if multiplicities is None:
             multiplicities = [1] * len(vertices)
-        sims = []
-        for verts, mult in zip(vertices, multiplicities):
-            mult = int(mult)
-            sims.append(
-                Simplex(np.asarray(verts, float), abs(mult), 1 if mult >= 0 else -1)
-            )
-        return cls(ambient_dim, degree, tuple(sims))
+        stack = np.array(vertices, dtype=float) if vertices else np.empty(
+            (0, degree + 1, ambient_dim))
+        return cls(ambient_dim, degree, stack, list(multiplicities))
 
     def __len__(self) -> int:
         return len(self.simplices)
 
-    def _live_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vertices (S, k+1, N), multiplicities and signs of the simplices with multiplicity > 0."""
-        live = [s for s in self.simplices if s.multiplicity > 0]
-        vertices = np.array([s.vertices for s in live], dtype=float)
-        return (
-            vertices.reshape(len(live), self.degree + 1, self.ambient_dim),
-            np.array([s.multiplicity for s in live], dtype=float),
-            np.array([s.sign for s in live], dtype=float),
-        )
-
 
 def mass(current: TriangulatedCurrent) -> float:
     """Total k-volume weighted by |multiplicity|."""
-    vertices, multiplicities, _ = current._live_arrays()
-    return float(np.sum(multiplicities * _volumes(vertices)))
+    return float(np.sum(np.abs(current.multiplicities) * _volumes(current.simplices)))
 
 
 # -- boundary ----------------------------------------------------------------
 
 
-def _canonical_face(verts: np.ndarray) -> tuple:
-    """Sort face vertices lexicographically; return (key, permutation parity)."""
-    rows = [tuple(0.0 + v for v in row) for row in verts]  # normalizes -0.0
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    # parity of the sorting permutation by counting inversions
-    inversions = sum(
-        1 for i in range(len(order)) for j in range(i + 1, len(order)) if order[i] > order[j]
-    )
-    parity = -1 if inversions % 2 else 1
-    key = tuple(rows[i] for i in order)
-    return key, parity
+def _row_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a (R, C) array in lexicographic order, and the id of each row."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return ordered[first], ids
 
 
 def boundary(current: TriangulatedCurrent) -> TriangulatedCurrent:
-    """Alternating-sign face chain with exact integer cancellation."""
+    """Alternating-sign face chain with exact integer cancellation.
+
+    Vertices get ids in lexicographic order of their coordinates (-0.0 counts
+    as 0.0).  Face j of a simplex drops vertex j and carries (-1)^j times the
+    parity of the permutation that sorts its ids; equal sorted faces merge,
+    and faces whose coefficients cancel are dropped.  Each face lists its
+    vertices in lexicographic order, and the faces come in that order too.
+    """
     if current.degree < 1:
         raise ValueError("boundary requires degree >= 1")
-    acc: dict = {}
-    rep: dict = {}
-    for s in current.simplices:
-        coeff = s.sign * s.multiplicity
-        if coeff == 0:
-            continue
-        for j in range(current.degree + 1):
-            face = np.delete(s.vertices, j, axis=0)
-            key, parity = _canonical_face(face)
-            acc[key] = acc.get(key, 0) + coeff * parity * (-1 if j % 2 else 1)
-            rep.setdefault(key, face)
-    sims = []
-    for key, coeff in acc.items():
-        if coeff == 0:
-            continue
-        verts = np.array(key, dtype=float)
-        sims.append(Simplex(verts, abs(coeff), 1 if coeff > 0 else -1))
-    return TriangulatedCurrent(current.ambient_dim, current.degree - 1, tuple(sims))
+    N, k = current.ambient_dim, current.degree
+    vertex_rows, vertex_ids = _row_ids(current.simplices.reshape(-1, N) + 0.0)
+    ids = vertex_ids.reshape(-1, k + 1)
+    drop = np.array([[i for i in range(k + 1) if i != j] for j in range(k + 1)])
+    faces = ids[:, drop]  # (S, k+1, k): face j drops vertex j
+    upper, lower = np.triu_indices(k, 1)
+    inversions = np.sum(faces[..., upper] > faces[..., lower], axis=-1)
+    odd = (inversions + np.arange(k + 1)) % 2 == 1
+    coefficients = np.where(odd, -1, 1) * current.multiplicities[:, None]
+    face_rows, face_ids = _row_ids(np.sort(faces, axis=-1).reshape(-1, k))
+    merged = np.zeros(len(face_rows), dtype=np.int64)
+    np.add.at(merged, face_ids, coefficients.reshape(-1))
+    return TriangulatedCurrent(N, k - 1, vertex_rows[face_rows], merged)
 
 
 # -- Grundmann-Moeller quadrature ---------------------------------------------
@@ -227,10 +192,11 @@ def integrate_form(
 ) -> float:
     """The pairing T(F): per-simplex quadrature on the constant tangent k-vector.
 
-    All simplices with nonzero multiplicity are stacked as (S, k+1, N): one
-    batched QR gives the oriented tangent frames, one Gram determinant the
-    volumes, and one field call the coefficients at all (S, Q) quadrature
-    nodes, paired with the frames' Pluecker coordinates.  The result is one
+    Over the (S, k+1, N) vertex stack, one batched QR gives the tangent
+    frames, one Gram determinant the volumes, and one field call the
+    coefficients at all (S, Q) quadrature nodes, paired with the frames'
+    Pluecker coordinates; the signed multiplicity carries the orientation,
+    also for 0-simplices, whose frames are empty.  The result is one
     fixed reduction, ``np.sum``, over the per-simplex array, whose order
     depends only on the order of the simplices; no thread pool is involved,
     so the value is deterministic.
@@ -244,7 +210,7 @@ def integrate_form(
         raise ValueError("ambient dimension mismatch")
     N, k = current.ambient_dim, current.degree
     nodes, weights = simplex_quadrature(k, quadrature_order)
-    vertices, multiplicities, signs = current._live_arrays()
+    vertices = current.simplices
     if vertices.shape[0] == 0:
         return 0.0
     points = (nodes @ vertices).reshape(-1, N)  # (S * Q, N)
@@ -254,10 +220,9 @@ def integrate_form(
             f"quadrature node {points[np.argmax(singular)]} lies on the field's singular locus"
         )
     values = field.coefficients(points).reshape(vertices.shape[0], nodes.shape[0], -1)
-    # the orientation sign is carried by the tangent frame
-    plucker = _batched_plucker(_tangent_frames(vertices, signs), N, k)
+    plucker = _batched_plucker(_tangent_frames(vertices), N, k)
     pairings = np.einsum("sqm,sm->sq", values, plucker) @ weights
-    return float(np.sum(multiplicities * _volumes(vertices) * pairings))
+    return float(np.sum(current.multiplicities * _volumes(vertices) * pairings))
 
 
 # -- calibration inequality ----------------------------------------------------
@@ -271,7 +236,7 @@ class CalibrationInequalityReport:
     slack: float  # mass * cap - pairing
     calibrated: bool
     tolerance: float = 1e-8
-    equality_rtol: float = 1e-6
+    equality_rtol: float = CALIBRATED_RTOL
 
     @property
     def passed(self) -> bool:
@@ -288,7 +253,7 @@ def calibration_inequality_check(
     pairing = integrate_form(current, field, quadrature_order)
     total_mass = mass(current)
     slack = total_mass * comass_cap - pairing
-    calibrated = slack <= 1e-6 * max(total_mass, 1e-30) or total_mass == 0.0
+    calibrated = slack <= CALIBRATED_RTOL * max(total_mass, 1e-30) or total_mass == 0.0
     return CalibrationInequalityReport(
         pairing=pairing,
         mass=total_mass,
@@ -303,10 +268,10 @@ def calibration_inequality_check(
 
 def write_mesh(current: TriangulatedCurrent, path) -> None:
     """First line "N k count"; per simplex, (k+1)*N coordinates then a signed multiplicity."""
-    lines = [f"{current.ambient_dim} {current.degree} {len(current.simplices)}"]
-    for s in current.simplices:
-        coords = " ".join(repr(float(v)) for v in s.vertices.reshape(-1))
-        lines.append(f"{coords} {s.sign * s.multiplicity}")
+    lines = [f"{current.ambient_dim} {current.degree} {len(current)}"]
+    rows = current.simplices.reshape(len(current), -1).tolist()
+    for coords, mult in zip(rows, current.multiplicities.tolist()):
+        lines.append(" ".join(map(repr, coords)) + f" {mult}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -323,13 +288,10 @@ def read_mesh(path) -> TriangulatedCurrent:
         raise ValueError(
             f"expected {per * count} tokens for {count} simplices, got {len(body)}"
         )
-    sims = []
-    for i in range(count):
-        chunk = body[i * per : (i + 1) * per]
-        verts = np.array([float(tok) for tok in chunk[:-1]]).reshape(k + 1, N)
-        mult = int(chunk[-1])
-        sims.append(Simplex(verts, abs(mult), 1 if mult >= 0 else -1))
-    return TriangulatedCurrent(N, k, tuple(sims))
+    multiplicities = [int(tok) for tok in body[per - 1 :: per]]
+    del body[per - 1 :: per]
+    vertices = np.array([float(tok) for tok in body]).reshape(count, k + 1, N)
+    return TriangulatedCurrent(N, k, vertices, multiplicities)
 
 
 # -- mesh generators -------------------------------------------------------------
@@ -344,8 +306,6 @@ def disk_mesh(rings: int, ambient_dim: int = 2, plane_axes=(0, 1)) -> Triangulat
     """
     if rings < 1:
         raise ValueError("rings must be >= 1")
-    ax0, ax1 = plane_axes
-
     ring_pts = [[(0.0, 0.0)]]
     for j in range(1, rings + 1):
         radius = j / rings
@@ -358,19 +318,15 @@ def disk_mesh(rings: int, ambient_dim: int = 2, plane_axes=(0, 1)) -> Triangulat
                 for i in range(6 * j)
             ]
         )
+    starts = np.cumsum([0] + [len(ring) for ring in ring_pts])
 
-    triangles: list[tuple] = []
-
-    def add(a, b, c):
-        orient = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        triangles.append((a, b, c) if orient > 0 else (a, c, b))
-
+    triangles: list[tuple] = []  # vertex indices into the concatenated rings
     for j in range(1, rings + 1):
-        inner, outer = ring_pts[j - 1], ring_pts[j]
+        inner, outer = range(starts[j - 1], starts[j]), range(starts[j], starts[j + 1])
         n_in, n_out = len(inner), len(outer)
         if n_in == 1:
             for o in range(n_out):
-                add(inner[0], outer[o], outer[(o + 1) % n_out])
+                triangles.append((inner[0], outer[o], outer[(o + 1) % n_out]))
             continue
         # merge the two circular vertex lists by angular fraction
         i = o = 0
@@ -379,22 +335,20 @@ def disk_mesh(rings: int, ambient_dim: int = 2, plane_axes=(0, 1)) -> Triangulat
                 i == n_in or (o + 1) / n_out <= (i + 1) / n_in
             )
             if advance_outer:
-                add(inner[i % n_in], outer[o % n_out], outer[(o + 1) % n_out])
+                triangles.append((inner[i % n_in], outer[o % n_out], outer[(o + 1) % n_out]))
                 o += 1
             else:
-                add(inner[i % n_in], outer[o % n_out], inner[(i + 1) % n_in])
+                triangles.append((inner[i % n_in], outer[o % n_out], inner[(i + 1) % n_in]))
                 i += 1
 
-    def embed(p2):
-        p = np.zeros(ambient_dim)
-        p[ax0] = p2[0]
-        p[ax1] = p2[1]
-        return p
-
-    sims = tuple(
-        Simplex(np.array([embed(a), embed(b), embed(c)]), 1, 1) for a, b, c in triangles
-    )
-    return TriangulatedCurrent(ambient_dim, 2, sims)
+    tri = np.concatenate(ring_pts)[np.array(triangles)]  # (T, 3, 2)
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    orient = (b[:, 0] - a[:, 0]) * (c[:, 1] - a[:, 1]) - (b[:, 1] - a[:, 1]) * (c[:, 0] - a[:, 0])
+    clockwise = orient <= 0
+    tri[clockwise] = tri[clockwise][:, [0, 2, 1]]
+    vertices = np.zeros((len(tri), 3, ambient_dim))
+    vertices[..., list(plane_axes)] = tri
+    return TriangulatedCurrent(ambient_dim, 2, vertices, np.ones(len(tri), dtype=np.int64))
 
 
 def icosphere_faces(subdivisions: int) -> tuple[np.ndarray, np.ndarray]:
@@ -445,18 +399,13 @@ def ball_mesh(
 ) -> TriangulatedCurrent:
     """Unit 3-ball coned from a subdivided icosphere, positively oriented."""
     verts, faces = icosphere_faces(subdivisions)
-    verts = verts * radius
-    sims = []
-    origin = np.zeros(3)
-    for a, b, c in faces:
-        tet = np.array([origin, verts[a], verts[b], verts[c]])
-        if np.linalg.det(tet[1:] - tet[0]) < 0:
-            tet = tet[[0, 1, 3, 2]]
-        emb = np.zeros((4, ambient_dim))
-        for col, axis in enumerate(axes):
-            emb[:, axis] = tet[:, col]
-        sims.append(Simplex(emb, 1, 1))
-    return TriangulatedCurrent(ambient_dim, 3, tuple(sims))
+    tets = np.zeros((len(faces), 4, 3))
+    tets[:, 1:] = (verts * radius)[faces]
+    negative = np.linalg.det(tets[:, 1:] - tets[:, :1]) < 0
+    tets[negative] = tets[negative][:, [0, 1, 3, 2]]
+    vertices = np.zeros((len(faces), 4, ambient_dim))
+    vertices[..., list(axes)] = tets
+    return TriangulatedCurrent(ambient_dim, 3, vertices, np.ones(len(faces), dtype=np.int64))
 
 
 def graphical_perturbation(
@@ -473,33 +422,21 @@ def graphical_perturbation(
     |x| = R, so boundary vertices stay fixed and the perturbed chain bounds
     the same cycle.
     """
-    plane_axes = list(plane_axes)
-    sims = []
-    for s in current.simplices:
-        verts = s.vertices.copy()
-        for row in range(verts.shape[0]):
-            x = verts[row, plane_axes]
-            rho2 = float(x @ x) / support_radius**2
-            if rho2 < 1.0:
-                verts[row, normal_axis] += amplitude * (1.0 - rho2) ** 2
-        sims.append(Simplex(verts, s.multiplicity, s.sign))
-    return TriangulatedCurrent(current.ambient_dim, current.degree, tuple(sims))
+    vertices = current.simplices.copy()
+    x = vertices[..., list(plane_axes)]
+    rho2 = np.einsum("...i,...i->...", x, x) / support_radius**2
+    inside = rho2 < 1.0
+    column = vertices[..., normal_axis]
+    column[inside] += amplitude * (1.0 - rho2[inside]) ** 2
+    return TriangulatedCurrent(
+        current.ambient_dim, current.degree, vertices, current.multiplicities
+    )
 
 
 def square_mesh(ambient_dim: int = 2, multiplicity: int = 1) -> TriangulatedCurrent:
     """The unit square in the first two axes, split into two triangles."""
-    v00, v10, v01, v11 = (
-        np.zeros(ambient_dim),
-        np.zeros(ambient_dim),
-        np.zeros(ambient_dim),
-        np.zeros(ambient_dim),
-    )
-    v10[0] = 1.0
-    v01[1] = 1.0
-    v11[0] = 1.0
-    v11[1] = 1.0
-    sims = (
-        Simplex(np.array([v00, v10, v11]), multiplicity, 1),
-        Simplex(np.array([v00, v11, v01]), multiplicity, 1),
-    )
-    return TriangulatedCurrent(ambient_dim, 2, sims)
+    corners = np.zeros((4, ambient_dim))  # (0, 0), (1, 0), (0, 1), (1, 1)
+    corners[[1, 3], 0] = 1.0
+    corners[[2, 3], 1] = 1.0
+    vertices = corners[[[0, 1, 3], [0, 3, 2]]]
+    return TriangulatedCurrent(ambient_dim, 2, vertices, [multiplicity, multiplicity])

@@ -275,7 +275,11 @@ def test_criterion_09_current_integrator():
     field, _ = sum_pair_calibration(params, pair)
     ball1 = ball_mesh(2, ambient_dim=6, axes=(0, 1, 2))
     ball2 = ball_mesh(2, ambient_dim=6, axes=(3, 4, 5))
-    both = TriangulatedCurrent(6, 3, ball1.simplices + ball2.simplices)
+    def joined(a, b):
+        return TriangulatedCurrent(6, 3, np.concatenate([a.simplices, b.simplices]),
+                                   np.concatenate([a.multiplicities, b.multiplicities]))
+
+    both = joined(ball1, ball2)
     flat = calibration_inequality_check(both, field)
     equality = abs(flat.mass - flat.pairing) <= 1e-6 * flat.mass
 
@@ -283,7 +287,7 @@ def test_criterion_09_current_integrator():
     details = []
     for eps in (0.05, 0.1, 0.2):
         bumped = graphical_perturbation(ball1, normal_axis=3, amplitude=eps)
-        competitor = TriangulatedCurrent(6, 3, bumped.simplices + ball2.simplices)
+        competitor = joined(bumped, ball2)
         rep = calibration_inequality_check(competitor, field)
         competitors_ok &= rep.mass > flat.mass and rep.pairing < rep.mass
         details.append(f"eps={eps}: dM={rep.mass - flat.mass:.2e}, slack={rep.slack:.2e}")
