@@ -31,7 +31,7 @@ from .exterior import (
     n_coefficients,
     wedge,
 )
-from .reports import Check
+from .reports import Check, CheckedReport
 from .retraction import RetractionMap
 from .subspaces import PlanePair
 
@@ -260,7 +260,7 @@ def sample_box_points(
 
 
 @dataclass(frozen=True)
-class CalibrationReport:
+class CalibrationReport(CheckedReport):
     """Verification of a sum of vanishing calibrations with disjoint wedges.
 
     A single calibration is one summand, Phi + Psi is two.  Every field is a
@@ -327,10 +327,6 @@ class CalibrationReport:
                   measured=self.vanishing_max_abs, threshold=0.0,
                   detail=f"{self.vanishing_samples} samples outside {outside}"),
         ]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks())
 
 
 def _box_sample(
@@ -559,6 +555,19 @@ def adapted_wedge_coordinates(pair: PlanePair) -> tuple[WedgeCoordinates, WedgeC
     return c1, c2, s1, s2
 
 
+def angle_budget(params: CutoffParams, pair: PlanePair) -> Check:
+    """The pair's smallest principal angle must exceed twice the wedge half-angle.
+
+    Below that the two wedges overlap.  A pair with no principal angles
+    (equal planes) measures 0.0 and fails.
+    """
+    angles = pair.principal_angles
+    min_angle = float(angles.min()) if angles.size else 0.0
+    budget = 2.0 * params.theta
+    return Check("angle_budget", min_angle > budget, measured=min_angle, threshold=budget,
+                 detail="smallest principal angle must exceed the double wedge angle")
+
+
 def sum_pair_calibration(
     params: CutoffParams, pair: PlanePair
 ) -> tuple[FormField, tuple[VanishingCalibration, VanishingCalibration]]:
@@ -569,13 +578,11 @@ def sum_pair_calibration(
     with the shared intersection as the l-block, and oriented to calibrate
     that plane positively.
     """
-    if pair.principal_angles.size == 0:
-        raise ValueError("equal planes: nothing transverse to calibrate")
-    min_angle = float(pair.principal_angles.min())
-    if not min_angle > 2.0 * params.theta:
+    budget = angle_budget(params, pair)
+    if not budget.passed:
         raise ValueError(
-            f"angle budget violated: smallest principal angle {min_angle:.6f} "
-            f"must exceed 2 theta = {2 * params.theta:.6f}; the wedges would overlap"
+            f"angle budget violated: smallest principal angle {budget.measured:.6f} "
+            f"must exceed 2 theta = {budget.threshold:.6f}; the wedges would overlap"
         )
     coords1, coords2, sign1, sign2 = adapted_wedge_coordinates(pair)
     cal1 = build_vanishing_calibration(params, coords1, orientation=sign1)

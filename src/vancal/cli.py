@@ -20,6 +20,9 @@ import numpy as np
 
 from . import __version__
 from .calibration import (
+    CLOSEDNESS_MIN_ORDER,
+    COMASS_GRID_TOL,
+    angle_budget,
     build_vanishing_calibration,
     coordinate_plane_sum,
     verify_calibration,
@@ -51,11 +54,7 @@ from .fermi import (
     verify_first_order,
 )
 from .reports import VerificationReport
-from .retraction import (
-    RetractionMap,
-    lipschitz_estimate,
-    verify_area_nonincreasing,
-)
+from .retraction import RetractionMap, verify_area_nonincreasing
 from .subspaces import OrientedSubspace, intersect_and_split
 
 
@@ -85,15 +84,6 @@ def parse_matrix(text: str) -> np.ndarray:
 # -- output helpers ---------------------------------------------------------------
 
 
-def _emit(report: VerificationReport, out_path: str | None) -> int:
-    text = report.to_json()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
-    return 0 if report.overall_pass else 1
-
-
 def _emit_csv(header: list, rows: list, out_path: str | None) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
@@ -108,7 +98,12 @@ def _emit_csv(header: list, rows: list, out_path: str | None) -> None:
 
 def _finish(report: VerificationReport, started: float, out_path: str | None) -> int:
     report.wall_time_ms = int((time.monotonic() - started) * 1000)
-    return _emit(report, out_path)
+    text = report.to_json()
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    print(text)
+    return 0 if report.overall_pass else 1
 
 
 # -- commands ---------------------------------------------------------------------
@@ -219,18 +214,9 @@ def cmd_verify_pair(args) -> int:
             OrientedSubspace(N, basis1), OrientedSubspace(N, basis2)
         )
         report.parameters["intersection_dim"] = pair.intersection_dim
-        min_angle = float(pair.principal_angles.min()) if pair.principal_angles.size else 0.0
-        budget = 2.0 * params.theta
-        report.add(
-            "angle_budget",
-            min_angle > budget,
-            measured=min_angle,
-            threshold=budget,
-            detail="smallest principal angle must exceed the double wedge angle",
-        )
-        if min_angle <= budget:
-            _finish(report, started, args.json)
-            return 1
+        report.checks.append(angle_budget(params, pair))
+        if not report.overall_pass:
+            return _finish(report, started, args.json)
         rep, _field = verify_pair_calibration(
             params, pair, (lows, highs), grid, seed=seed
         )
@@ -275,21 +261,6 @@ def cmd_retraction(args) -> int:
         retraction, args.samples, args.planes, args.seed
     )
     report.checks.extend(rep.checks())
-    rng = np.random.default_rng(args.seed)
-    pts = rng.uniform(-1.5, 1.5, size=(200, N))
-    scales = rng.uniform(0.1, 3.0, size=200)
-    hom = float(
-        np.abs(
-            retraction.apply(scales[:, None] * pts) - scales[:, None] * retraction.apply(pts)
-        ).max()
-    )
-    report.add("one_homogeneous", hom <= 1e-12, measured=hom, tolerance=1e-12)
-    idem = float(
-        np.abs(retraction.apply(retraction.apply(pts)) - retraction.apply(pts)).max()
-    )
-    report.add("idempotent", idem <= 1e-12, measured=idem, tolerance=1e-12)
-    lip = lipschitz_estimate(retraction, 20_000, args.seed)
-    report.add("lipschitz_finite", math.isfinite(lip), measured=lip)
     return _finish(report, started, args.json)
 
 
@@ -348,20 +319,7 @@ def cmd_fermi(args) -> int:
         return 2
     rep = verify_first_order(patch, u, direction, [0.04, 0.02, 0.01])
     report.parameters["point"] = [float(v) for v in u]
-    report.add(
-        "first_order_match",
-        rep.passed,
-        measured=rep.fitted_beta,
-        threshold=rep.expected_beta,
-        tolerance=rep.tolerance,
-        detail=f"H^nu = {rep.mean_curvature_trace:.6g}",
-    )
-    report.add(
-        "within_focal_radius",
-        not rep.y_beyond_focal,
-        measured=rep.focal_radius,
-        detail="largest y stays below the focal radius estimate",
-    )
+    report.checks.extend(rep.checks())
     return _finish(report, started, args.json)
 
 
@@ -387,6 +345,8 @@ def cmd_comass(args) -> int:
             raise ValueError(
                 f"expected {n_coefficients(N, k)} coefficients, got {len(coeffs)}"
             )
+        if not all(math.isfinite(c) for c in coeffs):
+            raise ValueError("coefficients must be finite")
         tensor = AlternatingTensor(N, k, np.array(coeffs))
     except (OSError, ValueError, IndexError) as err:
         print(f"error: {err}", file=sys.stderr)
@@ -446,17 +406,7 @@ def cmd_integrate(args) -> int:
         {"ambient_dim": current.ambient_dim, "degree": current.degree,
          "simplices": len(current)}
     )
-    report.add(
-        "calibration_inequality",
-        rep.passed,
-        measured=rep.slack,
-        threshold=0.0,
-        tolerance=rep.tolerance,
-        detail=f"pairing {rep.pairing:.12g}, mass {rep.mass:.12g}",
-    )
-    report.add("calibrated", rep.calibrated, measured=rep.pairing, threshold=rep.mass,
-               tolerance=rep.equality_rtol,
-               detail="equality within relative tolerance")
+    report.checks.extend(rep.checks())
     return _finish(report, started, args.json)
 
 
@@ -489,8 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-pair", help="two-plane calibration pipeline")
     p.add_argument("--config", required=True)
     p.add_argument("--grid", type=int, default=6)
-    p.add_argument("--tol-comass", type=float, default=1e-9)
-    p.add_argument("--tol-closed", type=float, default=1.8,
+    p.add_argument("--tol-comass", type=float, default=COMASS_GRID_TOL)
+    p.add_argument("--tol-closed", type=float, default=CLOSEDNESS_MIN_ORDER,
                    help="minimum fitted closedness order")
     p.add_argument("--json")
     p.set_defaults(func=cmd_verify_pair)

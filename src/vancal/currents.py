@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exterior import FormField, _batched_plucker, _orthonormal_rows
+from .reports import Check, CheckedReport
 
 DEGENERACY_TOL = 1e-14
 # relative slack below which T(F) = M(T) * cap counts as calibrated
@@ -65,6 +66,8 @@ class TriangulatedCurrent:
                 f"simplex shape {vertices.shape[1:]} does not match "
                 f"(k+1, N) = ({self.degree + 1}, {self.ambient_dim})"
             )
+        if not np.all(np.isfinite(vertices)):
+            raise ValueError("vertex coordinates must be finite")
         given = np.asarray(self.multiplicities)
         multiplicities = given.astype(np.int64)
         if multiplicities.shape != vertices.shape[:1]:
@@ -229,18 +232,28 @@ def integrate_form(
 
 
 @dataclass(frozen=True)
-class CalibrationInequalityReport:
+class CalibrationInequalityReport(CheckedReport):
     pairing: float
     mass: float
     comass_cap: float
     slack: float  # mass * cap - pairing
-    calibrated: bool
     tolerance: float = 1e-8
     equality_rtol: float = CALIBRATED_RTOL
 
     @property
-    def passed(self) -> bool:
-        return self.slack >= -self.tolerance
+    def calibrated(self) -> bool:
+        """T(F) = M(T) * cap within the relative tolerance, on either side."""
+        return abs(self.slack) <= self.equality_rtol * max(self.mass, 1e-30)
+
+    def checks(self) -> list[Check]:
+        return [
+            Check("calibration_inequality", self.slack >= -self.tolerance,
+                  measured=self.slack, threshold=0.0, tolerance=self.tolerance,
+                  detail=f"pairing {self.pairing:.12g}, mass {self.mass:.12g}"),
+            Check("calibrated", self.calibrated, measured=self.pairing,
+                  threshold=self.mass * self.comass_cap, tolerance=self.equality_rtol,
+                  detail="equality within relative tolerance"),
+        ]
 
 
 def calibration_inequality_check(
@@ -249,17 +262,14 @@ def calibration_inequality_check(
     comass_cap: float = 1.0,
     quadrature_order: int = 2,
 ) -> CalibrationInequalityReport:
-    """Check T(F) <= M(T) * cap; flag near-equality as calibrated."""
+    """Check T(F) <= M(T) * cap, and equality within a relative tolerance."""
     pairing = integrate_form(current, field, quadrature_order)
     total_mass = mass(current)
-    slack = total_mass * comass_cap - pairing
-    calibrated = slack <= CALIBRATED_RTOL * max(total_mass, 1e-30) or total_mass == 0.0
     return CalibrationInequalityReport(
         pairing=pairing,
         mass=total_mass,
         comass_cap=comass_cap,
-        slack=slack,
-        calibrated=calibrated,
+        slack=total_mass * comass_cap - pairing,
     )
 
 

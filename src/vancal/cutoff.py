@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reports import Check
+from .reports import Check, CheckedReport
 
 INEQUALITY_SLACK_TOL = -1e-12
 KAPPA_MATCH_TOL = 1e-6
@@ -156,7 +156,7 @@ def quartic_axis(params: CutoffParams) -> float:
 
 
 @dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(CheckedReport):
     """Grid verification of the three-part cutoff inequality."""
 
     n: int
@@ -195,10 +195,6 @@ class InequalityReport:
                   measured=self.endpoint_gamma, threshold=0.0, tolerance=CONTINUITY_TOL)
         )
         return checks
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks())
 
 
 def _golden_section_minimum(fn, lo: float, hi: float) -> tuple[float, float]:

@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .reports import Check, CheckedReport
+
 FIRST_ORDER_TOL = 1e-3
 
 
@@ -162,7 +164,7 @@ def fermi_volume_ratio(
 
 
 @dataclass(frozen=True)
-class FirstOrderReport:
+class FirstOrderReport(CheckedReport):
     fitted_beta: float
     expected_beta: float  # -2 H^nu
     mean_curvature_trace: float
@@ -171,9 +173,15 @@ class FirstOrderReport:
     focal_radius: float
     y_beyond_focal: bool
 
-    @property
-    def passed(self) -> bool:
-        return self.error <= self.tolerance
+    def checks(self) -> list[Check]:
+        return [
+            Check("first_order_match", self.error <= self.tolerance,
+                  measured=self.fitted_beta, threshold=self.expected_beta,
+                  tolerance=self.tolerance, detail=f"H^nu = {self.mean_curvature_trace:.6g}"),
+            Check("within_focal_radius", not self.y_beyond_focal,
+                  measured=self.focal_radius,
+                  detail="largest y stays below the focal radius estimate"),
+        ]
 
 
 def verify_first_order(
@@ -188,7 +196,8 @@ def verify_first_order(
 
     Two-sided ratios cancel the O(y^2) term; Richardson extrapolation over
     the decreasing y-sequence removes the next order.  Passes iff
-    |beta + 2 H^nu| <= tolerance * max(1, |H^nu|).
+    |beta + 2 H^nu| <= tolerance * max(1, |H^nu|) and the largest y stays
+    below the focal radius estimate.
     """
     ys = np.asarray(sorted(y_sequence, reverse=True), dtype=float)
     if ys.size < 2 or np.any(ys <= 0):

@@ -1,12 +1,14 @@
 """Machine-readable verification reports.
 
-Reports serialize to JSON with sorted keys so that identical runs (same
-command, same seed) are byte-identical except for the wall-clock field.
+Reports serialize to strict JSON (a non-finite float becomes null) with sorted
+keys, so identical runs (same command, same seed) are byte-identical except for
+the wall-clock field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -17,7 +19,7 @@ def _jsonable(value):
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
-        return float(value)
+        return float(value) if math.isfinite(value) else None
     if hasattr(value, "item"):  # numpy scalars
         return _jsonable(value.item())
     if isinstance(value, (list, tuple)):
@@ -60,6 +62,14 @@ class Check:
         )
 
 
+class CheckedReport:
+    """Mixin for a library report whose verdict is every rule its ``checks()`` lists."""
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks())
+
+
 @dataclass
 class VerificationReport:
     command: str
@@ -91,7 +101,7 @@ class VerificationReport:
         }
 
     def to_json(self, *, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":

@@ -16,9 +16,11 @@ import numpy as np
 from .coords import WedgeCoordinates
 from .cutoff import CutoffProfile
 from .exterior import _batched_plucker, random_orthonormal_frames
-from .reports import Check
+from .reports import Check, CheckedReport
 
 IDENTITY_ON_PLANE_TOL = 1e-8
+# one-homogeneity and idempotence of the map hold to rounding
+MAP_IDENTITY_TOL = 1e-12
 # verify_area_nonincreasing takes samples in blocks of about this many plane
 # frames, so its memory does not grow with the sample count
 AREA_BLOCK_FRAMES = 2048
@@ -151,7 +153,7 @@ def top_volume_scaling(jacobian: np.ndarray, n: int):
 
 
 @dataclass(frozen=True)
-class AreaScalingReport:
+class AreaScalingReport(CheckedReport):
     samples: int
     planes_per_sample: int
     seed: int
@@ -159,6 +161,9 @@ class AreaScalingReport:
     max_top_scaling: float
     x_plane_scaling_error: float  # |scaling - 1| for tangent planes at x-plane points
     tolerance: float
+    homogeneity_error: float  # max |R(s p) - s R(p)|
+    idempotence_error: float  # max |R(R(p)) - R(p)|
+    lipschitz: float  # largest sampled difference quotient
 
     def checks(self) -> list[Check]:
         return [
@@ -168,11 +173,12 @@ class AreaScalingReport:
                   measured=self.max_top_scaling, threshold=1.0, tolerance=self.tolerance),
             Check("identity_on_plane", self.x_plane_scaling_error <= IDENTITY_ON_PLANE_TOL,
                   measured=self.x_plane_scaling_error, tolerance=IDENTITY_ON_PLANE_TOL),
+            Check("one_homogeneous", self.homogeneity_error <= MAP_IDENTITY_TOL,
+                  measured=self.homogeneity_error, tolerance=MAP_IDENTITY_TOL),
+            Check("idempotent", self.idempotence_error <= MAP_IDENTITY_TOL,
+                  measured=self.idempotence_error, tolerance=MAP_IDENTITY_TOL),
+            Check("lipschitz_finite", math.isfinite(self.lipschitz), measured=self.lipschitz),
         ]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks())
 
 
 def sample_wedge_points(
@@ -217,7 +223,8 @@ def verify_area_nonincreasing(
     restricted to random orthonormal n-planes, and additionally maximized
     over all planes via its top-n singular values.  Samples are taken in
     blocks of about ``AREA_BLOCK_FRAMES`` plane frames: one ``differential``
-    call, one frame draw and one Pluecker pass per block.
+    call, one frame draw and one Pluecker pass per block.  The map itself is
+    then checked for one-homogeneity, idempotence and a finite Lipschitz estimate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -250,6 +257,11 @@ def verify_area_nonincreasing(
     tangent = coords.x_frame[None, :, :]
     x_err = abs(float(plane_volume_scaling(jac0, tangent)[0]) - 1.0)
 
+    # the map itself: one-homogeneous, a retraction, Lipschitz on a box
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.5, 1.5, size=(200, N))
+    scales = rng.uniform(0.1, 3.0, size=(200, 1))
+    image = retraction.apply(pts)
     return AreaScalingReport(
         samples=samples,
         planes_per_sample=planes_per_sample,
@@ -258,6 +270,9 @@ def verify_area_nonincreasing(
         max_top_scaling=max_top,
         x_plane_scaling_error=x_err,
         tolerance=tolerance,
+        homogeneity_error=float(np.abs(retraction.apply(scales * pts) - scales * image).max()),
+        idempotence_error=float(np.abs(retraction.apply(image) - image).max()),
+        lipschitz=lipschitz_estimate(retraction, 20_000, seed),
     )
 
 

@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from vancal._threads import max_workers
+from vancal.calibration import angle_budget, verify_pair_calibration
 from vancal.cli import main, parse_config, parse_matrix
-from vancal.currents import square_mesh, write_mesh
+from vancal.coords import WedgeCoordinates
+from vancal.currents import calibration_inequality_check, square_mesh, write_mesh
+from vancal.cutoff import CutoffProfile, make_params
+from vancal.exterior import AlternatingTensor, constant_form_field
+from vancal.fermi import sphere_patch, verify_first_order
 from vancal.reports import Check, VerificationReport
+from vancal.retraction import RetractionMap, verify_area_nonincreasing
+from vancal.subspaces import coordinate_plane, intersect_and_split, rotated_plane_pair
 
 
 PAIR_CONFIG = """\
@@ -56,6 +63,19 @@ def test_report_roundtrip_lossless():
     back = VerificationReport.from_json(report.to_json())
     assert back == report
     assert back.to_json() == report.to_json()
+
+
+def test_report_json_is_strict(capsys):
+    # a NaN input reaches the report as null, never as a bare NaN token
+    code, out = run_cli(capsys, "cutoff", "--n", "3", "--a", "nan")
+    assert code == 2
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    report = json.loads(out, parse_constant=reject)
+    assert report["parameters"]["a"] is None
+    assert report["checks"][0]["measured"] is None
 
 
 def test_report_overall_pass_semantics():
@@ -271,6 +291,26 @@ def test_comass_command_bad_file(capsys, tmp_path):
     assert code == 2
 
 
+def test_comass_command_rejects_non_finite_coefficients(capsys, tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("4 2\n1 0 0 0 0 nan\n")
+    code = main(["comass", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
+def test_integrate_rejects_nan_mesh(capsys, tmp_path):
+    path = tmp_path / "nan.mesh"
+    path.write_text("2 2 1\n0 0 1 0 nan 1 1\n")
+    code = main(["integrate", "--mesh", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "finite" in captured.err
+
+
 def test_integrate_command(capsys, tmp_path):
     mesh_path = tmp_path / "square.txt"
     write_mesh(square_mesh(), mesh_path)
@@ -309,3 +349,73 @@ def test_reports_embed_reproduction_parameters(capsys):
     assert report["parameters"]["samples"] == 50
     assert report["parameters"]["planes"] == 10
     assert "tool_version" in report["provenance"]
+
+
+# -- the CLI renders the library's checks ------------------------------------------
+
+
+def assert_renders(capsys, argv, checks):
+    code, out = run_cli(capsys, *argv)
+    report = report_of(out)
+    assert report["checks"] == [c.to_dict() for c in checks]
+    assert report["overall_pass"] == (code == 0)
+    return code
+
+
+def test_integrate_renders_library_checks(capsys, tmp_path):
+    mesh_path = tmp_path / "square.txt"
+    write_mesh(square_mesh(), mesh_path)
+    volume = constant_form_field(AlternatingTensor.basis(2, (0, 1)))
+    for cap, code in [(1.0, 0), (0.5, 1)]:
+        rep = calibration_inequality_check(square_mesh(), volume, cap)
+        argv = ["integrate", "--mesh", str(mesh_path), "--cap", repr(cap)]
+        assert assert_renders(capsys, argv, rep.checks()) == code
+
+
+def test_fermi_renders_library_checks(capsys):
+    patch = sphere_patch(1.3, 2)
+    u = np.full(2, 0.7) + 0.1 * np.arange(2)
+    rep = verify_first_order(patch, u, -patch.point(u), [0.04, 0.02, 0.01])
+    argv = ["fermi", "--surface", "sphere", "--radius", "1.3", "--dim", "2"]
+    assert assert_renders(capsys, argv, rep.checks()) == 0
+    # a sphere smaller than the sample's y: first order matches, the focal rule fails
+    patch = sphere_patch(0.03, 2)
+    rep = verify_first_order(patch, u, -patch.point(u), [0.04, 0.02, 0.01])
+    assert [c.passed for c in rep.checks()] == [True, False]
+    assert not rep.passed
+    argv = ["fermi", "--surface", "sphere", "--radius", "0.03", "--dim", "2"]
+    assert assert_renders(capsys, argv, rep.checks()) == 1
+
+
+def test_retraction_renders_library_checks(capsys):
+    coords = WedgeCoordinates.from_axes(6, range(3), range(3, 6))
+    argv = ["retraction", "--samples", "60", "--planes", "10", "--seed", "3"]
+    for profile, extra, code in [
+        (CutoffProfile.from_params(make_params(3, 2.5)), [], 0),
+        (CutoffProfile.forced(3, 2.0), ["--force-c", "2.0"], 1),
+    ]:
+        rep = verify_area_nonincreasing(RetractionMap(coords, profile), 60, 10, 3)
+        assert [c.name for c in rep.checks()][3:] == [
+            "one_homogeneous", "idempotent", "lipschitz_finite"]
+        assert assert_renders(capsys, argv + extra, rep.checks()) == code
+
+
+def test_verify_pair_renders_library_checks(capsys, tmp_path):
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text(PAIR_CONFIG)
+    params = make_params(3, 2.5)
+    pair = intersect_and_split(coordinate_plane(6, (0, 1, 2)), coordinate_plane(6, (3, 4, 5)))
+    rep, _ = verify_pair_calibration(params, pair, ([-1.2] * 6, [1.2] * 6), 5, seed=0)
+    checks = [angle_budget(params, pair), *rep.checks()]
+    assert assert_renders(capsys, ["verify-pair", "--config", str(cfg)], checks) == 0
+
+    # the budget control stops after its one check
+    tight = 0.8 * 2 * params.theta
+    p1, p2 = rotated_plane_pair(9, 3, [tight, tight, tight])
+    rows1 = " ; ".join(" ".join(repr(float(v)) for v in row) for row in p1.basis)
+    rows2 = " ; ".join(" ".join(repr(float(v)) for v in row) for row in p2.basis)
+    cfg = tmp_path / "tight.cfg"
+    cfg.write_text(f"n = 3\na = 2.5\ngrid = 4\nplane1 = {rows1}\nplane2 = {rows2}\n")
+    budget = angle_budget(params, intersect_and_split(p1, p2))
+    assert not budget.passed
+    assert assert_renders(capsys, ["verify-pair", "--config", str(cfg)], [budget]) == 1

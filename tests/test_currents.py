@@ -353,13 +353,14 @@ def test_read_mesh_token_count_guard(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "body, match",
-    [("0 0 1 0 1.5", "invalid literal"), ("0 0 0 0 1", "degenerate")],
-    ids=["non-integer-multiplicity", "degenerate-simplex"],
+    "text, match",
+    [("2 1 1\n0 0 1 0 1.5", "invalid literal"), ("2 1 1\n0 0 0 0 1", "degenerate"),
+     ("2 2 1\n0 0 1 0 nan 1 1", "finite")],
+    ids=["non-integer-multiplicity", "degenerate-simplex", "nan-coordinate"],
 )
-def test_read_mesh_rejects_bad_simplices(tmp_path, body, match):
+def test_read_mesh_rejects_bad_simplices(tmp_path, text, match):
     path = tmp_path / "bad.mesh"
-    path.write_text(f"2 1 1\n{body}\n")
+    path.write_text(f"{text}\n")
     with pytest.raises(ValueError, match=match):
         read_mesh(path)
 
@@ -419,6 +420,21 @@ def test_zero_current_trivially_calibrated(pair_field):
     rep = calibration_inequality_check(empty, pair_field)
     assert rep.slack == 0.0
     assert rep.calibrated
+
+
+@pytest.mark.parametrize(
+    "cap, inequality, calibrated", [(0.5, False, False), (1.0, True, True), (2.0, True, False)]
+)
+def test_calibrated_needs_equality_on_both_sides(cap, inequality, calibrated):
+    # the unit square pairs to 1 with the volume form; only cap 1 is equality
+    volume = constant_form_field(AlternatingTensor.basis(2, (0, 1)))
+    rep = calibration_inequality_check(square_mesh(), volume, comass_cap=cap)
+    assert rep.slack == pytest.approx(cap - 1.0)
+    verdicts = {c.name: c.passed for c in rep.checks()}
+    assert verdicts == {"calibration_inequality": inequality, "calibrated": calibrated}
+    assert rep.calibrated is calibrated
+    assert rep.passed is (inequality and calibrated)
+    assert rep.checks()[1].threshold == pytest.approx(cap)
 
 
 def test_pairing_bounded_by_mass_times_comass(pair_field, ball_pair):
