@@ -3,8 +3,9 @@
 The basic field is (c(t) dr + s(t) dz) ^ (n/r) psi_bar (^ dl on a shared
 block), supported on the angular wedge t <= tan(theta) around the calibrated
 plane.  It is simple at every point, so its pointwise comass equals the
-closed form sqrt(c^2 + s^2), which the grid scans exploit; the
-frame-manifold optimizer cross-checks that fast path on subsamples.
+closed form sqrt(c^2 + s^2).  ``VanishingCalibration`` holds the only copy
+of that closed form; the grid scans use it, and the frame optimizer
+cross-checks it on subsamples.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .coords import WedgeCoordinates
 from .cutoff import CutoffParams, CutoffProfile
 from .exterior import (
     AlternatingTensor,
+    FD_STEPS,
     FormField,
     _batched_plucker,
     _interior_rows,
@@ -40,14 +42,18 @@ CALIBRATED_VALUE_TOL = 1e-10
 CLOSEDNESS_MIN_ORDER = 1.8
 OPTIMIZER_AGREEMENT_TOL = 1e-6
 ENVELOPE_SLACK_TOL = 1e-9
+# grid points per scan kernel call.  At 64 KiB per float array the kernel's
+# temporaries stay in the allocator's free lists; at a whole head row's size
+# the allocator may hand them back to the system and fault them in again on
+# every row, depending on the heap layout left by earlier allocations
+_SCAN_CHUNK = 8192
 
 
 def covector_volume(frame: np.ndarray, ambient_dim: int) -> AlternatingTensor:
     """Wedge of the ambient covectors given by the rows of an orthonormal frame."""
-    out = AlternatingTensor.scalar(ambient_dim, 1.0)
-    for row in np.atleast_2d(frame):
-        out = wedge(out, AlternatingTensor(ambient_dim, 1, row))
-    return out
+    frame = np.atleast_2d(frame)
+    k = frame.shape[0]
+    return AlternatingTensor(ambient_dim, k, _batched_plucker(frame[None], ambient_dim, k)[0])
 
 
 def psi_bar(coords: WedgeCoordinates, point: np.ndarray) -> AlternatingTensor:
@@ -68,7 +74,10 @@ def psi_bar(coords: WedgeCoordinates, point: np.ndarray) -> AlternatingTensor:
 
 @dataclass(frozen=True, eq=False)
 class VanishingCalibration:
-    """The assembled wedge-supported calibration around a plane."""
+    """The assembled wedge-supported calibration around a plane.
+
+    ``pointwise_comass`` is the one copy of the field's closed-form comass.
+    """
 
     coords: WedgeCoordinates
     profile: CutoffProfile
@@ -174,30 +183,19 @@ def build_vanishing_calibration(
         # the 1/r singular axis matters only where the wedge is reachable
         return kink | ((z < tan_theta * r) & (r <= margin))
 
-    cal = VanishingCalibration(
-        coords=coords,
-        profile=profile,
-        params=params,
-        field=None,  # placeholder, replaced below
-        orientation=sign,
-    )
-    field = FormField(
-        ambient_dim=N,
-        degree=degree,
-        coefficients=coefficients,
-        singular_locus_descriptor=singular,
-        pointwise_comass=cal.pointwise_comass,
-    )
-    object.__setattr__(cal, "field", field)
-    return cal
+    field = FormField(N, degree, coefficients, singular)
+    return VanishingCalibration(coords, profile, params, field, sign)
 
 
 # -- grid utilities ----------------------------------------------------------
 
 
 def region_box(lows: Sequence[float], highs: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """A box as float arrays; its bounds must be finite with low < high per axis."""
     lows = np.asarray(lows, dtype=float)
     highs = np.asarray(highs, dtype=float)
+    if not (np.all(np.isfinite(lows)) and np.all(np.isfinite(highs))):
+        raise ValueError("region bounds must be finite")
     if lows.shape != highs.shape or np.any(lows >= highs):
         raise ValueError("region must satisfy low < high per axis")
     return lows, highs
@@ -232,9 +230,10 @@ def _scan_grid(
     head @ F[:, :2].T + tail @ F[:, 2:].T, with head over the first two
     axes and tail over the rest.  The tail projections are computed once;
     each of the grid^2 head rows then adds its offset and hands ``kernel``
-    the list of per-point norms |x F_b^T| for every (rows, N) block F_b.
-    No grid points are materialised: memory is O(grid^(N-2)) per block
-    rather than O(grid^N).  Returns the kernel results in head-row order,
+    the list of per-point norms |x F_b^T| for every (rows, N) block F_b,
+    ``_SCAN_CHUNK`` tail points at a time.  No grid points are materialised:
+    memory is O(grid^(N-2)) per block rather than O(grid^N).  Returns the
+    kernel results in head-row order, then chunk order, with the head rows
     mapped on the VANCAL_THREADS pool.
     """
     axes = [np.linspace(lo, hi, grid) for lo, hi in zip(lows, highs)]
@@ -244,16 +243,14 @@ def _scan_grid(
     head_proj = [F[:, :h] @ head.T for F in blocks]
     tail_proj = [F[:, h:] @ tail.T for F in blocks]
 
-    def scan_row(i: int) -> tuple:
-        return kernel([_block_norms(T, H[:, i]) for T, H in zip(tail_proj, head_proj)])
+    def scan_row(i: int) -> list:
+        return [
+            kernel([_block_norms(T[:, j : j + _SCAN_CHUNK], H[:, i])
+                    for T, H in zip(tail_proj, head_proj)])
+            for j in range(0, tail.shape[0], _SCAN_CHUNK)
+        ]
 
-    return ordered_map(scan_row, range(head.shape[0]))
-
-
-def sample_box_points(
-    lows: np.ndarray, highs: np.ndarray, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    return rng.uniform(lows, highs, size=(count, lows.size))
+    return [part for row in ordered_map(scan_row, range(head.shape[0])) for part in row]
 
 
 # -- verification ------------------------------------------------------------
@@ -348,7 +345,7 @@ def _box_sample(
     for _ in range(400):
         if len(picked) >= count:
             break
-        pts = sample_box_points(lows, highs, 4 * count, rng)
+        pts = rng.uniform(lows, highs, size=(4 * count, lows.size))
         keep = np.ones(pts.shape[0], dtype=bool)
         for i, cal in enumerate(cals):
             tan_theta = cal.profile.tan_theta
@@ -370,7 +367,6 @@ def _verify(
     seed: int,
     optimizer_subsample: int,
     closedness_points: int,
-    fd_h_values: Sequence[float],
 ) -> CalibrationReport:
     """Verify ``field``, the sum of the vanishing calibrations ``cals``, on a box.
 
@@ -379,8 +375,8 @@ def _verify(
     wedge and 0 outside all of them.  The grid scan streams every grid^N
     point through that closed form (``_scan_grid``, memory O(grid^(N-2))),
     counting the points inside two or more wedges when there are several
-    summands.  Seeded samples, each farther than 2 max(h) from every axis
-    and interface, then check the closed form against the frame optimizer
+    summands.  Seeded samples, each farther than 2 max(FD_STEPS) from every
+    axis and interface, then check the closed form against the frame optimizer
     (``optimizer_subsample`` per wedge) and fit the finite-difference
     closedness order (``closedness_points`` shared between the wedges).
     Calibrated values are sampled on each summand's plane, and exact
@@ -395,7 +391,7 @@ def _verify(
         raise ValueError("grid must be >= 2")
     rng = np.random.default_rng(seed)
 
-    def summarize_row(norms):
+    def summarize_chunk(norms):
         top, slack, insides = 0.0, math.inf, []
         for cal, r, z in zip(cals, norms[0::2], norms[1::2]):
             values, inside = cal._comass_rz(r, z)
@@ -417,19 +413,21 @@ def _verify(
     # run on the VANCAL_THREADS pool without affecting the report
     blocks = [F for cal in cals for F in (cal.coords.x_frame, cal.coords.y_frame)]
     totals, min_rs, tops, slacks, in_wedges, overlaps = zip(
-        *_scan_grid(lows, highs, grid, blocks, summarize_row)
+        *_scan_grid(lows, highs, grid, blocks, summarize_chunk)
     )
     envelope_min = min(slacks)
 
     # optimizer cross-check of the closed-form pointwise comass, in every wedge
-    margin = 2.0 * max(fd_h_values)
+    margin = 2.0 * max(FD_STEPS)
     opt_pts = np.concatenate(
         [_box_sample(cals, lows, highs, optimizer_subsample, rng, margin, i)
          for i in range(len(cals))]
     )
+    # the wedges are disjoint, so the largest summand value is the sum's comass
+    closed_form = np.max([cal.pointwise_comass(opt_pts) for cal in cals], axis=0)
     N, k = field.ambient_dim, field.degree
     opt_dev = 0.0
-    for coeffs, closed in zip(field.coefficients(opt_pts), field.pointwise_comass(opt_pts)):
+    for coeffs, closed in zip(field.coefficients(opt_pts), closed_form):
         measured = comass(AlternatingTensor(N, k, coeffs), multistarts=24, tol=1e-12, seed=seed)
         opt_dev = max(opt_dev, abs(measured - float(closed)))
 
@@ -439,7 +437,7 @@ def _verify(
         [_box_sample(cals, lows, highs, share, rng, margin, i)
          for i, share in enumerate(shares)]
     )
-    max_res, order, _ = closedness_order(field, fd_pts, fd_h_values)
+    max_res, order, _ = closedness_order(field, fd_pts)
 
     # calibrated value on each plane frame (z = 0 section of its coordinates)
     plane_errs = []
@@ -504,7 +502,6 @@ def verify_calibration(
     seed: int = 0,
     optimizer_subsample: int = 6,
     closedness_points: int = 4,
-    fd_h_values: Sequence[float] = (1e-2, 5e-3, 2.5e-3),
     r_margin: float = 0.05,
 ) -> CalibrationReport:
     """Verify a single vanishing calibration on a box: ``_verify`` with one summand.
@@ -515,7 +512,7 @@ def verify_calibration(
     is rejected with a ValueError.
     """
     report = _verify(cal.field, (cal,), region, grid, seed, optimizer_subsample,
-                     closedness_points, fd_h_values)
+                     closedness_points)
     if report.min_grid_r <= r_margin:
         raise ValueError(
             f"region reaches r = {report.min_grid_r:g} <= margin {r_margin:g}; "
@@ -587,8 +584,6 @@ def sum_pair_calibration(
     coords1, coords2, sign1, sign2 = adapted_wedge_coordinates(pair)
     cal1 = build_vanishing_calibration(params, coords1, orientation=sign1)
     cal2 = build_vanishing_calibration(params, coords2, orientation=sign2)
-    N = pair.ambient_dim
-    degree = cal1.degree
 
     def coefficients(points: np.ndarray) -> np.ndarray:
         return cal1.field.coefficients(points) + cal2.field.coefficients(points)
@@ -598,36 +593,7 @@ def sum_pair_calibration(
             points, margin
         ) | cal2.field.singular_locus_descriptor(points, margin)
 
-    def pointwise(points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return _pair_comass(
-            cal1._comass_rz(cal1.coords.r(points), cal1.coords.z(points)),
-            cal2._comass_rz(cal2.coords.r(points), cal2.coords.z(points)),
-        )[0]
-
-    field = FormField(
-        ambient_dim=N,
-        degree=degree,
-        coefficients=coefficients,
-        singular_locus_descriptor=singular,
-        pointwise_comass=pointwise,
-    )
-    return field, (cal1, cal2)
-
-
-def _pair_comass(
-    first: tuple[np.ndarray, np.ndarray], second: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Comass of Phi + Psi from each summand's (values, inside), and the overlap mask.
-
-    Disjoint supports give the larger summand value; where both wedges
-    contain a point there is no closed form and the value is NaN.
-    """
-    (v1, in1), (v2, in2) = first, second
-    both = in1 & in2
-    out = np.maximum(v1, v2)
-    out[both] = np.nan
-    return out, both
+    return FormField(pair.ambient_dim, cal1.degree, coefficients, singular), (cal1, cal2)
 
 
 def verify_pair_calibration(
@@ -639,7 +605,6 @@ def verify_pair_calibration(
     seed: int = 0,
     optimizer_subsample: int = 4,
     closedness_points: int = 3,
-    fd_h_values: Sequence[float] = (1e-2, 5e-3, 2.5e-3),
 ) -> tuple[CalibrationReport, FormField]:
     """Verify Phi + Psi on a box around the intersection: ``_verify`` with two summands.
 
@@ -649,8 +614,7 @@ def verify_pair_calibration(
     their own distance from every axis.
     """
     field, cals = sum_pair_calibration(params, pair)
-    report = _verify(field, cals, region, grid, seed, optimizer_subsample, closedness_points,
-                     fd_h_values)
+    report = _verify(field, cals, region, grid, seed, optimizer_subsample, closedness_points)
     return report, field
 
 
@@ -658,21 +622,15 @@ def verify_pair_calibration(
 
 
 def scaled_calibration(
-    cal: VanishingCalibration,
-    f: Callable[[np.ndarray], float],
-    *,
-    check_halfwidth: float = 2.0,
-    check_count: int = 512,
-    seed: int = 0,
+    cal: VanishingCalibration, f: Callable[[np.ndarray], float]
 ) -> FormField:
     """The field (f o retraction) * phi for a scalar f on the calibrated plane.
 
     f takes intrinsic x-block coordinates.  |f| <= 1 is required and checked
-    on a seeded sample of the plane; closedness is preserved because the
-    level sets of the retraction are tangent to the kernel of phi.
+    on 512 seeded points of [-2, 2]^n in the plane; closedness is preserved
+    because the level sets of the retraction are tangent to the kernel of phi.
     """
-    rng = np.random.default_rng(seed)
-    sample = rng.uniform(-check_halfwidth, check_halfwidth, size=(check_count, cal.coords.n))
+    sample = np.random.default_rng(0).uniform(-2.0, 2.0, size=(512, cal.coords.n))
     values = np.array([abs(float(f(x))) for x in sample])
     if values.max(initial=0.0) > 1.0 + 1e-12:
         raise ValueError(
@@ -690,20 +648,8 @@ def scaled_calibration(
             out[live] *= np.array([float(f(x)) for x in images])[:, None]
         return out
 
-    def pointwise(points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        base = cal.pointwise_comass(points)
-        images = retraction.apply(points)
-        scale = np.array([abs(float(f(x))) for x in cal.coords.x_part(images)])
-        return base * scale
-
-    return FormField(
-        ambient_dim=cal.coords.ambient_dim,
-        degree=cal.degree,
-        coefficients=coefficients,
-        singular_locus_descriptor=cal.field.singular_locus_descriptor,
-        pointwise_comass=pointwise,
-    )
+    return FormField(cal.coords.ambient_dim, cal.degree, coefficients,
+                     cal.field.singular_locus_descriptor)
 
 
 def coordinate_plane_sum(c: int, ambient_dim: int, *, shared: int = 0) -> FormField:

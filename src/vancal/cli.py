@@ -313,11 +313,12 @@ def cmd_fermi(args) -> int:
             direction[-1] = 1.0
         else:
             raise ValueError(f"unknown preset {args.surface!r}")
+        # np.linalg.LinAlgError, raised on a non-finite preset, is a ValueError
+        rep = verify_first_order(patch, u, direction, [0.04, 0.02, 0.01])
     except ValueError as err:
         report.add("preset", False, detail=str(err))
         _finish(report, started, args.json)
         return 2
-    rep = verify_first_order(patch, u, direction, [0.04, 0.02, 0.01])
     report.parameters["point"] = [float(v) for v in u]
     report.checks.extend(rep.checks())
     return _finish(report, started, args.json)

@@ -22,6 +22,8 @@ from .reports import Check, CheckedReport
 DEGENERACY_TOL = 1e-14
 # relative slack below which T(F) = M(T) * cap counts as calibrated
 CALIBRATED_RTOL = 1e-6
+# absolute slack allowed on T(F) <= M(T) * cap
+INEQUALITY_TOL = 1e-8
 
 
 def _volumes(vertices: np.ndarray) -> np.ndarray:
@@ -237,21 +239,19 @@ class CalibrationInequalityReport(CheckedReport):
     mass: float
     comass_cap: float
     slack: float  # mass * cap - pairing
-    tolerance: float = 1e-8
-    equality_rtol: float = CALIBRATED_RTOL
 
     @property
     def calibrated(self) -> bool:
         """T(F) = M(T) * cap within the relative tolerance, on either side."""
-        return abs(self.slack) <= self.equality_rtol * max(self.mass, 1e-30)
+        return abs(self.slack) <= CALIBRATED_RTOL * max(self.mass, 1e-30)
 
     def checks(self) -> list[Check]:
         return [
-            Check("calibration_inequality", self.slack >= -self.tolerance,
-                  measured=self.slack, threshold=0.0, tolerance=self.tolerance,
+            Check("calibration_inequality", self.slack >= -INEQUALITY_TOL,
+                  measured=self.slack, threshold=0.0, tolerance=INEQUALITY_TOL,
                   detail=f"pairing {self.pairing:.12g}, mass {self.mass:.12g}"),
             Check("calibrated", self.calibrated, measured=self.pairing,
-                  threshold=self.mass * self.comass_cap, tolerance=self.equality_rtol,
+                  threshold=self.mass * self.comass_cap, tolerance=CALIBRATED_RTOL,
                   detail="equality within relative tolerance"),
         ]
 
@@ -423,18 +423,17 @@ def graphical_perturbation(
     normal_axis: int,
     amplitude: float,
     *,
-    support_radius: float = 1.0,
     plane_axes: Sequence[int] = (0, 1, 2),
 ) -> TriangulatedCurrent:
     """Displace interior vertices along a normal axis by a compactly supported bump.
 
-    The bump amplitude * (1 - |x|^2 / R^2)^2 vanishes (with derivative) at
-    |x| = R, so boundary vertices stay fixed and the perturbed chain bounds
-    the same cycle.
+    The bump amplitude * (1 - |x|^2)^2 vanishes (with derivative) at
+    |x| = 1, so boundary vertices of a unit disk or ball stay fixed and the
+    perturbed chain bounds the same cycle.
     """
     vertices = current.simplices.copy()
     x = vertices[..., list(plane_axes)]
-    rho2 = np.einsum("...i,...i->...", x, x) / support_radius**2
+    rho2 = np.einsum("...i,...i->...", x, x)
     inside = rho2 < 1.0
     column = vertices[..., normal_axis]
     column[inside] += amplitude * (1.0 - rho2[inside]) ** 2

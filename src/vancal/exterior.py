@@ -22,13 +22,15 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 MAX_AMBIENT_DIM = 16
 
 _ORACLE_CHUNK = 1 << 16
+# finite-difference steps of the closedness order fit
+FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 
 
 def _never_singular(points: np.ndarray, margin: float = 0.0) -> np.ndarray:
@@ -469,20 +471,13 @@ def comass_oracle(u: AlternatingTensor, samples: int, seed: int) -> float:
     return _sampled_maximum(u, samples, np.random.default_rng(seed))[0]
 
 
-def comass_oracle_refined(
-    u: AlternatingTensor,
-    samples: int,
-    seed: int,
-    *,
-    rounds: int = 64,
-    proposals: int = 128,
-) -> float:
+def comass_oracle_refined(u: AlternatingTensor, samples: int, seed: int) -> float:
     """Sampling oracle followed by derivative-free local refinement.
 
-    Shrinking-radius random search around the best sampled frame; every
-    candidate is a genuine orthonormal frame, so the result is still a lower
-    bound for the comass.  Independent of the alternating-maximization
-    optimizer.
+    Shrinking-radius random search around the best sampled frame, 64 rounds
+    of 128 proposals; every candidate is a genuine orthonormal frame, so the
+    result is still a lower bound for the comass.  Independent of the
+    alternating-maximization optimizer.
     """
     N, k = u.ambient_dim, u.degree
     rng = np.random.default_rng(seed)
@@ -490,8 +485,8 @@ def comass_oracle_refined(
     if k == 0 or u.is_zero():
         return val
     sigma = 0.3
-    for _ in range(rounds):
-        noise = sigma * rng.standard_normal((proposals, N, k))
+    for _ in range(64):
+        noise = sigma * rng.standard_normal((128, N, k))
         cand = _orthonormal_rows(noise + frame.T[None, :, :])
         vals = np.abs(_batched_plucker(cand, N, k) @ u.coefficients)
         j = int(np.argmax(vals))
@@ -516,18 +511,14 @@ class FormField:
     coefficients of the field there, M = C(N, k), in the increasing-index
     basis.  ``singular_locus_descriptor(points, margin)`` maps (P, N) points
     to a (P,) bool mask flagging those within ``margin`` of the set where
-    the field is undefined or merely Lipschitz.  ``pointwise_comass`` is an
-    optional vectorized fast path returning the exact pointwise comass for
-    a (P, N) batch; it is only provided by constructions whose values are
-    known to be simple or constant.  ``evaluator(point)``, also reached by
-    calling the field, is the one-point form and returns a tensor.
+    the field is undefined or merely Lipschitz.  ``evaluator(point)``, also
+    reached by calling the field, is the one-point form and returns a tensor.
     """
 
     ambient_dim: int
     degree: int
     coefficients: Callable[[np.ndarray], np.ndarray]
     singular_locus_descriptor: Callable[..., np.ndarray] = _never_singular
-    pointwise_comass: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def evaluator(self, point: np.ndarray) -> AlternatingTensor:
         """The field at a single point."""
@@ -539,22 +530,10 @@ class FormField:
 
 
 def constant_form_field(tensor: AlternatingTensor) -> FormField:
-    comass_value = None
-
-    def _coefficients(points: np.ndarray) -> np.ndarray:
-        return np.tile(tensor.coefficients, (np.shape(points)[0], 1))
-
-    def _pointwise(points: np.ndarray) -> np.ndarray:
-        nonlocal comass_value
-        if comass_value is None:
-            comass_value = comass(tensor)
-        return np.full(np.atleast_2d(points).shape[0], comass_value)
-
     return FormField(
         ambient_dim=tensor.ambient_dim,
         degree=tensor.degree,
-        coefficients=_coefficients,
-        pointwise_comass=_pointwise,
+        coefficients=lambda points: np.tile(tensor.coefficients, (np.shape(points)[0], 1)),
     )
 
 
@@ -604,7 +583,7 @@ def finite_difference_exterior_derivative(
 def closedness_order(
     field: FormField,
     points: np.ndarray,
-    h_values=(1e-2, 5e-3, 2.5e-3),
+    h_values=FD_STEPS,
 ) -> tuple[float, float, np.ndarray]:
     """Fit the convergence order of the finite-difference dF residual.
 

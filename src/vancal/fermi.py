@@ -169,15 +169,14 @@ class FirstOrderReport(CheckedReport):
     expected_beta: float  # -2 H^nu
     mean_curvature_trace: float
     error: float
-    tolerance: float
     focal_radius: float
     y_beyond_focal: bool
 
     def checks(self) -> list[Check]:
         return [
-            Check("first_order_match", self.error <= self.tolerance,
+            Check("first_order_match", self.error <= FIRST_ORDER_TOL,
                   measured=self.fitted_beta, threshold=self.expected_beta,
-                  tolerance=self.tolerance, detail=f"H^nu = {self.mean_curvature_trace:.6g}"),
+                  tolerance=FIRST_ORDER_TOL, detail=f"H^nu = {self.mean_curvature_trace:.6g}"),
             Check("within_focal_radius", not self.y_beyond_focal,
                   measured=self.focal_radius,
                   detail="largest y stays below the focal radius estimate"),
@@ -189,14 +188,12 @@ def verify_first_order(
     u: np.ndarray,
     nu: np.ndarray,
     y_sequence: Sequence[float],
-    *,
-    tolerance: float = FIRST_ORDER_TOL,
 ) -> FirstOrderReport:
     """Fit ratio(y) = 1 + beta y + O(y^2) and compare beta against -2 H^nu.
 
     Two-sided ratios cancel the O(y^2) term; Richardson extrapolation over
     the decreasing y-sequence removes the next order.  Passes iff
-    |beta + 2 H^nu| <= tolerance * max(1, |H^nu|) and the largest y stays
+    |beta + 2 H^nu| <= FIRST_ORDER_TOL * max(1, |H^nu|) and the largest y stays
     below the focal radius estimate.
     """
     ys = np.asarray(sorted(y_sequence, reverse=True), dtype=float)
@@ -225,7 +222,6 @@ def verify_first_order(
         expected_beta=float(expected),
         mean_curvature_trace=float(H),
         error=float(error),
-        tolerance=tolerance,
         focal_radius=float(focal),
         y_beyond_focal=bool(ys.max() >= focal),
     )

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exterior import _orthonormal_rows
+
 RANK_TOL = 1e-10
 INTERSECTION_SV_TOL = 1e-10  # singular values above 1 - tol count as 1
 
@@ -46,13 +48,9 @@ class OrientedSubspace:
 
     def orthonormal_basis(self) -> np.ndarray:
         """Orientation-preserving orthonormal basis (rows), via thin QR."""
-        k = self.dim
-        if k == 0:
+        if self.dim == 0:
             return np.zeros((0, self.ambient_dim))
-        q, r = np.linalg.qr(self.basis.T)
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        return (q * signs).T
+        return _orthonormal_rows(self.basis.T[None])[0]
 
     def projector(self) -> np.ndarray:
         q = self.orthonormal_basis()

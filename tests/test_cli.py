@@ -234,6 +234,17 @@ def test_verify_pair_malformed_config(capsys, tmp_path):
     assert "malformed config" in err
 
 
+@pytest.mark.parametrize("low", ["nan", "-inf"])
+def test_verify_pair_rejects_non_finite_region(capsys, tmp_path, low):
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(PAIR_CONFIG.replace("region_low = -1.2", f"region_low = {low}"))
+    code, out = run_cli(capsys, "verify-pair", "--config", str(cfg))
+    assert code == 2
+    pipeline = report_of(out)["checks"][-1]
+    assert pipeline["name"] == "pipeline" and not pipeline["passed"]
+    assert "finite" in pipeline["detail"]
+
+
 def test_retraction_command_and_negative_control(capsys):
     code, out = run_cli(capsys, "retraction", "--n", "3", "--a", "2.5", "--m", "3",
                         "--samples", "100", "--planes", "20", "--seed", "0")
@@ -270,6 +281,14 @@ def test_fermi_graph_requires_poly(capsys):
     code = main(["fermi", "--surface", "graph"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize("radius", ["0", "nan"])
+def test_fermi_degenerate_sphere_exits_2(capsys, radius):
+    code, out = run_cli(capsys, "fermi", "--surface", "sphere", "--radius", radius)
+    assert code == 2
+    (preset,) = report_of(out)["checks"]
+    assert preset["name"] == "preset" and not preset["passed"]
 
 
 def test_comass_command(capsys, tmp_path):
