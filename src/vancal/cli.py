@@ -349,11 +349,11 @@ def cmd_comass(args) -> int:
         if not all(math.isfinite(c) for c in coeffs):
             raise ValueError("coefficients must be finite")
         tensor = AlternatingTensor(N, k, np.array(coeffs))
+        value = comass(tensor, args.multistarts, args.tol, seed=args.seed)
+        oracle = comass_oracle(tensor, args.samples, args.seed)
     except (OSError, ValueError, IndexError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    value = comass(tensor, args.multistarts, args.tol, seed=args.seed)
-    oracle = comass_oracle(tensor, args.samples, args.seed)
     report.parameters.update({"ambient_dim": N, "degree": k})
     report.add(
         "optimizer_dominates_oracle",

@@ -10,9 +10,10 @@ supremum over orthonormal k-frames) is computed two independent ways:
   method), with multistarts.  Replacing one frame vector at a time by its
   normalized gradient never lowers the value, and by Hadamard's inequality
   the value on unit vectors never exceeds the comass;
-- a brute-force sampling oracle over Haar-random orthonormal frames, with
+- a brute-force sampling oracle over Haar-random k-planes, each the span
+  of a Gaussian matrix scored through its normalized Pluecker vector, with
   an optional derivative-free refinement.  It shares only the Pluecker
-  kernel with the optimizer.
+  kernel and the QR helper with the optimizer, never its starts.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import numpy as np
 
 MAX_AMBIENT_DIM = 16
 
-_ORACLE_CHUNK = 1 << 16
+# planes per sampling-oracle pass: keeps the Pluecker gathers in cache
+_ORACLE_CHUNK = 2048
 # finite-difference steps of the closedness order fit
 FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 
@@ -409,6 +411,10 @@ def comass(
     converged when a sweep moves its frame by less than ``tol``; the largest
     value over all starts is returned.
     """
+    if multistarts < 1:
+        raise ValueError("multistarts must be >= 1")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and > 0")
     N, k = u.ambient_dim, u.degree
     if k == 0:
         return abs(float(u.coefficients[0]))
@@ -448,25 +454,47 @@ def comass(
     return float(np.abs(values).max())
 
 
+def _plane_values(frames: np.ndarray, u: AlternatingTensor) -> np.ndarray:
+    """|u| on the unit simple k-vectors spanned by a (S, k, N) stack of frames.
+
+    The rows need not be orthonormal: u pairs with the Pluecker vector of
+    the frame divided by its norm.  A rank-deficient frame spans no k-plane
+    and scores 0.
+    """
+    plucker = _batched_plucker(frames, u.ambient_dim, u.degree)
+    norms = np.linalg.norm(plucker, axis=1)
+    values = np.abs(plucker @ u.coefficients)
+    return np.divide(values, norms, out=np.zeros_like(values), where=norms > 0.0)
+
+
 def _sampled_maximum(u: AlternatingTensor, samples: int, rng: np.random.Generator):
-    """Largest |pairing| over Haar-random frames, drawn in bounded chunks, and its frame."""
+    """Largest |u| over Haar-random k-planes, drawn in cache-sized chunks.
+
+    Each plane is the span of a Gaussian (N, k) matrix, and is scored by
+    ``_plane_values`` without orthonormalizing it.  Returns the value and
+    the winning Gaussian matrix.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     N, k = u.ambient_dim, u.degree
-    best, best_frame = -math.inf, None
+    best, best_matrix = -math.inf, None
     for drawn in range(0, samples, _ORACLE_CHUNK):
-        frames = random_orthonormal_frames(min(_ORACLE_CHUNK, samples - drawn), N, k, rng)
-        values = np.abs(_batched_plucker(frames, N, k) @ u.coefficients)
+        mats = rng.standard_normal((min(_ORACLE_CHUNK, samples - drawn), N, k))
+        values = _plane_values(np.swapaxes(mats, 1, 2), u)
         j = int(np.argmax(values))
         if values[j] > best:
-            best, best_frame = float(values[j]), frames[j].copy()
-    return best, best_frame
+            best, best_matrix = float(values[j]), mats[j].copy()
+    return best, best_matrix
 
 
 def comass_oracle(u: AlternatingTensor, samples: int, seed: int) -> float:
-    """Brute-force comass lower bound: max |pairing| over random orthonormal frames.
+    """Brute-force comass lower bound: max of |u| over Haar-random k-planes.
 
-    Deterministic for a fixed seed and never exceeds the true comass.
+    A Gaussian (N, k) matrix spans a Haar-random k-plane, the same plane as
+    its QR factor, so no QR is needed: |u| is paired with the normalized
+    Pluecker vector of the Gaussian frame.  Every value is |u| on a unit
+    simple k-vector, so the result never exceeds the comass.  Deterministic
+    for a fixed seed, whatever the chunk size.
     """
     return _sampled_maximum(u, samples, np.random.default_rng(seed))[0]
 
@@ -474,25 +502,27 @@ def comass_oracle(u: AlternatingTensor, samples: int, seed: int) -> float:
 def comass_oracle_refined(u: AlternatingTensor, samples: int, seed: int) -> float:
     """Sampling oracle followed by derivative-free local refinement.
 
-    Shrinking-radius random search around the best sampled frame, 64 rounds
-    of 128 proposals; every candidate is a genuine orthonormal frame, so the
-    result is still a lower bound for the comass.  Independent of the
+    Shrinking-radius random search around the best sampled plane, 64 rounds
+    of 128 proposals.  Proposals are scored like the samples, by |u| on
+    their normalized Pluecker vectors, so the result is still a lower bound
+    for the comass; only an accepted winner is orthonormalized, so every
+    perturbation centre is an orthonormal frame.  Independent of the
     alternating-maximization optimizer.
     """
     N, k = u.ambient_dim, u.degree
     rng = np.random.default_rng(seed)
-    val, frame = _sampled_maximum(u, samples, rng)
+    val, best_matrix = _sampled_maximum(u, samples, rng)
     if k == 0 or u.is_zero():
         return val
+    centre = _orthonormal_rows(best_matrix[None])[0].T
     sigma = 0.3
     for _ in range(64):
-        noise = sigma * rng.standard_normal((128, N, k))
-        cand = _orthonormal_rows(noise + frame.T[None, :, :])
-        vals = np.abs(_batched_plucker(cand, N, k) @ u.coefficients)
+        cand = sigma * rng.standard_normal((128, N, k)) + centre[None, :, :]
+        vals = _plane_values(np.swapaxes(cand, 1, 2), u)
         j = int(np.argmax(vals))
         if vals[j] > val:
             val = float(vals[j])
-            frame = cand[j]
+            centre = _orthonormal_rows(cand[j][None])[0].T
         else:
             sigma *= 0.6
             if sigma < 1e-14:
@@ -511,8 +541,10 @@ class FormField:
     coefficients of the field there, M = C(N, k), in the increasing-index
     basis.  ``singular_locus_descriptor(points, margin)`` maps (P, N) points
     to a (P,) bool mask flagging those within ``margin`` of the set where
-    the field is undefined or merely Lipschitz.  ``evaluator(point)``, also
-    reached by calling the field, is the one-point form and returns a tensor.
+    the field is undefined or not smooth; for a vanishing calibration that
+    is the axis r = 0 and the wedge interface t = tan(theta), across which
+    the field is discontinuous.  ``evaluator(point)``, also reached by
+    calling the field, is the one-point form and returns a tensor.
     """
 
     ambient_dim: int

@@ -320,6 +320,22 @@ def test_comass_command_rejects_non_finite_coefficients(capsys, tmp_path):
     assert "finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "option",
+    [("--samples", "0"), ("--samples", "-5"), ("--multistarts", "0"),
+     ("--multistarts", "-1"), ("--tol", "nan"), ("--tol", "inf")],
+    ids=["samples-0", "samples-neg", "multistarts-0", "multistarts-neg", "tol-nan", "tol-inf"],
+)
+def test_comass_command_rejects_bad_options(capsys, tmp_path, option):
+    path = tmp_path / "tensor.txt"
+    path.write_text("4 2\n1 0 0 0 0 1\n")
+    code = main(["comass", "--file", str(path), *option])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_integrate_rejects_nan_mesh(capsys, tmp_path):
     path = tmp_path / "nan.mesh"
     path.write_text("2 2 1\n0 0 1 0 nan 1 1\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vancal import exterior
 from vancal.exterior import (
     AlternatingTensor,
     _batched_plucker,
+    _plane_values,
     FormField,
     SimpleKVector,
     closedness_order,
@@ -397,6 +400,103 @@ def test_comass_oracle_never_exceeds_simple_value():
     u = random_tensor(5, 2, rng)
     value = comass(u, multistarts=48)
     assert comass_oracle(u, 50_000, 5) <= value + 1e-9
+
+
+def _qr_rows(mats):
+    q, r = np.linalg.qr(mats)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs[signs == 0] = 1.0
+    return np.swapaxes(q * signs[:, None, :], 1, 2)
+
+
+def reference_oracle(u, samples, seed, refine):
+    """The QR sampling oracle: orthonormalize every Gaussian sample and proposal.
+
+    Draws from the generator in the same order as ``comass_oracle`` and
+    ``comass_oracle_refined``, in one pass of all samples.
+    """
+    N, k = u.ambient_dim, u.degree
+    rng = np.random.default_rng(seed)
+    mats = rng.standard_normal((samples, N, k))
+    frames = _qr_rows(mats) if k else np.zeros((samples, 0, N))
+    values = np.abs(_batched_plucker(frames, N, k) @ u.coefficients)
+    j = int(np.argmax(values))
+    val, frame = float(values[j]), frames[j]
+    if not refine or k == 0 or u.is_zero():
+        return val
+    sigma = 0.3
+    for _ in range(64):
+        cand = _qr_rows(sigma * rng.standard_normal((128, N, k)) + frame.T[None, :, :])
+        vals = np.abs(_batched_plucker(cand, N, k) @ u.coefficients)
+        j = int(np.argmax(vals))
+        if vals[j] > val:
+            val, frame = float(vals[j]), cand[j]
+        else:
+            sigma *= 0.6
+            if sigma < 1e-14:
+                break
+    return val
+
+
+ORACLE_FORMS = {
+    "associative": associative_form,
+    "special-lagrangian": special_lagrangian_form,
+    "kahler-square": half_kahler_square,
+    "generic": lambda: AlternatingTensor(6, 3, np.random.default_rng(2022).standard_normal(20)),
+    "covector": lambda: AlternatingTensor.from_covector([1.0, -2.0, 0.5]),
+    "zero": lambda: AlternatingTensor.zero(5, 2),
+    "top-degree": lambda: 3.0 * basis(4, (0, 1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FORMS))
+def test_comass_oracle_matches_qr_reference(name):
+    u = ORACLE_FORMS[name]()
+    for seed in (0, 7):
+        assert comass_oracle(u, 20_000, seed) == pytest.approx(
+            reference_oracle(u, 20_000, seed, refine=False), rel=0, abs=1e-14)
+        assert comass_oracle_refined(u, 5_000, seed) == pytest.approx(
+            reference_oracle(u, 5_000, seed, refine=True), rel=0, abs=1e-14)
+
+
+def test_comass_oracle_does_not_depend_on_the_chunk_size(monkeypatch):
+    u = half_kahler_square()
+    samples = 5 * exterior._ORACLE_CHUNK // 2
+    chunked = comass_oracle(u, samples, 3), comass_oracle_refined(u, samples, 3)
+    monkeypatch.setattr(exterior, "_ORACLE_CHUNK", 1 << 20)
+    assert (comass_oracle(u, samples, 3), comass_oracle_refined(u, samples, 3)) == chunked
+
+
+def test_plane_values_score_rank_deficient_frames_zero():
+    u = special_lagrangian_form()
+    frames = np.random.default_rng(4).standard_normal((2, 3, 6))
+    frames[0, 2] = 0.0  # spans no 3-plane: its Pluecker vector is exactly 0
+    values = _plane_values(frames, u)
+    q = np.linalg.qr(frames[1].T)[0].T
+    assert values[0] == 0.0
+    assert values[1] == pytest.approx(abs(evaluate(u, q)), abs=1e-14)
+    assert int(np.argmax(values)) == 1
+
+
+def test_comass_oracle_memory_is_bounded():
+    # one 200 000-sample pass of omega^2/2 in R^8 held 360 MiB of Pluecker gathers
+    u = half_kahler_square()
+    tracemalloc.start()
+    try:
+        comass_oracle(u, 200_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+def test_comass_rejects_bad_multistarts_and_tol():
+    u = basis(4, (0, 1))
+    with pytest.raises(ValueError, match="multistarts"):
+        comass(u, multistarts=0)
+    for tol in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            comass(u, tol=tol)
 
 
 # -- finite-difference exterior derivative -----------------------------------------
