@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import math
 import sys
@@ -96,6 +97,12 @@ def _emit_csv(header: list, rows: list, out_path: str | None) -> None:
     print(text, end="")
 
 
+def _input_error(message: object) -> int:
+    """Reject the command line: an error line on stderr, nothing on stdout, exit 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _finish(report: VerificationReport, started: float, out_path: str | None) -> int:
     report.wall_time_ms = int((time.monotonic() - started) * 1000)
     text = report.to_json()
@@ -111,8 +118,15 @@ def _finish(report: VerificationReport, started: float, out_path: str | None) ->
 
 def cmd_cutoff(args) -> int:
     started = time.monotonic()
-    if args.sweep:
-        lo, hi = admissible_interval(args.n)
+    if args.grid < 2:
+        return _input_error("--grid must be >= 2")
+    if args.sweep is not None:
+        if args.sweep < 1:
+            return _input_error("--sweep must be >= 1")
+        try:
+            lo, hi = admissible_interval(args.n)
+        except ValueError as err:
+            return _input_error(err)
         margin = (hi - lo) * 1e-3
         a_values = np.linspace(lo + margin, hi - margin, args.sweep)
         rows = []
@@ -133,6 +147,8 @@ def cmd_cutoff(args) -> int:
             )
         _emit_csv(["a", "c", "theta", "delta", "kappa", "status"], rows, args.csv)
         return 0 if all_pass else 1
+    if args.a is None:
+        return _input_error("--a or --sweep is required")
 
     report = VerificationReport(
         command="cutoff",
@@ -156,8 +172,9 @@ def cmd_cutoff(args) -> int:
 
 def cmd_threshold(args) -> int:
     if args.n_min < 3:
-        print("error: n must be >= 3", file=sys.stderr)
-        return 2
+        return _input_error("n must be >= 3")
+    if args.n_max < args.n_min:
+        return _input_error("--n-max must be >= --n-min")
     rows = []
     previous = math.inf
     decreasing = True
@@ -191,8 +208,7 @@ def cmd_verify_pair(args) -> int:
         if highs.size == 1:
             highs = np.full(N, highs[0])
     except (KeyError, ValueError, OSError) as err:
-        print(f"error: malformed config: {err}", file=sys.stderr)
-        return 2
+        return _input_error(f"malformed config: {err}")
 
     report = VerificationReport(
         command="verify-pair",
@@ -257,9 +273,10 @@ def cmd_retraction(args) -> int:
     N = args.n + args.m
     coords = WedgeCoordinates.from_axes(N, range(args.n), range(args.n, N))
     retraction = RetractionMap(coords, profile)
-    rep = verify_area_nonincreasing(
-        retraction, args.samples, args.planes, args.seed
-    )
+    try:
+        rep = verify_area_nonincreasing(retraction, args.samples, args.planes, args.seed)
+    except ValueError as err:
+        return _input_error(err)
     report.checks.extend(rep.checks())
     return _finish(report, started, args.json)
 
@@ -352,8 +369,7 @@ def cmd_comass(args) -> int:
         value = comass(tensor, args.multistarts, args.tol, seed=args.seed)
         oracle = comass_oracle(tensor, args.samples, args.seed)
     except (OSError, ValueError, IndexError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _input_error(err)
     report.parameters.update({"ambient_dim": N, "degree": k})
     report.add(
         "optimizer_dominates_oracle",
@@ -401,8 +417,7 @@ def cmd_integrate(args) -> int:
             raise ValueError(f"unknown field {args.field!r}")
         rep = calibration_inequality_check(current, field, args.cap, args.order)
     except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _input_error(err)
     report.parameters.update(
         {"ambient_dim": current.ambient_dim, "degree": current.degree,
          "simplices": len(current)}
@@ -414,7 +429,13 @@ def cmd_integrate(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    A subcommand's name selects its ``cmd_*`` function only when ``main``
+    runs, so a function replaced after import is the one called.
+    """
     parser = argparse.ArgumentParser(
         prog="vancal",
         description="Construct and verify vanishing calibrations for plane pairs.",
@@ -429,13 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=10_000)
     p.add_argument("--json", help="also write the JSON report here")
     p.add_argument("--csv", help="write the sweep CSV here")
-    p.set_defaults(func=cmd_cutoff)
 
     p = sub.add_parser("threshold", help="intersection-angle threshold table")
     p.add_argument("--n-min", type=int, default=3)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--csv")
-    p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("verify-pair", help="two-plane calibration pipeline")
     p.add_argument("--config", required=True)
@@ -444,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-closed", type=float, default=CLOSEDNESS_MIN_ORDER,
                    help="minimum fitted closedness order")
     p.add_argument("--json")
-    p.set_defaults(func=cmd_verify_pair)
 
     p = sub.add_parser("retraction", help="area-nonincreasing retraction suite")
     p.add_argument("--n", type=int, default=3)
@@ -455,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force-c", type=float, help=argparse.SUPPRESS)  # negative control
     p.add_argument("--json")
-    p.set_defaults(func=cmd_retraction)
 
     p = sub.add_parser("fermi", help="first-order Fermi volume expansion")
     p.add_argument("--surface", required=True,
@@ -464,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--poly", help="graph heights, e.g. '2,0:0.3 0,2:0.1'")
     p.add_argument("--json")
-    p.set_defaults(func=cmd_fermi)
 
     p = sub.add_parser("comass", help="comass of a tensor from file")
     p.add_argument("--file", required=True,
@@ -474,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json")
-    p.set_defaults(func=cmd_comass)
 
     p = sub.add_parser("integrate", help="pair a mesh current with a form field")
     p.add_argument("--mesh", required=True)
@@ -486,15 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--cap", type=float, default=1.0)
     p.add_argument("--json")
-    p.set_defaults(func=cmd_integrate)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .exterior import FormField, _batched_plucker, _orthonormal_rows
+from .exterior import FormField, _batched_plucker
 from .reports import Check, CheckedReport
 
 DEGENERACY_TOL = 1e-14
@@ -34,15 +34,6 @@ def _volumes(vertices: np.ndarray) -> np.ndarray:
     edges = vertices[:, 1:] - vertices[:, :1]
     det = np.linalg.det(edges @ np.swapaxes(edges, 1, 2))
     return np.sqrt(np.maximum(det, 0.0)) / math.factorial(k)
-
-
-def _tangent_frames(vertices: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent frames (S, k, N) of a (S, k+1, N) stack of simplices.
-
-    One batched QR of the edge matrices with a positive R diagonal, so each
-    frame keeps the orientation of the edges.
-    """
-    return _orthonormal_rows(np.swapaxes(vertices[:, 1:] - vertices[:, :1], 1, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,14 +188,15 @@ def integrate_form(
 ) -> float:
     """The pairing T(F): per-simplex quadrature on the constant tangent k-vector.
 
-    Over the (S, k+1, N) vertex stack, one batched QR gives the tangent
-    frames, one Gram determinant the volumes, and one field call the
-    coefficients at all (S, Q) quadrature nodes, paired with the frames'
-    Pluecker coordinates; the signed multiplicity carries the orientation,
-    also for 0-simplices, whose frames are empty.  The result is one
-    fixed reduction, ``np.sum``, over the per-simplex array, whose order
-    depends only on the order of the simplices; no thread pool is involved,
-    so the value is deterministic.
+    Over the (S, k+1, N) vertex stack, one field call gives the coefficients
+    at all (S, Q) quadrature nodes, paired with the Pluecker vectors of the
+    edge frames v_i - v_0 divided by k!: that is the simplex's volume times
+    its unit tangent k-vector, oriented by the edge order, and no
+    orthonormal frame is formed.  The signed multiplicity carries the
+    orientation, also for 0-simplices, whose frames are empty.  The result
+    is one fixed reduction, ``np.sum``, over the per-simplex array, whose
+    order depends only on the order of the simplices; no thread pool is
+    involved, so the value is deterministic.
     """
     if field.degree != current.degree:
         raise ValueError(
@@ -225,9 +217,9 @@ def integrate_form(
             f"quadrature node {points[np.argmax(singular)]} lies on the field's singular locus"
         )
     values = field.coefficients(points).reshape(vertices.shape[0], nodes.shape[0], -1)
-    plucker = _batched_plucker(_tangent_frames(vertices), N, k)
-    pairings = np.einsum("sqm,sm->sq", values, plucker) @ weights
-    return float(np.sum(current.multiplicities * _volumes(vertices) * pairings))
+    tangents = _batched_plucker(vertices[:, 1:] - vertices[:, :1], N, k) / math.factorial(k)
+    pairings = np.einsum("sqm,sm->sq", values, tangents) @ weights
+    return float(np.sum(current.multiplicities * pairings))
 
 
 # -- calibration inequality ----------------------------------------------------

@@ -29,8 +29,9 @@ import numpy as np
 
 MAX_AMBIENT_DIM = 16
 
-# planes per sampling-oracle pass: keeps the Pluecker gathers in cache
-_ORACLE_CHUNK = 2048
+# planes per sampling-oracle pass: keeps the Pluecker gathers in cache, and
+# the heap reused between passes rather than returned and faulted back in
+_ORACLE_CHUNK = 512
 # finite-difference steps of the closedness order fit
 FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 
@@ -323,31 +324,51 @@ def interior_product(w: np.ndarray, u: AlternatingTensor) -> AlternatingTensor:
 
 @lru_cache(maxsize=None)
 def _laplace_plan(ambient_dim: int, degree: int):
-    """``_wedge_table(N, degree - 1, 1)`` as (M, degree) arrays, a row per output.
+    """``_wedge_table(N, degree - 1, 1)`` as one (faces, axes, positive) per column.
 
-    Row I lists the (degree-1)-faces of the multi-index I, the axis that
-    completes each face to I, and the sign of that completion.
+    Row I of the table's (M, degree) reshape lists the (degree-1)-faces of
+    the multi-index I, the axis that completes each face to I, and the sign
+    of that completion.  Column i completes every I by its i-th smallest
+    axis, so the sign depends on the column alone.
     """
     faces, axes, _, signs = _wedge_table(ambient_dim, degree - 1, 1)
     shape = (n_coefficients(ambient_dim, degree), degree)
-    return faces.reshape(shape), axes.reshape(shape), signs.reshape(shape)
+    faces, axes, signs = faces.reshape(shape), axes.reshape(shape), signs.reshape(shape)
+    assert np.all(signs == signs[:1]), "Laplace signs vary within a column"
+    return tuple(
+        (faces[:, i].copy(), axes[:, i].copy(), bool(signs[0, i] > 0))
+        for i in range(degree)
+    )
 
 
 def _batched_plucker(frames: np.ndarray, ambient_dim: int, degree: int) -> np.ndarray:
     """Pluecker coordinates for a (S, k, N) stack of frames, returned as (S, M).
 
     The rows are wedged in one at a time: each j x j minor is the Laplace
-    expansion, along its last row, of (j-1)-minors already computed.
+    expansion, along its last row, of (j-1)-minors already computed.  The
+    work is coefficient-major: the frames are transposed once to (k, N, S),
+    and each level adds or subtracts, column by column, the gathered rows
+    ``plucker[faces] * row[axes]`` of S values each.  Any frame works,
+    orthonormal or not; the result is the Pluecker vector of its rows.
     """
     if degree == 0:
         return np.ones((frames.shape[0], 1))
-    plucker = frames[:, 0, :].copy()
+    rows = frames.transpose(1, 2, 0).copy()
+    plucker = rows[0]
     for j in range(2, degree + 1):
-        faces, axes, signs = _laplace_plan(ambient_dim, j)
-        plucker = np.einsum(
-            "smj,smj,mj->sm", plucker[:, faces], frames[:, j - 1, axes], signs
-        )
-    return plucker
+        row = rows[j - 1]
+        level = None
+        for faces, axes, positive in _laplace_plan(ambient_dim, j):
+            term = plucker[faces]
+            term *= row[axes]
+            if level is None:
+                level = term if positive else np.negative(term, out=term)
+            elif positive:
+                level += term
+            else:
+                level -= term
+        plucker = level
+    return plucker.T
 
 
 def evaluate(u: AlternatingTensor, xi) -> float:

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from vancal import cli
 from vancal._threads import max_workers
 from vancal.calibration import angle_budget, verify_pair_calibration
 from vancal.cli import main, parse_config, parse_matrix
@@ -168,6 +169,41 @@ def test_threshold_rejects_small_n(capsys):
     code = main(["threshold", "--n-min", "2", "--n-max", "4"])
     capsys.readouterr()
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cutoff", "--n", "3", "--a", "2.5", "--grid", "0"),
+        ("cutoff", "--n", "3", "--a", "2.5", "--grid", "-3"),
+        ("cutoff", "--n", "3", "--sweep", "0"),
+        ("cutoff", "--n", "2", "--sweep", "3"),
+        ("cutoff", "--n", "3"),
+        ("retraction", "--samples", "0"),
+        ("retraction", "--planes", "0"),
+        ("threshold", "--n-min", "5", "--n-max", "3"),
+    ],
+    ids=["grid-0", "grid-neg", "sweep-0", "sweep-small-n", "no-a", "samples-0", "planes-0",
+         "empty-range"],
+)
+def test_bad_inputs_exit_2_with_an_error_line(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_main_builds_one_parser_and_dispatches_at_call_time(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    code, out = run_cli(capsys, "threshold", "--n-min", "3", "--n-max", "4")
+    assert code == 0 and out.startswith("n,threshold_rad")
+    code, out = run_cli(capsys, "cutoff", "--n", "3", "--a", "2.5", "--grid", "200")
+    assert code == 0 and report_of(out)["command"] == "cutoff"
+    seen = []
+    monkeypatch.setattr(cli, "cmd_threshold", lambda args: seen.append(args.n_max) or 7)
+    assert main(["threshold", "--n-max", "4"]) == 7
+    assert seen == [4]
 
 
 def test_verify_pair_command(capsys, tmp_path):

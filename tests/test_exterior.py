@@ -12,6 +12,7 @@ from vancal.exterior import (
     AlternatingTensor,
     _batched_plucker,
     _plane_values,
+    _wedge_table,
     FormField,
     SimpleKVector,
     closedness_order,
@@ -231,6 +232,37 @@ def test_batched_plucker_matches_determinants_of_minors(N):
             for frame in frames
         ])
         assert np.allclose(_batched_plucker(frames, N, k), expected, rtol=0.0, atol=1e-13)
+
+
+def einsum_plucker(frames, N, k):
+    """The frame-major einsum Pluecker kernel: each level sums signed (S, M, j) products."""
+    if k == 0:
+        return np.ones((frames.shape[0], 1))
+    plucker = frames[:, 0, :].copy()
+    for j in range(2, k + 1):
+        faces, axes, _, signs = _wedge_table(N, j - 1, 1)
+        shape = (n_coefficients(N, j), j)
+        plucker = np.einsum(
+            "smj,smj,mj->sm",
+            plucker[:, faces.reshape(shape)],
+            frames[:, j - 1, axes.reshape(shape)],
+            signs.reshape(shape),
+        )
+    return plucker
+
+
+@pytest.mark.parametrize("N", range(1, 10))
+def test_batched_plucker_is_bit_identical_to_einsum_reference(N):
+    # the coefficient-major kernel adds the same products in the same order
+    rng = np.random.default_rng(100 + N)
+    for k in range(N + 1):
+        for S in (1, 7, 300):
+            contiguous = rng.standard_normal((S, k, N))
+            swapped = np.swapaxes(rng.standard_normal((S, N, k)), 1, 2)
+            for frames in (contiguous, swapped):
+                plucker = _batched_plucker(frames, N, k)
+                assert plucker.shape == (S, n_coefficients(N, k))
+                assert np.array_equal(plucker, einsum_plucker(frames, N, k))
 
 
 def test_simple_k_vector_orthonormality_check():

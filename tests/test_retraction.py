@@ -109,6 +109,27 @@ def test_tangent_plane_scaling_is_one(retraction):
     assert scaling[0] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_plane_volume_scaling_depends_only_on_the_plane(retraction):
+    # a Gaussian frame and its orthonormalization span the same plane
+    rng = np.random.default_rng(8)
+    points = sample_wedge_points(retraction.coords, retraction.profile.tan_theta, 4, rng)
+    jacs = retraction.differential(points, 1e-6)
+    mats = rng.standard_normal((4 * 30, 6, 3))
+    orthonormal = np.linalg.qr(mats)[0]
+    gaussian = np.swapaxes(mats, 1, 2).reshape(4, 30, 3, 6)
+    expected = plane_volume_scaling(jacs, np.swapaxes(orthonormal, 1, 2).reshape(4, 30, 3, 6))
+    assert np.allclose(plane_volume_scaling(jacs, gaussian), expected, rtol=1e-13, atol=0.0)
+
+
+def test_plane_volume_scaling_rejects_rank_deficient_frames(retraction):
+    p = np.array([0.8, 0.5, -0.3, 0.1, 0.0, 0.0])
+    jac = retraction.differential(p, 1e-6)
+    frames = np.random.default_rng(2).standard_normal((1, 2, 3, 6))
+    frames[0, 1, 1] = frames[0, 1, 0]  # a repeated row: the Pluecker vector is exactly 0
+    with pytest.raises(ValueError, match="rank-deficient"):
+        plane_volume_scaling(jac[None], frames)
+
+
 def test_verify_area_nonincreasing_passes(retraction):
     rep = verify_area_nonincreasing(retraction, 200, 40, seed=0)
     assert rep.passed
