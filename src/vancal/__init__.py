@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .exterior import (
     AlternatingTensor,
     FormField,
-    SimpleKVector,
     comass,
     comass_oracle,
     evaluate,
@@ -26,7 +25,6 @@ from .subspaces import (
     OrientedSubspace,
     PlanePair,
     intersect_and_split,
-    intersection_angle,
     principal_angles,
 )
 from .coords import WedgeCoordinates

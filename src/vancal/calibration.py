@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ._threads import ordered_map
 from .coords import WedgeCoordinates
 from .cutoff import CutoffParams, CutoffProfile
 from .exterior import (
@@ -42,7 +41,7 @@ CALIBRATED_VALUE_TOL = 1e-10
 CLOSEDNESS_MIN_ORDER = 1.8
 OPTIMIZER_AGREEMENT_TOL = 1e-6
 ENVELOPE_SLACK_TOL = 1e-9
-# grid points per scan kernel call.  At 64 KiB per float array the kernel's
+# grid points per scan chunk.  At 64 KiB per float array the chunk's
 # temporaries stay in the allocator's free lists; at a whole head row's size
 # the allocator may hand them back to the system and fault them in again on
 # every row, depending on the heap layout left by earlier allocations
@@ -222,19 +221,17 @@ def _scan_grid(
     highs: np.ndarray,
     grid: int,
     blocks: Sequence[np.ndarray],
-    kernel: Callable[[list], tuple],
-) -> list:
+) -> Iterator[list]:
     """Stream a grid^N box scan through the norms of its projections onto frame blocks.
 
     The grid is a tensor product, so a point's projection onto a frame F is
     head @ F[:, :2].T + tail @ F[:, 2:].T, with head over the first two
     axes and tail over the rest.  The tail projections are computed once;
-    each of the grid^2 head rows then adds its offset and hands ``kernel``
-    the list of per-point norms |x F_b^T| for every (rows, N) block F_b,
-    ``_SCAN_CHUNK`` tail points at a time.  No grid points are materialised:
-    memory is O(grid^(N-2)) per block rather than O(grid^N).  Returns the
-    kernel results in head-row order, then chunk order, with the head rows
-    mapped on the VANCAL_THREADS pool.
+    each of the grid^2 head rows then adds its offset and yields the list of
+    per-point norms |x F_b^T| for every (rows, N) block F_b, ``_SCAN_CHUNK``
+    tail points at a time, in head-row order and then chunk order.  No grid
+    points are materialised: memory is O(grid^(N-2)) per block rather than
+    O(grid^N).
     """
     axes = [np.linspace(lo, hi, grid) for lo, hi in zip(lows, highs)]
     h = min(2, len(axes))
@@ -242,15 +239,10 @@ def _scan_grid(
     # (rows, points) layout: each frame row is one contiguous pass per head row
     head_proj = [F[:, :h] @ head.T for F in blocks]
     tail_proj = [F[:, h:] @ tail.T for F in blocks]
-
-    def scan_row(i: int) -> list:
-        return [
-            kernel([_block_norms(T[:, j : j + _SCAN_CHUNK], H[:, i])
-                    for T, H in zip(tail_proj, head_proj)])
-            for j in range(0, tail.shape[0], _SCAN_CHUNK)
-        ]
-
-    return [part for row in ordered_map(scan_row, range(head.shape[0])) for part in row]
+    for i in range(head.shape[0]):
+        for j in range(0, tail.shape[0], _SCAN_CHUNK):
+            yield [_block_norms(T[:, j : j + _SCAN_CHUNK], H[:, i])
+                   for T, H in zip(tail_proj, head_proj)]
 
 
 # -- verification ------------------------------------------------------------
@@ -373,8 +365,9 @@ def _verify(
     The summands share one cutoff and have disjoint wedges, so the comass of
     the sum is each summand's closed form sqrt(c^2 + s^2) inside its own
     wedge and 0 outside all of them.  The grid scan streams every grid^N
-    point through that closed form (``_scan_grid``, memory O(grid^(N-2))),
-    counting the points inside two or more wedges when there are several
+    point through that closed form (``_scan_grid``, memory O(grid^(N-2))) in
+    one loop, which folds each chunk into running counts, minima and maxima,
+    and counts the points inside two or more wedges when there are several
     summands.  Seeded samples, each farther than 2 max(FD_STEPS) from every
     axis and interface, then check the closed form against the frame optimizer
     (``optimizer_subsample`` per wedge) and fit the finite-difference
@@ -391,31 +384,27 @@ def _verify(
         raise ValueError("grid must be >= 2")
     rng = np.random.default_rng(seed)
 
-    def summarize_chunk(norms):
-        top, slack, insides = 0.0, math.inf, []
+    blocks = [F for cal in cals for F in (cal.coords.x_frame, cal.coords.y_frame)]
+    total = in_wedge = overlap = 0
+    min_r, top, envelope_min = math.inf, 0.0, math.inf
+    for norms in _scan_grid(lows, highs, grid, blocks):
+        insides = []
         for cal, r, z in zip(cals, norms[0::2], norms[1::2]):
             values, inside = cal._comass_rz(r, z)
             with np.errstate(divide="ignore", invalid="ignore"):
                 t = z / r
                 envelope = np.sqrt(1.0 - cal.params.delta * t * t) - values
             top = max(top, float(values.max(initial=0.0)))
-            slack = min(slack, float(envelope.min(where=inside, initial=math.inf)))
+            envelope_min = min(envelope_min, float(envelope.min(where=inside, initial=math.inf)))
+            min_r = min(min_r, float(r.min()))
             insides.append(inside)
+        total += norms[0].size
         if len(insides) == 1:
-            in_wedge, overlap = int(insides[0].sum()), 0
+            in_wedge += int(insides[0].sum())
         else:
             hits = np.sum(insides, axis=0)
-            in_wedge, overlap = int((hits > 0).sum()), int((hits > 1).sum())
-        min_r = min(float(r.min()) for r in norms[0::2])
-        return norms[0].size, min_r, top, slack, in_wedge, overlap
-
-    # max/min/count reductions are scheduling-independent, so the rows may
-    # run on the VANCAL_THREADS pool without affecting the report
-    blocks = [F for cal in cals for F in (cal.coords.x_frame, cal.coords.y_frame)]
-    totals, min_rs, tops, slacks, in_wedges, overlaps = zip(
-        *_scan_grid(lows, highs, grid, blocks, summarize_chunk)
-    )
-    envelope_min = min(slacks)
+            in_wedge += int((hits > 0).sum())
+            overlap += int((hits > 1).sum())
 
     # optimizer cross-check of the closed-form pointwise comass, in every wedge
     margin = 2.0 * max(FD_STEPS)
@@ -475,12 +464,12 @@ def _verify(
 
     return CalibrationReport(
         grid=grid,
-        grid_points_total=sum(totals),
+        grid_points_total=total,
         intersection_dim=cal.coords.k,
-        points_in_wedge=sum(in_wedges),
-        overlap_count=sum(overlaps),
-        min_grid_r=min(min_rs),
-        max_comass=max(tops),
+        points_in_wedge=in_wedge,
+        overlap_count=overlap,
+        min_grid_r=min_r,
+        max_comass=top,
         envelope_min_slack=envelope_min if envelope_min < math.inf else 0.0,
         optimizer_max_deviation=opt_dev,
         optimizer_samples=len(opt_pts),

@@ -144,12 +144,6 @@ def quartic_expansion(params: CutoffParams, t) -> np.ndarray | float:
     return float(val) if np.isscalar(t) else val
 
 
-def quartic_discriminant(params: CutoffParams) -> float:
-    """Discriminant of the middle expression as a quadratic in t^2."""
-    n, a = params.n, params.a
-    return -16.0 * (a - 1.0) * (n - 2) ** 4 / a**4
-
-
 def quartic_axis(params: CutoffParams) -> float:
     """Location in t^2 of the quartic's minimum: (a-2)/(n-2)^2."""
     return (params.a - 2.0) / (params.n - 2) ** 2

@@ -162,37 +162,6 @@ class AlternatingTensor:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class SimpleKVector:
-    """An ordered k-frame in R^N, representing the simple k-vector v1 ^ ... ^ vk."""
-
-    frame: np.ndarray  # shape (k, N), rows are the frame vectors
-
-    def __post_init__(self):
-        frame = np.array(self.frame, dtype=float)
-        if frame.ndim != 2:
-            raise ValueError("frame must be a (k, N) array of row vectors")
-        frame.flags.writeable = False
-        object.__setattr__(self, "frame", frame)
-
-    @property
-    def degree(self) -> int:
-        return self.frame.shape[0]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.frame.shape[1]
-
-    def gram_defect(self) -> float:
-        """Max-norm distance of the Gram matrix from the identity."""
-        k = self.degree
-        gram = self.frame @ self.frame.T
-        return float(np.max(np.abs(gram - np.eye(k)))) if k else 0.0
-
-    def is_orthonormal(self, tol: float = 1e-12) -> bool:
-        return self.gram_defect() <= tol
-
-
 # -- wedge -----------------------------------------------------------------
 
 
@@ -371,9 +340,13 @@ def _batched_plucker(frames: np.ndarray, ambient_dim: int, degree: int) -> np.nd
     return plucker.T
 
 
-def evaluate(u: AlternatingTensor, xi) -> float:
-    """Determinant pairing of u with the simple k-vector spanned by a frame."""
-    frame = xi.frame if isinstance(xi, SimpleKVector) else np.asarray(xi, dtype=float)
+def evaluate(u: AlternatingTensor, frame: np.ndarray) -> float:
+    """Determinant pairing of u with the simple k-vector of a (k, N) frame's rows.
+
+    A one-point reference for the batched pairings, which go through
+    ``_batched_plucker`` directly; the tests use it.
+    """
+    frame = np.asarray(frame, dtype=float)
     if frame.ndim != 2 or frame.shape[1] != u.ambient_dim:
         raise ValueError(
             f"frame must have shape (k, {u.ambient_dim}), got {frame.shape}"
@@ -564,8 +537,8 @@ class FormField:
     to a (P,) bool mask flagging those within ``margin`` of the set where
     the field is undefined or not smooth; for a vanishing calibration that
     is the axis r = 0 and the wedge interface t = tan(theta), across which
-    the field is discontinuous.  ``evaluator(point)``, also reached by
-    calling the field, is the one-point form and returns a tensor.
+    the field is discontinuous.  ``evaluator(point)`` is the one-point form
+    and returns a tensor.
     """
 
     ambient_dim: int
@@ -577,9 +550,6 @@ class FormField:
         """The field at a single point."""
         row = np.asarray(point, dtype=float).reshape(1, self.ambient_dim)
         return AlternatingTensor(self.ambient_dim, self.degree, self.coefficients(row)[0])
-
-    def __call__(self, point: np.ndarray) -> AlternatingTensor:
-        return self.evaluator(point)
 
 
 def constant_form_field(tensor: AlternatingTensor) -> FormField:

@@ -2,8 +2,9 @@
 
 The map scales the x-block by gamma(t)^{1/n} and kills the y-block, sending
 the wedge exterior to the shared subspace (the origin when there is no
-l-block).  Its n-volume scaling factor on any n-plane is controlled by the
-cutoff inequality, which is what the verification below samples.
+l-block).  Its (n+k)-volume scaling factor on any (n+k)-plane, the
+dimension of the calibrated plane x + l, is controlled by the cutoff
+inequality, which is what the verification below samples.
 """
 
 from __future__ import annotations
@@ -62,9 +63,6 @@ class RetractionMap:
         if self.coords.k:
             out = out + self.coords.l_part(pts) @ self.coords.l_frame
         return out[0] if single else out
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        return self.apply(points)
 
     def differential(self, points: np.ndarray, h: float = 1e-6) -> np.ndarray:
         """Central-difference Jacobian, error O(h^2); see ``differential_exact``.
@@ -168,7 +166,7 @@ class AreaScalingReport(CheckedReport):
     seed: int
     max_plane_scaling: float
     max_top_scaling: float
-    x_plane_scaling_error: float  # |scaling - 1| for tangent planes at x-plane points
+    x_plane_scaling_error: float  # |scaling - 1| of the plane x + l at one of its points
     homogeneity_error: float  # max |R(s p) - s R(p)|
     idempotence_error: float  # max |R(R(p)) - R(p)|
     lipschitz: float  # largest sampled difference quotient
@@ -226,24 +224,25 @@ def verify_area_nonincreasing(
     *,
     h: float = 1e-6,
 ) -> AreaScalingReport:
-    """Sample n-volume scalings of the differential inside the wedge.
+    """Sample (n+k)-volume scalings of the differential inside the wedge.
 
-    At every sampled interior point the finite-difference Jacobian is
-    restricted to Haar-random n-planes, and additionally maximized over all
-    planes via its top-n singular values.  Each plane is the span of a
-    Gaussian (N, n) matrix and is scored through Pluecker vectors by
-    ``plane_volume_scaling``, without orthonormalizing it.  Samples are taken
-    in blocks of about ``AREA_BLOCK_FRAMES`` plane frames: one
-    ``differential`` call, one Gaussian draw and two Pluecker passes per
-    block.  The map itself is then checked for one-homogeneity, idempotence
-    and a finite Lipschitz estimate.
+    The calibrated plane x + l has dimension n + k, so that is the volume
+    the map must not increase.  At every sampled interior point the
+    finite-difference Jacobian is restricted to Haar-random (n+k)-planes,
+    and additionally maximized over all planes via its top n + k singular
+    values.  Each plane is the span of a Gaussian (N, n + k) matrix and is
+    scored through Pluecker vectors by ``plane_volume_scaling``, without
+    orthonormalizing it.  Samples are taken in blocks of about
+    ``AREA_BLOCK_FRAMES`` plane frames: one ``differential`` call, one
+    Gaussian draw and two Pluecker passes per block.  The map itself is then
+    checked for one-homogeneity, idempotence and a finite Lipschitz estimate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if planes_per_sample < 1:
         raise ValueError("planes_per_sample must be >= 1")
     coords, profile = retraction.coords, retraction.profile
-    n, N = profile.n, coords.ambient_dim
+    d, N = profile.n + coords.k, coords.ambient_dim
     rng = np.random.default_rng(seed)
     t_hi = max(0.9, 1.0 - 4.0 * h / profile.tan_theta)
     points = sample_wedge_points(
@@ -256,18 +255,18 @@ def verify_area_nonincreasing(
     max_top = 0.0
     for start in range(0, samples, block):
         jacs = retraction.differential(points[start : start + block], h)
-        mats = rng.standard_normal((len(jacs) * planes_per_sample, N, n))
-        frames = np.swapaxes(mats, 1, 2).reshape(len(jacs), -1, n, N)
+        mats = rng.standard_normal((len(jacs) * planes_per_sample, N, d))
+        frames = np.swapaxes(mats, 1, 2).reshape(len(jacs), -1, d, N)
         scalings = plane_volume_scaling(jacs, frames)
         max_plane = max(max_plane, float(scalings.max()))
-        max_top = max(max_top, float(top_volume_scaling(jacs, n).max()))
+        max_top = max(max_top, float(top_volume_scaling(jacs, d).max()))
 
-    # tangent plane at a point of the calibrated plane scales exactly by 1
+    # tangent plane x + l at a point of the calibrated plane scales exactly by 1
     x_point = coords.assemble(
         np.full(coords.n, 1.0 / math.sqrt(coords.n)), np.zeros(coords.m)
     )
     jac0 = retraction.differential(x_point, h)
-    tangent = coords.x_frame[None, :, :]
+    tangent = np.vstack([coords.x_frame, coords.l_frame])[None]
     x_err = abs(float(plane_volume_scaling(jac0, tangent)[0]) - 1.0)
 
     # the map itself: one-homogeneous, a retraction, Lipschitz on a box

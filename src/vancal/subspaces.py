@@ -139,24 +139,6 @@ def intersect_and_split(p1: OrientedSubspace, p2: OrientedSubspace) -> PlanePair
     )
 
 
-def intersection_angle(pair: PlanePair, convention: str = "min_principal") -> float:
-    """Angle assigned to the pair's complement factors.
-
-    ``min_principal`` (default) is the smallest principal angle: the
-    quantity that controls disjointness of the two calibration wedges.
-    ``sup`` is the supremum-style convention, the arccos of the minimum
-    singular value of the complement cross-Gram, i.e. the largest
-    principal angle.
-    """
-    if pair.principal_angles.size == 0:
-        raise ValueError("equal planes: complements are empty, angle undefined")
-    if convention == "min_principal":
-        return float(pair.principal_angles.min())
-    if convention == "sup":
-        return float(pair.principal_angles.max())
-    raise ValueError(f"unknown convention {convention!r}")
-
-
 def coordinate_plane(ambient_dim: int, axes) -> OrientedSubspace:
     axes = tuple(axes)
     basis = np.zeros((len(axes), ambient_dim))

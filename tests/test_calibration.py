@@ -7,6 +7,7 @@ import pytest
 from vancal.calibration import (
     CalibrationReport,
     adapted_wedge_coordinates,
+    angle_budget,
     build_vanishing_calibration,
     coordinate_plane_sum,
     covector_volume,
@@ -320,19 +321,6 @@ def test_scan_memory_does_not_grow_with_the_grid(cal):
     assert peak < 32 * 2**20
 
 
-def test_scan_reports_do_not_depend_on_thread_count(cal, monkeypatch):
-    params = make_params(3, 2.5)
-    reports = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("VANCAL_THREADS", threads)
-        reports.append((
-            verify_calibration(cal, STANDARD_REGION, 8, seed=1),
-            verify_pair_calibration(params, rotated_pair(), ([-1.2] * 6, [1.2] * 6), 6,
-                                    seed=4)[0],
-        ))
-    assert reports[0] == reports[1]
-
-
 # -- k-block (shared intersection directions) --------------------------------------
 
 
@@ -418,6 +406,19 @@ def test_sampled_checks_fail_without_samples(cal):
     assert [c.name for c in outside.checks() if not c.passed] == [
         "envelope", "optimizer_agreement", "closedness_order"]
     assert outside.passed is False
+
+
+def test_angle_budget_fails_on_equal_planes():
+    # equal planes have no principal angles; the budget measures 0.0 and fails
+    params = make_params(3, 2.5)
+    plane = coordinate_plane(6, (0, 1, 2))
+    pair = intersect_and_split(plane, plane)
+    budget = angle_budget(params, pair)
+    assert budget.measured == 0.0
+    assert budget.threshold == 2.0 * params.theta
+    assert not budget.passed
+    with pytest.raises(ValueError, match="angle budget"):
+        sum_pair_calibration(params, pair)
 
 
 def test_sum_pair_rejects_tight_angle():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from vancal import cli
-from vancal._threads import max_workers
 from vancal.calibration import angle_budget, verify_pair_calibration
 from vancal.cli import main, parse_config, parse_matrix
 from vancal.coords import WedgeCoordinates
@@ -84,15 +83,6 @@ def test_report_overall_pass_semantics():
     assert report.overall_pass
     report.add("c", False)
     assert not report.overall_pass
-
-
-def test_max_workers_env(monkeypatch):
-    monkeypatch.delenv("VANCAL_THREADS", raising=False)
-    assert max_workers() == 1
-    monkeypatch.setenv("VANCAL_THREADS", "4")
-    assert max_workers() == 4
-    monkeypatch.setenv("VANCAL_THREADS", "junk")
-    assert max_workers() == 1
 
 
 # -- config parsing ----------------------------------------------------------------

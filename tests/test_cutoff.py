@@ -11,7 +11,6 @@ from vancal.cutoff import (
     half_angle_cap,
     make_params,
     quartic_axis,
-    quartic_discriminant,
     quartic_expansion,
     verify_inequality_one,
 )
@@ -96,9 +95,12 @@ def test_quartic_identity_random_points_all_params():
             assert rel.max() < 1e-13
 
 
-def test_quartic_discriminant_and_axis():
+def test_quartic_axis_and_discriminant():
     p = make_params(3, 2.5)
-    assert quartic_discriminant(p) == pytest.approx(-0.6144, abs=1e-15)
+    # as a quadratic in u = t^2 the expansion has discriminant -16(a-1)(n-2)^4/a^4
+    u = np.array([0.0, 0.4, 0.8])
+    c2, c1, c0 = np.polyfit(u, quartic_expansion(p, np.sqrt(u)), 2)
+    assert c1 * c1 - 4.0 * c2 * c0 == pytest.approx(-0.6144, abs=1e-12)
     # minimum of the quadratic-in-t^2 is kappa, reached at (a-2)/(n-2)^2
     axis = quartic_axis(p)
     assert axis == pytest.approx(0.5, abs=1e-15)

@@ -14,7 +14,6 @@ from vancal.exterior import (
     _plane_values,
     _wedge_table,
     FormField,
-    SimpleKVector,
     closedness_order,
     comass,
     comass_oracle,
@@ -263,13 +262,6 @@ def test_batched_plucker_is_bit_identical_to_einsum_reference(N):
                 plucker = _batched_plucker(frames, N, k)
                 assert plucker.shape == (S, n_coefficients(N, k))
                 assert np.array_equal(plucker, einsum_plucker(frames, N, k))
-
-
-def test_simple_k_vector_orthonormality_check():
-    xi = SimpleKVector(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert xi.is_orthonormal()
-    skew = SimpleKVector(np.array([[1.0, 0.0], [1.0, 1.0]]))
-    assert not skew.is_orthonormal()
 
 
 # -- comass ----------------------------------------------------------------------
@@ -604,7 +596,8 @@ def test_closedness_residuals_match_per_point_loop():
             for axis in range(3):
                 step = np.zeros(3)
                 step[axis] = h
-                partial = (field(p + step).coefficients - field(p - step).coefficients) / (2 * h)
+                partial = (field.evaluator(p + step).coefficients
+                           - field.evaluator(p - step).coefficients) / (2 * h)
                 d += wedge(basis(3, (axis,)), AlternatingTensor(3, 1, partial)).coefficients
             assert residuals[i, j] == pytest.approx(np.linalg.norm(d), rel=1e-14)
 

@@ -140,7 +140,7 @@ def test_verify_area_nonincreasing_passes(retraction):
 def reference_area_scalings(retraction, samples, planes, seed, h=1e-6):
     """(max plane scaling, max top scaling) by one Jacobian, draw and SVD per sample."""
     coords, profile = retraction.coords, retraction.profile
-    n, N = profile.n, coords.ambient_dim
+    n, N = profile.n + coords.k, coords.ambient_dim
     rng = np.random.default_rng(seed)
     t_hi = max(0.9, 1.0 - 4.0 * h / profile.tan_theta)
     points = sample_wedge_points(coords, profile.tan_theta, samples, rng, t_fraction=(0.05, t_hi))
@@ -160,8 +160,9 @@ def reference_area_scalings(retraction, samples, planes, seed, h=1e-6):
 def test_verify_area_nonincreasing_matches_per_sample_loop(retraction, profile_c):
     if profile_c is not None:  # the expanding negative control
         retraction = RetractionMap(retraction.coords, CutoffProfile.forced(3, profile_c))
-    samples, planes = 100, 100
-    assert samples * planes > 2 * AREA_BLOCK_FRAMES  # several blocks, the last one partial
+    samples, planes = 12, 100
+    assert samples * planes > 2 * AREA_BLOCK_FRAMES  # several blocks
+    assert samples % max(1, AREA_BLOCK_FRAMES // planes) != 0  # the last one partial
     rep = verify_area_nonincreasing(retraction, samples, planes, seed=7)
     max_plane, max_top = reference_area_scalings(retraction, samples, planes, seed=7)
     assert rep.max_top_scaling == max_top
@@ -220,6 +221,22 @@ def test_retraction_with_shared_block():
     out_q = retraction.apply(q)
     assert out_q[6] == -0.8
     assert np.all(out_q[3:6] == 0.0)
+
+
+def test_verify_area_nonincreasing_scores_the_shared_block():
+    # the calibrated plane is x + l, an (n+k)-plane: with k = 1 the map shrinks
+    # 4-volumes, while scoring 3-planes would read 2.49 on an admissible profile
+    params = make_params(3, 2.5)
+    coords = WedgeCoordinates.from_axes(7, (0, 1, 2), (3, 4, 5), (6,))
+    retraction = RetractionMap(coords, CutoffProfile.from_params(params))
+    rep = verify_area_nonincreasing(retraction, 200, 20, seed=0)
+    assert rep.passed
+    assert rep.max_top_scaling <= 1.0 + 1e-8
+    assert rep.max_plane_scaling <= rep.max_top_scaling
+    assert rep.x_plane_scaling_error <= 1e-8
+    max_plane, max_top = reference_area_scalings(retraction, 200, 20, seed=0)
+    assert rep.max_top_scaling == max_top
+    assert rep.max_plane_scaling == pytest.approx(max_plane, abs=1e-13)
 
 
 def test_profile_mismatch_rejected():

@@ -8,7 +8,6 @@ from vancal.subspaces import (
     OrientedSubspace,
     coordinate_plane,
     intersect_and_split,
-    intersection_angle,
     principal_angles,
     rotated_plane_pair,
     subspace_hausdorff_distance,
@@ -39,8 +38,8 @@ def test_orthogonal_planes_r4():
     pair = intersect_and_split(coordinate_plane(4, (0, 1)), coordinate_plane(4, (2, 3)))
     assert pair.intersection_dim == 0
     assert np.allclose(pair.principal_angles, math.pi / 2, atol=1e-12)
-    assert intersection_angle(pair) == pytest.approx(math.pi / 2)
-    assert intersection_angle(pair, "sup") == pytest.approx(math.pi / 2)
+    assert pair.principal_angles.min() == pytest.approx(math.pi / 2)
+    assert pair.principal_angles.max() == pytest.approx(math.pi / 2)
 
 
 def test_shared_axis_planes():
@@ -57,8 +56,6 @@ def test_equal_planes():
     pair = intersect_and_split(p, p)
     assert pair.intersection_dim == 2
     assert pair.principal_angles.size == 0
-    with pytest.raises(ValueError, match="empty"):
-        intersection_angle(pair)
 
 
 def test_coordinate_subspace_intersection_counts_shared_axes():
@@ -75,18 +72,16 @@ def test_single_angle_rotated_pair():
     assert angles == pytest.approx([0.0, alpha], abs=1e-12)
     pair = intersect_and_split(p1, p2)
     assert pair.intersection_dim == 1
-    assert intersection_angle(pair) == pytest.approx(alpha)
-    assert intersection_angle(pair, "sup") == pytest.approx(alpha)
+    assert pair.principal_angles.min() == pytest.approx(alpha)
+    assert pair.principal_angles.max() == pytest.approx(alpha)
 
 
 def test_prescribed_angle_conventions():
-    # complements with angles (pi/2, pi/6): min_principal pi/6, sup pi/2
+    # complements with angles (pi/2, pi/6): smallest pi/6, largest pi/2
     p1, p2 = rotated_plane_pair(6, 2, [math.pi / 2, math.pi / 6])
     pair = intersect_and_split(p1, p2)
-    assert intersection_angle(pair, "min_principal") == pytest.approx(math.pi / 6)
-    assert intersection_angle(pair, "sup") == pytest.approx(math.pi / 2)
-    with pytest.raises(ValueError, match="convention"):
-        intersection_angle(pair, "bogus")
+    assert pair.principal_angles.min() == pytest.approx(math.pi / 6)
+    assert pair.principal_angles.max() == pytest.approx(math.pi / 2)
 
 
 def test_principal_angles_match_scipy():
@@ -142,7 +137,7 @@ def test_min_principal_positive_iff_transverse_complements():
         b2 = rng.standard_normal((3, 7))
         pair = intersect_and_split(OrientedSubspace(7, b1), OrientedSubspace(7, b2))
         if pair.principal_angles.size:
-            assert intersection_angle(pair) > 1e-5
+            assert pair.principal_angles.min() > 1e-5
 
 
 def test_split_factors_orthogonal_to_intersection():
