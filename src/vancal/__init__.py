@@ -14,7 +14,6 @@ from .exterior import (
 )
 from .cutoff import (
     CutoffParams,
-    CutoffProfile,
     angle_threshold,
     choose_a_for_angle,
     make_params,

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .coords import WedgeCoordinates
-from .cutoff import CutoffParams, CutoffProfile
+from .cutoff import CutoffParams
 from .exterior import (
     AlternatingTensor,
     FD_STEPS,
@@ -75,11 +75,12 @@ def psi_bar(coords: WedgeCoordinates, point: np.ndarray) -> AlternatingTensor:
 class VanishingCalibration:
     """The assembled wedge-supported calibration around a plane.
 
-    ``pointwise_comass`` is the one copy of the field's closed-form comass.
+    ``params`` is the cutoff: its constants and the functions of t that the
+    field is built from.  ``pointwise_comass`` is the one copy of the field's
+    closed-form comass.
     """
 
     coords: WedgeCoordinates
-    profile: CutoffProfile
     params: CutoffParams
     field: FormField
     orientation: float = 1.0
@@ -103,11 +104,11 @@ class VanishingCalibration:
 
     def _comass_rz(self, r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Closed-form comass from r and z, and the open-wedge mask z < tan(theta) r."""
-        inside = z < self.profile.tan_theta * r
+        inside = z < self.params.tan_theta * r
         with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 lies outside
             t = z / r
-            c = self.profile.c_coefficient(t)
-            s = self.profile.s_coefficient(t)
+            c = self.params.c_coefficient(t)
+            s = self.params.s_coefficient(t)
             return np.where(inside, np.sqrt(c * c + s * s), 0.0), inside
 
     def primitive_norm(self, points: np.ndarray) -> np.ndarray:
@@ -115,7 +116,7 @@ class VanishingCalibration:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         r = self.coords.r(points)
         t = np.where(r > 0, self.coords.z(points) / np.where(r > 0, r, 1.0), 0.0)
-        return self.profile.gamma(t) * r / self.coords.n
+        return self.params.gamma(t) * r / self.coords.n
 
 
 def build_vanishing_calibration(
@@ -137,13 +138,12 @@ def build_vanishing_calibration(
         )
     if orientation not in (1.0, -1.0, 1, -1):
         raise ValueError("orientation must be +1 or -1")
-    profile = CutoffProfile.from_params(params)
     N, n, k = coords.ambient_dim, coords.n, coords.k
     degree = n + k
     vol_x = covector_volume(coords.x_frame, N).coefficients[None]
     l_vol = covector_volume(coords.l_frame, N).coefficients[None] if k else None
     sign = float(orientation)
-    tan_theta = profile.tan_theta
+    tan_theta = params.tan_theta
 
     def coefficients(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -163,11 +163,11 @@ def build_vanishing_calibration(
         xi, r, z = xi[inside], r[inside], z[inside]
         t = z / r  # wedge interior forces r > 0
         radial = (xi / r[:, None]) @ coords.x_frame
-        one_form = profile.c_coefficient(t)[:, None] * radial
+        one_form = params.c_coefficient(t)[:, None] * radial
         tilted = z > 0.0
         if tilted.any():
             eta = coords.y_part(points[inside][tilted])
-            s = profile.s_coefficient(t[tilted])
+            s = params.s_coefficient(t[tilted])
             one_form[tilted] += s[:, None] * ((eta / z[tilted, None]) @ coords.y_frame)
         sphere = _interior_rows(radial, vol_x, N, n)
         tensor = _wedge_rows(one_form, sphere, N, 1, n - 1)
@@ -178,12 +178,12 @@ def build_vanishing_calibration(
 
     def singular(points: np.ndarray, margin: float = 0.0) -> np.ndarray:
         r, z = coords.r(points), coords.z(points)
-        kink = coords.interface_distance(points, tan_theta) <= margin
+        kink = params.interface_distance(r, z) <= margin
         # the 1/r singular axis matters only where the wedge is reachable
         return kink | ((z < tan_theta * r) & (r <= margin))
 
     field = FormField(N, degree, coefficients, singular)
-    return VanishingCalibration(coords, profile, params, field, sign)
+    return VanishingCalibration(coords, params, field, sign)
 
 
 # -- grid utilities ----------------------------------------------------------
@@ -340,9 +340,9 @@ def _box_sample(
         pts = rng.uniform(lows, highs, size=(4 * count, lows.size))
         keep = np.ones(pts.shape[0], dtype=bool)
         for i, cal in enumerate(cals):
-            tan_theta = cal.profile.tan_theta
+            tan_theta = cal.params.tan_theta
             r, z = cal.coords.r(pts), cal.coords.z(pts)
-            keep &= (r > margin) & (cal.coords.interface_distance(pts, tan_theta) > margin)
+            keep &= (r > margin) & (cal.params.interface_distance(r, z) > margin)
             if inside is None:
                 keep &= z > tan_theta * r
             elif i == inside:
@@ -447,9 +447,9 @@ def _verify(
     vanish_max = float(np.abs(field.coefficients(vanish_pts)).max(initial=0.0))
 
     # the Lipschitz primitive gamma psi_bar tends to 0 at the interface; the
-    # summands share one profile, so the first one stands for all
+    # summands share one cutoff, so the first one stands for all
     cal = cals[0]
-    ts = cal.profile.tan_theta * (1.0 - np.geomspace(1e-8, 0.2, 12))
+    ts = cal.params.tan_theta * (1.0 - np.geomspace(1e-8, 0.2, 12))
     ray_x = np.full(cal.coords.n, 1.0 / math.sqrt(cal.coords.n))
     ray_pts = np.array(
         [
@@ -626,7 +626,7 @@ def scaled_calibration(
             f"|f| exceeds 1 on the sample grid (max {values.max():g}); "
             "the scaled field would not be a calibration"
         )
-    retraction = RetractionMap(cal.coords, cal.profile)
+    retraction = RetractionMap(cal.coords, cal.params)
 
     def coefficients(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)

@@ -31,7 +31,7 @@ from .calibration import (
 )
 from .coords import WedgeCoordinates
 from .cutoff import (
-    CutoffProfile,
+    CutoffParams,
     admissible_interval,
     angle_threshold,
     make_params,
@@ -263,16 +263,16 @@ def cmd_retraction(args) -> int:
     )
     try:
         if args.force_c is not None:
-            profile = CutoffProfile.forced(args.n, args.force_c)
+            params = CutoffParams.forced(args.n, args.force_c)
         else:
-            profile = CutoffProfile.from_params(make_params(args.n, args.a))
+            params = make_params(args.n, args.a)
+        N = args.n + args.m
+        coords = WedgeCoordinates.from_axes(N, range(args.n), range(args.n, N))
     except ValueError as err:
         report.add("parameters", False, detail=str(err))
         _finish(report, started, args.json)
         return 2
-    N = args.n + args.m
-    coords = WedgeCoordinates.from_axes(N, range(args.n), range(args.n, N))
-    retraction = RetractionMap(coords, profile)
+    retraction = RetractionMap(coords, params)
     try:
         rep = verify_area_nonincreasing(retraction, args.samples, args.planes, args.seed)
     except ValueError as err:

@@ -43,10 +43,14 @@ class WedgeCoordinates:
 
     @classmethod
     def from_axes(cls, ambient_dim: int, x_axes, y_axes, l_axes=()) -> "WedgeCoordinates":
+        """Coordinate frames on the given axes, each in [0, ambient_dim)."""
+
         def rows(axes):
             axes = tuple(axes)
             frame = np.zeros((len(axes), ambient_dim))
             for i, axis in enumerate(axes):
+                if not 0 <= axis < ambient_dim:
+                    raise ValueError(f"axis {axis} lies outside [0, {ambient_dim})")
                 frame[i, axis] = 1.0
             return frame
 
@@ -87,12 +91,6 @@ class WedgeCoordinates:
     def t(self, points: np.ndarray) -> np.ndarray:
         """z/r; requires r > 0."""
         return self.z(points) / self.r(points)
-
-    def interface_distance(self, points: np.ndarray, tan_theta: float) -> np.ndarray:
-        """Distance to the wedge interface z = tan(theta) r in the (r, z) half-plane."""
-        r = self.r(points)
-        z = self.z(points)
-        return np.abs(z - tan_theta * r) / np.sqrt(1.0 + tan_theta**2)
 
     def assemble(self, xi: np.ndarray, eta: np.ndarray, lam: np.ndarray = None) -> np.ndarray:
         """Ambient point from block coordinates."""

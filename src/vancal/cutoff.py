@@ -5,9 +5,10 @@ satisfies, on [0, tan(theta)],
 
     0 < kappa <= (gamma - (t/n) gamma')^2 + (gamma'/n)^2 <= 1 - delta t^2,
 
-with closed-form constants c, theta, delta, kappa.  The middle expression is
-exactly the n-volume scaling of the associated retraction and the squared
-pointwise comass of the vanishing calibration, which is why the whole
+with closed-form constants c, theta, delta, kappa.  The square root of the
+middle expression is both the pointwise comass of the vanishing calibration
+and the top (n+k)-volume scaling of the associated retraction (the product
+of the differential's top n + k singular values), which is why the whole
 construction hinges on this one inequality.
 """
 
@@ -25,100 +26,69 @@ KAPPA_MATCH_TOL = 1e-6
 CONTINUITY_TOL = 1e-12
 
 
-def admissible_interval(n: int) -> tuple[float, float]:
-    """Open interval of admissible family parameters a for plane dimension n."""
+def _plane_dimension(n) -> int:
+    """n as an int, rejecting non-integers and the dimensions n < 3 the paper excludes."""
+    if int(n) != n:
+        raise ValueError(f"plane dimension n must be an integer, got {n!r}")
     if n < 3:
         raise ValueError(f"plane dimension n must be >= 3, got {n}")
+    return int(n)
+
+
+def admissible_interval(n: int) -> tuple[float, float]:
+    """Open interval of admissible family parameters a for plane dimension n."""
+    n = _plane_dimension(n)
     return 4.0 * n / (n + 2.0), float(n * (n - 2))
 
 
 @dataclass(frozen=True)
 class CutoffParams:
-    """Admissible parameter pair (n, a) with its derived constants."""
+    """The cutoff gamma(t) = max(1 - c t^2, 0) for plane dimension n, with its constants.
+
+    ``make_params`` builds admissible parameters, ``forced`` negative controls.
+    gamma, dgamma and the middle expression are zero beyond the wedge
+    t = tan theta; the c and s coefficients are smooth-branch polynomials
+    whose callers mask the wedge.
+    """
 
     n: int
     a: float
     c: float
     theta: float
+    tan_theta: float
     delta: float
     kappa: float
 
-    @property
-    def tan_theta(self) -> float:
-        return math.sqrt(self.a / (self.n * (self.n - 2)))
-
-
-def make_params(n: int, a: float) -> CutoffParams:
-    """Build the derived constants, enforcing 4n/(n+2) < a < n(n-2)."""
-    if int(n) != n:
-        raise ValueError(f"plane dimension n must be an integer, got {n!r}")
-    n = int(n)
-    lo, hi = admissible_interval(n)
-    if not a > lo:
-        raise ValueError(
-            f"inadmissible a={a:g}: requires a > 4n/(n+2) = {lo:g} for n={n}"
-        )
-    if not a < hi:
-        raise ValueError(
-            f"inadmissible a={a:g}: requires a < n(n-2) = {hi:g} for n={n}"
-        )
-    c = n * (n - 2) / a
-    theta = math.atan(math.sqrt(a / (n * (n - 2))))
-    delta = (n - 2) ** 2 * (a * (n + 2) - 4 * n) / (a * a * n)
-    kappa = 4.0 * (a - 1.0) / (a * a)
-    return CutoffParams(n=n, a=float(a), c=c, theta=theta, delta=delta, kappa=kappa)
-
-
-@dataclass(frozen=True)
-class CutoffProfile:
-    """The profile gamma(t) = max(1 - c t^2, 0) with one-sided derivatives.
-
-    Smooth and monotone decreasing on [0, tan theta], identically zero
-    beyond; the derivative jumps at t = tan theta, so both one-sided values
-    are exposed.  ``n`` and ``tan_theta`` are carried so that negative
-    controls can force an inadmissible c without going through make_params.
-    """
-
-    n: int
-    c: float
-    tan_theta: float
-
     @classmethod
-    def from_params(cls, params: CutoffParams) -> "CutoffProfile":
-        return cls(n=params.n, c=params.c, tan_theta=params.tan_theta)
-
-    @classmethod
-    def forced(cls, n: int, c: float) -> "CutoffProfile":
-        """Profile 1 - c t^2 vanishing at 1/sqrt(c), bypassing admissibility."""
-        if c <= 0:
-            raise ValueError("forced profile needs c > 0")
-        return cls(n=int(n), c=float(c), tan_theta=1.0 / math.sqrt(c))
+    def forced(cls, n: int, c: float) -> "CutoffParams":
+        """The cutoff 1 - c t^2 vanishing at 1/sqrt(c), with a = n(n-2)/c unchecked."""
+        n = _plane_dimension(n)
+        c = float(c)
+        if not (math.isfinite(c) and c > 0.0):
+            raise ValueError(f"forced cutoff needs a finite c > 0, got {c!r}")
+        return _with_constants(n, n * (n - 2) / c, c, 1.0 / math.sqrt(c))
 
     def gamma(self, t):
         t = np.asarray(t, dtype=float)
         return np.where(t < self.tan_theta, 1.0 - self.c * t * t, 0.0)
 
-    def dgamma(self, t, side: str = "left"):
-        """One-sided derivative; ``side`` selects the branch at t = tan theta."""
+    def dgamma(self, t):
+        """gamma' from the left: -2 c t on the closed wedge, zero beyond."""
         t = np.asarray(t, dtype=float)
-        inside = t <= self.tan_theta if side == "left" else t < self.tan_theta
-        return np.where(inside, -2.0 * self.c * t, 0.0)
+        return np.where(t <= self.tan_theta, -2.0 * self.c * t, 0.0)
 
     def c_coefficient(self, t):
-        """gamma - (t/n) gamma' on the smooth branch, zero beyond the wedge."""
+        """gamma - (t/n) gamma' on the smooth branch."""
         t = np.asarray(t, dtype=float)
-        inside = t < self.tan_theta
-        val = 1.0 - self.c * (self.n - 2) / self.n * t * t
-        return np.where(inside, val, 0.0)
+        return 1.0 - self.c * (self.n - 2) / self.n * t * t
 
     def s_coefficient(self, t):
-        """gamma'/n on the smooth branch, zero beyond the wedge."""
+        """gamma'/n on the smooth branch."""
         t = np.asarray(t, dtype=float)
-        inside = t < self.tan_theta
-        return np.where(inside, -2.0 * self.c * t / self.n, 0.0)
+        return -2.0 * self.c * t / self.n
 
     def middle_expression(self, t):
-        """(gamma - (t/n) gamma')^2 + (gamma'/n)^2 on the closed wedge.
+        """(gamma - (t/n) gamma')^2 + (gamma'/n)^2 on the closed wedge, zero beyond.
 
         Uses the left (smooth) branch at the interface, matching the range
         of validity of the differential inequality.
@@ -128,6 +98,35 @@ class CutoffProfile:
         dg = -2.0 * self.c * t
         val = (g - t / self.n * dg) ** 2 + (dg / self.n) ** 2
         return np.where(t <= self.tan_theta, val, 0.0)
+
+    def interface_distance(self, r, z):
+        """Distance from (r, z) to the wedge interface z = tan(theta) r."""
+        return np.abs(z - self.tan_theta * r) / np.sqrt(1.0 + self.tan_theta**2)
+
+
+def _with_constants(n: int, a: float, c: float, tan_theta: float) -> CutoffParams:
+    """Complete (n, a, c, tan theta) with theta, delta and kappa."""
+    theta = math.atan(tan_theta)
+    delta = (n - 2) ** 2 * (a * (n + 2) - 4 * n) / (a * a * n)
+    kappa = 4.0 * (a - 1.0) / (a * a)
+    return CutoffParams(n=n, a=a, c=c, theta=theta, tan_theta=tan_theta,
+                        delta=delta, kappa=kappa)
+
+
+def make_params(n: int, a: float) -> CutoffParams:
+    """Build the derived constants, enforcing 4n/(n+2) < a < n(n-2)."""
+    n = _plane_dimension(n)
+    lo, hi = admissible_interval(n)
+    if not a > lo:
+        raise ValueError(
+            f"inadmissible a={a:g}: requires a > 4n/(n+2) = {lo:g} for n={n}"
+        )
+    if not a < hi:
+        raise ValueError(
+            f"inadmissible a={a:g}: requires a < n(n-2) = {hi:g} for n={n}"
+        )
+    a = float(a)
+    return _with_constants(n, a, n * (n - 2) / a, math.sqrt(a / (n * (n - 2))))
 
 
 def quartic_expansion(params: CutoffParams, t) -> np.ndarray | float:
@@ -158,7 +157,6 @@ class InequalityReport(CheckedReport):
     grid_points: int
     min_slack_lower: float  # min over grid of middle - kappa
     min_slack_upper: float  # min over grid of (1 - delta t^2) - middle
-    kappa_positive: float  # kappa itself (must be > 0)
     grid_min_middle: float
     argmin_t: float
     kappa: float
@@ -169,7 +167,7 @@ class InequalityReport(CheckedReport):
     def checks(self) -> list[Check]:
         slack_tol = -INEQUALITY_SLACK_TOL
         checks = [
-            Check("admissible", self.kappa_positive > 0.0, measured=self.a, detail="kappa > 0"),
+            Check("admissible", self.kappa > 0.0, measured=self.a, detail="kappa > 0"),
             Check("lower_bound_slack", self.min_slack_lower >= INEQUALITY_SLACK_TOL,
                   measured=self.min_slack_lower, threshold=0.0, tolerance=slack_tol,
                   detail="min over grid of middle - kappa"),
@@ -221,15 +219,14 @@ def verify_inequality_one(params: CutoffParams, grid_points: int) -> InequalityR
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
-    profile = CutoffProfile.from_params(params)
     t = np.linspace(0.0, params.tan_theta, grid_points)
-    middle = profile.middle_expression(t)
+    middle = params.middle_expression(t)
     upper = 1.0 - params.delta * t * t
     slack_lower = middle - params.kappa
     slack_upper = upper - middle
     j = int(np.argmin(middle))
     argmin_t, grid_min = _golden_section_minimum(
-        lambda s: float(profile.middle_expression(s)),
+        lambda s: float(params.middle_expression(s)),
         float(t[max(j - 1, 0)]), float(t[min(j + 1, grid_points - 1)]),
     )
     if middle[j] < grid_min:
@@ -241,7 +238,6 @@ def verify_inequality_one(params: CutoffParams, grid_points: int) -> InequalityR
         grid_points=grid_points,
         min_slack_lower=float(slack_lower.min()),
         min_slack_upper=float(slack_upper.min()),
-        kappa_positive=params.kappa,
         grid_min_middle=grid_min,
         argmin_t=argmin_t,
         kappa=params.kappa,
@@ -253,8 +249,7 @@ def verify_inequality_one(params: CutoffParams, grid_points: int) -> InequalityR
 
 def angle_threshold(n: int) -> float:
     """Infimum 2 arctan(2 / sqrt(n^2 - 4)) of achievable double wedge angles."""
-    if n < 3:
-        raise ValueError(f"plane dimension n must be >= 3, got {n}")
+    n = _plane_dimension(n)
     return 2.0 * math.atan(2.0 / math.sqrt(n * n - 4.0))
 
 
@@ -271,8 +266,7 @@ def choose_a_for_angle(
     The target must exceed arctan(2 / sqrt(n^2 - 4)) strictly; the returned
     a = n(n-2) tan^2(min(target, cap)) is always admissible.
     """
-    if n < 3:
-        raise ValueError(f"plane dimension n must be >= 3, got {n}")
+    n = _plane_dimension(n)
     threshold_half = angle_threshold(n) / 2.0
     if not target_half_angle > threshold_half:
         raise ValueError(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coords import WedgeCoordinates
-from .cutoff import CutoffProfile
+from .cutoff import CutoffParams
 from .exterior import _batched_plucker
 from .reports import Check, CheckedReport
 
@@ -33,15 +33,19 @@ AREA_BLOCK_FRAMES = 512
 
 @dataclass(frozen=True, eq=False)
 class RetractionMap:
-    """p = (x, y, l)  ->  (gamma(t)^{1/n} x, 0, l)."""
+    """p = (x, y, l)  ->  (gamma(t)^{1/n} x, 0, l), with gamma the cutoff of ``params``.
+
+    ``params`` may be admissible (``make_params``) or a forced negative
+    control (``CutoffParams.forced``); its n must be the x-block dimension.
+    """
 
     coords: WedgeCoordinates
-    profile: CutoffProfile
+    params: CutoffParams
 
     def __post_init__(self):
-        if self.coords.n != self.profile.n:
+        if self.coords.n != self.params.n:
             raise ValueError(
-                f"profile dimension n={self.profile.n} does not match the "
+                f"cutoff dimension n={self.params.n} does not match the "
                 f"x-block dimension {self.coords.n}"
             )
 
@@ -57,8 +61,8 @@ class RetractionMap:
         inside = r > 0.0
         t = np.zeros_like(r)
         t[inside] = z[inside] / r[inside]
-        gamma = self.profile.gamma(t[inside])
-        scale[inside] = np.maximum(gamma, 0.0) ** (1.0 / self.profile.n)
+        gamma = self.params.gamma(t[inside])
+        scale[inside] = np.maximum(gamma, 0.0) ** (1.0 / self.params.n)
         out = (scale[:, None] * xi) @ self.coords.x_frame
         if self.coords.k:
             out = out + self.coords.l_part(pts) @ self.coords.l_frame
@@ -75,13 +79,13 @@ class RetractionMap:
         N = self.coords.ambient_dim
         if h <= 0:
             raise ValueError("step h must be positive")
-        r = self.coords.r(pts)
+        r, z = self.coords.r(pts), self.coords.z(pts)
         if np.any(r <= 2.0 * h):
             raise ValueError(
                 f"point has r = {r[np.argmax(r <= 2.0 * h)]:g} <= 2h; "
                 "stencil reaches the singular axis"
             )
-        d_int = self.coords.interface_distance(pts, self.profile.tan_theta)
+        d_int = self.params.interface_distance(r, z)
         if np.any(d_int <= 2.0 * h):
             raise ValueError(
                 f"point is {d_int[np.argmax(d_int <= 2.0 * h)]:g} <= 2h from the wedge "
@@ -96,8 +100,8 @@ class RetractionMap:
     def differential_exact(self, point: np.ndarray) -> np.ndarray:
         """Chain-rule Jacobian on the smooth strata (independent oracle)."""
         point = np.asarray(point, dtype=float)
-        coords, profile = self.coords, self.profile
-        n = profile.n
+        coords, params = self.coords, self.params
+        n = params.n
         xi = coords.x_part(point)
         eta = coords.y_part(point)
         r = float(np.linalg.norm(xi))
@@ -109,10 +113,10 @@ class RetractionMap:
         jac = np.zeros((N, N))
         if coords.k:
             jac += coords.l_frame.T @ coords.l_frame
-        if t >= profile.tan_theta:
+        if t >= params.tan_theta:
             return jac  # constant map onto the l-block beyond the wedge
-        gamma = float(profile.gamma(t))
-        dgamma = float(profile.dgamma(t))
+        gamma = float(params.gamma(t))
+        dgamma = float(params.dgamma(t))
         G = gamma ** (1.0 / n)
         Gp = (1.0 / n) * gamma ** (1.0 / n - 1.0) * dgamma
         # t-gradient: dt = (1/r) dz - (t/r) dr
@@ -123,7 +127,7 @@ class RetractionMap:
             grad_t = grad_t + dz_vec / r
         elif coords.m:
             # t = |y|/r is not differentiable in y at y = 0, but G'(0) = 0
-            # for the quadratic profile, so the product limit below is 0.
+            # for the quadratic cutoff, so the product limit below is 0.
             pass
         x_amb = coords.x_frame.T @ xi
         jac += G * (coords.x_frame.T @ coords.x_frame)
@@ -241,12 +245,12 @@ def verify_area_nonincreasing(
         raise ValueError("samples must be >= 1")
     if planes_per_sample < 1:
         raise ValueError("planes_per_sample must be >= 1")
-    coords, profile = retraction.coords, retraction.profile
-    d, N = profile.n + coords.k, coords.ambient_dim
+    coords, params = retraction.coords, retraction.params
+    d, N = params.n + coords.k, coords.ambient_dim
     rng = np.random.default_rng(seed)
-    t_hi = max(0.9, 1.0 - 4.0 * h / profile.tan_theta)
+    t_hi = max(0.9, 1.0 - 4.0 * h / params.tan_theta)
     points = sample_wedge_points(
-        coords, profile.tan_theta, samples, rng, t_fraction=(0.05, t_hi)
+        coords, params.tan_theta, samples, rng, t_fraction=(0.05, t_hi)
     )
 
     # a block's planes come from one draw, the same stream as one draw per sample
@@ -308,14 +312,14 @@ def level_set_curve_consistency(
     Euclidean distance rho to the shared subspace satisfies
     (rho cos theta)^(-n) = gamma(tan theta).  Returns the max violation.
     """
-    coords, profile = retraction.coords, retraction.profile
-    n = profile.n
+    coords, params = retraction.coords, retraction.params
+    n = params.n
     worst = 0.0
     x0 = np.zeros(coords.n)
     x0[0] = 1.0
     for theta in np.atleast_1d(theta_values):
         tan_t = math.tan(theta)
-        gamma = float(profile.gamma(tan_t))
+        gamma = float(params.gamma(tan_t))
         if gamma <= 0.0:
             continue
         r = gamma ** (-1.0 / n)

@@ -31,13 +31,13 @@ from vancal.currents import (
     mass,
 )
 from vancal.cutoff import (
+    CutoffParams,
     admissible_interval,
     angle_threshold,
     make_params,
     quartic_axis,
     quartic_expansion,
     verify_inequality_one,
-    CutoffProfile,
 )
 from vancal.exterior import (
     AlternatingTensor,
@@ -74,7 +74,7 @@ def test_criterion_01_cutoff_inequality_suite():
         for a in np.geomspace(lo * (1 + 1e-6), hi * (1 - 1e-6), 50):
             rep = verify_inequality_one(make_params(n, float(a)), 10_000)
             worst_slack = min(worst_slack, rep.min_slack_lower, rep.min_slack_upper,
-                              rep.kappa_positive)
+                              rep.kappa)
             if rep.axis_in_range:
                 worst_kappa_dev = max(worst_kappa_dev, abs(rep.grid_min_middle - rep.kappa))
     elapsed = time.monotonic() - started
@@ -95,9 +95,8 @@ def test_criterion_02_quartic_identity():
         lo, hi = admissible_interval(n)
         for a in np.geomspace(lo * (1 + 1e-6), hi * (1 - 1e-6), 50):
             params = make_params(n, float(a))
-            profile = CutoffProfile.from_params(params)
             t = rng.uniform(0.0, params.tan_theta, size=1000)
-            direct = profile.middle_expression(t)
+            direct = params.middle_expression(t)
             expansion = quartic_expansion(params, t)
             worst = max(worst, float(np.max(np.abs(direct - expansion) / np.abs(expansion))))
     record(2, "direct expression vs quartic expansion", worst <= 1e-13,
@@ -216,9 +215,9 @@ def test_criterion_06_pair_calibrations():
 def test_criterion_07_retraction_scalings():
     params = make_params(3, 2.5)
     coords = WedgeCoordinates.from_axes(6, (0, 1, 2), (3, 4, 5))
-    retraction = RetractionMap(coords, CutoffProfile.from_params(params))
+    retraction = RetractionMap(coords, params)
     rep = verify_area_nonincreasing(retraction, 1000, 100, seed=0)
-    control = RetractionMap(coords, CutoffProfile.forced(3, 2.0))
+    control = RetractionMap(coords, CutoffParams.forced(3, 2.0))
     rep_control = verify_area_nonincreasing(control, 1000, 100, seed=0)
     ok = (
         rep.max_plane_scaling <= 1.0 + 1e-8

@@ -41,15 +41,8 @@ from vancal.subspaces import (
 
 
 def forced_params(n: int, a: float) -> CutoffParams:
-    """Closed-form constants without the admissibility check (negative controls)."""
-    return CutoffParams(
-        n=n,
-        a=a,
-        c=n * (n - 2) / a,
-        theta=math.atan(math.sqrt(a / (n * (n - 2)))),
-        delta=(n - 2) ** 2 * (a * (n + 2) - 4 * n) / (a * a * n),
-        kappa=4 * (a - 1) / (a * a),
-    )
+    """The cutoff of family parameter a without the admissibility check (negative controls)."""
+    return CutoffParams.forced(n, n * (n - 2) / a)
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +111,7 @@ def test_field_is_volume_form_on_the_plane(cal):
 
 
 def test_field_vanishes_exactly_beyond_wedge(cal):
-    tan_theta = cal.profile.tan_theta
+    tan_theta = cal.params.tan_theta
     p = np.array([0.2, 0.0, 0.0, 2 * tan_theta * 0.2, 0.1, 0.0])
     tensor = cal.field.evaluator(p)
     assert tensor.is_zero()
@@ -272,7 +265,7 @@ def test_streamed_scan_matches_materialised_grid(rotated_cal):
         pts = brute_force_grid(region, grid)
         values = cal.pointwise_comass(pts)
         r, z = cal.coords.r(pts), cal.coords.z(pts)
-        inside = z < cal.profile.tan_theta * r
+        inside = z < cal.params.tan_theta * r
         t = z[inside] / r[inside]
         slack = np.sqrt(1.0 - cal.params.delta * t * t) - values[inside]
         assert 0 < inside.sum() < pts.shape[0]  # the box straddles the interface
@@ -530,16 +523,16 @@ def test_coordinate_plane_sum_dimension_guard():
 
 def reference_vanishing_tensor(cal, p: np.ndarray) -> np.ndarray:
     """(c dr + s dz) ^ i_radial(vol_x) (^ dl) at one point, by one-point tensor algebra."""
-    coords, profile = cal.coords, cal.profile
+    coords, params = cal.coords, cal.params
     N, degree = coords.ambient_dim, cal.degree
     xi, r, z = coords.x_part(p), float(coords.r(p)), float(coords.z(p))
-    if z >= profile.tan_theta * r:
+    if z >= params.tan_theta * r:
         return np.zeros(math.comb(N, degree))
     t = z / r
     radial = coords.x_frame.T @ (xi / r)
-    one_form = float(profile.c_coefficient(t)) * radial
+    one_form = float(params.c_coefficient(t)) * radial
     if z > 0.0:
-        one_form = one_form + float(profile.s_coefficient(t)) * (
+        one_form = one_form + float(params.s_coefficient(t)) * (
             coords.y_frame.T @ (coords.y_part(p) / z))
     tensor = wedge(AlternatingTensor(N, 1, one_form),
                    interior_product(radial, covector_volume(coords.x_frame, N)))
@@ -552,8 +545,8 @@ def reference_singular(cals, p: np.ndarray, margin: float) -> bool:
     """Within margin of some summand's interface, or of its axis where its wedge is."""
     for cal in cals:
         r, z = float(cal.coords.r(p)), float(cal.coords.z(p))
-        tan_theta = cal.profile.tan_theta
-        if float(cal.coords.interface_distance(p, tan_theta)) <= margin:
+        tan_theta = cal.params.tan_theta
+        if float(cal.params.interface_distance(r, z)) <= margin:
             return True
         if z < tan_theta * r and r <= margin:
             return True
@@ -586,7 +579,7 @@ def test_batched_coefficients_match_one_point_calls(cal, builder):
     else:
         f = lambda x: math.cos(float(x @ x))
         field, cals = scaled_calibration(cal, f), (cal,)
-        retraction = RetractionMap(cal.coords, cal.profile)
+        retraction = RetractionMap(cal.coords, cal.params)
         reference = lambda p: f(cal.coords.x_part(retraction.apply(p))) * (
             reference_vanishing_tensor(cal, p))
     rng = np.random.default_rng(11)

@@ -10,7 +10,7 @@ from vancal.calibration import angle_budget, verify_pair_calibration
 from vancal.cli import main, parse_config, parse_matrix
 from vancal.coords import WedgeCoordinates
 from vancal.currents import calibration_inequality_check, square_mesh, write_mesh
-from vancal.cutoff import CutoffProfile, make_params
+from vancal.cutoff import CutoffParams, make_params
 from vancal.exterior import AlternatingTensor, constant_form_field
 from vancal.fermi import sphere_patch, verify_first_order
 from vancal.reports import Check, VerificationReport
@@ -285,6 +285,36 @@ def test_retraction_command_and_negative_control(capsys):
     assert top["measured"] > 1.0
 
 
+@pytest.mark.parametrize(
+    "extra, detail",
+    [
+        (["--m", "-1"], "outside [0, 2)"),
+        (["--force-c", "inf"], "finite c > 0"),
+        (["--force-c", "nan"], "finite c > 0"),
+        (["--force-c", "0"], "finite c > 0"),
+        (["--n", "2", "--force-c", "2.0"], "n must be >= 3"),
+    ],
+    ids=["m-negative", "force-c-inf", "force-c-nan", "force-c-zero", "force-c-n2"],
+)
+def test_retraction_bad_parameters_fail_the_parameters_check(capsys, extra, detail):
+    code, out = run_cli(capsys, "retraction", "--samples", "10", "--planes", "5", *extra)
+    assert code == 2
+    report = report_of(out)
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [("parameters", False)]
+    assert detail in report["checks"][0]["detail"]
+
+
+def test_integrate_vanishing_rejects_a_plane_wider_than_the_mesh(capsys, tmp_path):
+    mesh_path = tmp_path / "square3.txt"
+    write_mesh(square_mesh(ambient_dim=3), mesh_path)
+    code = main(["integrate", "--mesh", str(mesh_path), "--field", "vanishing",
+                 "--n", "4", "--a", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "outside [0, 3)" in captured.err
+
+
 def test_fermi_command_presets(capsys):
     for surface, extra in [("sphere", ["--radius", "1.0", "--dim", "2"]),
                            ("plane", []), ("catenoid", [])]:
@@ -451,11 +481,11 @@ def test_fermi_renders_library_checks(capsys):
 def test_retraction_renders_library_checks(capsys):
     coords = WedgeCoordinates.from_axes(6, range(3), range(3, 6))
     argv = ["retraction", "--samples", "60", "--planes", "10", "--seed", "3"]
-    for profile, extra, code in [
-        (CutoffProfile.from_params(make_params(3, 2.5)), [], 0),
-        (CutoffProfile.forced(3, 2.0), ["--force-c", "2.0"], 1),
+    for params, extra, code in [
+        (make_params(3, 2.5), [], 0),
+        (CutoffParams.forced(3, 2.0), ["--force-c", "2.0"], 1),
     ]:
-        rep = verify_area_nonincreasing(RetractionMap(coords, profile), 60, 10, 3)
+        rep = verify_area_nonincreasing(RetractionMap(coords, params), 60, 10, 3)
         assert [c.name for c in rep.checks()][3:] == [
             "one_homogeneous", "idempotent", "lipschitz_finite"]
         assert assert_renders(capsys, argv + extra, rep.checks()) == code

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vancal.cutoff import (
-    CutoffProfile,
+    CutoffParams,
     admissible_interval,
     angle_threshold,
     choose_a_for_angle,
@@ -54,20 +54,52 @@ def test_params_invariants_across_interval():
 
 def test_profile_shape():
     p = make_params(3, 2.5)
-    prof = CutoffProfile.from_params(p)
-    assert prof.gamma(0.0) == 1.0
-    assert prof.dgamma(0.0) == 0.0
+    assert p.gamma(0.0) == 1.0
+    assert p.dgamma(0.0) == 0.0
     t = np.linspace(0.0, p.tan_theta, 100)
-    g = prof.gamma(t)
+    g = p.gamma(t)
     assert np.all(np.diff(g) < 0.0)  # monotone decreasing on the wedge
-    assert abs(prof.gamma(p.tan_theta * (1 - 1e-14)) - 0.0) < 1e-12
-    assert prof.gamma(p.tan_theta) == 0.0
-    assert prof.gamma(2 * p.tan_theta) == 0.0
-    # one-sided derivatives at the interface
-    assert prof.dgamma(p.tan_theta, side="left") == pytest.approx(
-        -2 * p.c * p.tan_theta
-    )
-    assert prof.dgamma(p.tan_theta, side="right") == 0.0
+    assert abs(p.gamma(p.tan_theta * (1 - 1e-14)) - 0.0) < 1e-12
+    assert p.gamma(p.tan_theta) == 0.0
+    assert p.gamma(2 * p.tan_theta) == 0.0
+    # the left derivative at the interface, zero beyond it
+    assert p.dgamma(p.tan_theta) == pytest.approx(-2 * p.c * p.tan_theta)
+    assert p.dgamma(2 * p.tan_theta) == 0.0
+
+
+def test_interface_distance_is_perpendicular_distance_to_the_ray():
+    # for r, z >= 0 the foot of the perpendicular to the line z = tan(theta) r
+    # lies on the ray, so the distance is |(r, z) . nu| with the unit normal
+    # nu = (-sin theta, cos theta)
+    rng = np.random.default_rng(5)
+    r = rng.uniform(0.0, 2.0, size=500)
+    z = rng.uniform(0.0, 2.0, size=500)
+    for p in (make_params(3, 2.5), make_params(6, 10.0), CutoffParams.forced(4, 3.0)):
+        below = z < p.tan_theta * r
+        assert 50 < np.count_nonzero(below) < 450  # both sides of the ray
+        expected = np.abs(-math.sin(p.theta) * r + math.cos(p.theta) * z)
+        assert np.allclose(p.interface_distance(r, z), expected, rtol=1e-13, atol=1e-15)
+        on_ray = p.interface_distance(r, p.tan_theta * r)
+        assert np.all(on_ray <= 1e-15 * (1.0 + r))
+
+
+def test_forced_cutoff_constants():
+    p = CutoffParams.forced(3, 2.0)
+    assert p.c == 2.0
+    assert p.tan_theta == 1.0 / math.sqrt(2.0)
+    assert p.a == 1.5  # n(n-2)/c, below the admissible 4n/(n+2) = 2.4
+    assert p.theta == math.atan(p.tan_theta)
+    # at an admissible c the forced constants match make_params to rounding
+    q, f = make_params(4, 5.0), CutoffParams.forced(4, 8.0 / 5.0)
+    for name in ("a", "c", "theta", "tan_theta", "delta", "kappa"):
+        assert getattr(f, name) == pytest.approx(getattr(q, name), rel=1e-15), name
+
+
+@pytest.mark.parametrize("n, c", [(3, math.inf), (3, math.nan), (3, 0.0), (3, -1.0),
+                                  (2, 2.0), (3.5, 2.0)])
+def test_forced_cutoff_rejects_bad_input(n, c):
+    with pytest.raises(ValueError, match="finite c > 0|plane dimension n"):
+        CutoffParams.forced(n, c)
 
 
 def test_quartic_matches_direct_expression():
@@ -87,9 +119,8 @@ def test_quartic_identity_random_points_all_params():
         lo, hi = admissible_interval(n)
         for a in np.linspace(lo * 1.01, hi * 0.99, 5):
             p = make_params(n, float(a))
-            prof = CutoffProfile.from_params(p)
             t = rng.uniform(0.0, p.tan_theta, size=1000)
-            direct = prof.middle_expression(t)
+            direct = p.middle_expression(t)
             quartic = quartic_expansion(p, t)
             rel = np.abs(direct - quartic) / np.abs(quartic)
             assert rel.max() < 1e-13

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from vancal.coords import WedgeCoordinates
-from vancal.cutoff import CutoffProfile, make_params
+from vancal.cutoff import CutoffParams, make_params
 from vancal.exterior import random_orthonormal_frames
 from vancal.retraction import (
     AREA_BLOCK_FRAMES,
@@ -22,7 +22,7 @@ from vancal.retraction import (
 def retraction():
     params = make_params(3, 2.5)
     coords = WedgeCoordinates.from_axes(6, (0, 1, 2), (3, 4, 5))
-    return RetractionMap(coords, CutoffProfile.from_params(params))
+    return RetractionMap(coords, params)
 
 
 def test_identity_on_the_plane(retraction):
@@ -32,10 +32,10 @@ def test_identity_on_the_plane(retraction):
 
 def test_wedge_exterior_maps_to_zero(retraction):
     p = np.array([0.1, 0.0, 0.0, 1.0, 1.0, 1.0])
-    assert float(retraction.coords.t(p)) > retraction.profile.tan_theta
+    assert float(retraction.coords.t(p)) > retraction.params.tan_theta
     assert np.array_equal(retraction.apply(p), np.zeros(6))
     # continuity: both sides of the interface give 0 in the limit
-    tan_theta = retraction.profile.tan_theta
+    tan_theta = retraction.params.tan_theta
     just_inside = np.array([1.0, 0, 0, tan_theta * (1 - 1e-9), 0, 0])
     assert np.linalg.norm(retraction.apply(just_inside)) < 1e-2
 
@@ -73,7 +73,7 @@ def test_jacobian_zero_outside_wedge(retraction):
 def test_jacobian_matches_chain_rule_oracle(retraction):
     rng = np.random.default_rng(2)
     pts = sample_wedge_points(
-        retraction.coords, retraction.profile.tan_theta, 20, rng
+        retraction.coords, retraction.params.tan_theta, 20, rng
     )
     for p in pts:
         fd = retraction.differential(p, 1e-6)
@@ -94,10 +94,10 @@ def test_fd_jacobian_second_order(retraction):
 def test_volume_scaling_equals_middle_expression(retraction):
     # the top-n scaling of the differential is exactly sqrt((c)^2 + (s)^2)
     rng = np.random.default_rng(3)
-    pts = sample_wedge_points(retraction.coords, retraction.profile.tan_theta, 10, rng)
+    pts = sample_wedge_points(retraction.coords, retraction.params.tan_theta, 10, rng)
     for p in pts:
         t = float(retraction.coords.t(p))
-        expected = math.sqrt(float(retraction.profile.middle_expression(t)))
+        expected = math.sqrt(float(retraction.params.middle_expression(t)))
         measured = top_volume_scaling(retraction.differential_exact(p), 3)
         assert measured == pytest.approx(expected, rel=1e-10)
 
@@ -112,7 +112,7 @@ def test_tangent_plane_scaling_is_one(retraction):
 def test_plane_volume_scaling_depends_only_on_the_plane(retraction):
     # a Gaussian frame and its orthonormalization span the same plane
     rng = np.random.default_rng(8)
-    points = sample_wedge_points(retraction.coords, retraction.profile.tan_theta, 4, rng)
+    points = sample_wedge_points(retraction.coords, retraction.params.tan_theta, 4, rng)
     jacs = retraction.differential(points, 1e-6)
     mats = rng.standard_normal((4 * 30, 6, 3))
     orthonormal = np.linalg.qr(mats)[0]
@@ -139,11 +139,11 @@ def test_verify_area_nonincreasing_passes(retraction):
 
 def reference_area_scalings(retraction, samples, planes, seed, h=1e-6):
     """(max plane scaling, max top scaling) by one Jacobian, draw and SVD per sample."""
-    coords, profile = retraction.coords, retraction.profile
-    n, N = profile.n + coords.k, coords.ambient_dim
+    coords, params = retraction.coords, retraction.params
+    n, N = params.n + coords.k, coords.ambient_dim
     rng = np.random.default_rng(seed)
-    t_hi = max(0.9, 1.0 - 4.0 * h / profile.tan_theta)
-    points = sample_wedge_points(coords, profile.tan_theta, samples, rng, t_fraction=(0.05, t_hi))
+    t_hi = max(0.9, 1.0 - 4.0 * h / params.tan_theta)
+    points = sample_wedge_points(coords, params.tan_theta, samples, rng, t_fraction=(0.05, t_hi))
     max_plane = max_top = 0.0
     for p in points:
         steps = h * np.eye(N)
@@ -159,7 +159,7 @@ def reference_area_scalings(retraction, samples, planes, seed, h=1e-6):
 @pytest.mark.parametrize("profile_c", [None, 2.0])
 def test_verify_area_nonincreasing_matches_per_sample_loop(retraction, profile_c):
     if profile_c is not None:  # the expanding negative control
-        retraction = RetractionMap(retraction.coords, CutoffProfile.forced(3, profile_c))
+        retraction = RetractionMap(retraction.coords, CutoffParams.forced(3, profile_c))
     samples, planes = 12, 100
     assert samples * planes > 2 * AREA_BLOCK_FRAMES  # several blocks
     assert samples % max(1, AREA_BLOCK_FRAMES // planes) != 0  # the last one partial
@@ -173,7 +173,7 @@ def test_negative_control_detects_expansion():
     # c' > n(n-2)/2 makes the t^2 coefficient of the scaling positive,
     # violating the upper bound of the cutoff inequality near t = 0
     coords = WedgeCoordinates.from_axes(6, (0, 1, 2), (3, 4, 5))
-    bad = RetractionMap(coords, CutoffProfile.forced(3, 2.0))
+    bad = RetractionMap(coords, CutoffParams.forced(3, 2.0))
     rep = verify_area_nonincreasing(bad, 300, 40, seed=0)
     assert not rep.passed
     assert rep.max_top_scaling > 1.0
@@ -186,13 +186,13 @@ def test_lipschitz_estimate_finite(retraction):
 
 
 def test_level_set_curve_identity(retraction):
-    thetas = np.linspace(0.05, retraction.profile.tan_theta and math.atan(
-        retraction.profile.tan_theta) * 0.95, 9)
+    thetas = np.linspace(0.05, retraction.params.tan_theta and math.atan(
+        retraction.params.tan_theta) * 0.95, 9)
     assert level_set_curve_consistency(retraction, thetas) < 1e-10
 
 
 def test_differential_guards(retraction):
-    tan_theta = retraction.profile.tan_theta
+    tan_theta = retraction.params.tan_theta
     on_interface = np.array([1.0, 0.0, 0.0, tan_theta, 0.0, 0.0])
     near_axis = np.array([1e-9, 0, 0, 0.0, 0, 0])
     with pytest.raises(ValueError, match="interface"):
@@ -213,7 +213,7 @@ def test_retraction_with_shared_block():
     # with an l-block the map preserves the shared coordinates
     params = make_params(3, 2.5)
     coords = WedgeCoordinates.from_axes(7, (0, 1, 2), (3, 4, 5), (6,))
-    retraction = RetractionMap(coords, CutoffProfile.from_params(params))
+    retraction = RetractionMap(coords, params)
     p = np.array([0.2, 0.1, 0.05, 0.9, 0.8, 0.7, 1.5])  # far outside the wedge
     out = retraction.apply(p)
     assert np.array_equal(out, np.array([0, 0, 0, 0, 0, 0, 1.5]))
@@ -228,7 +228,7 @@ def test_verify_area_nonincreasing_scores_the_shared_block():
     # 4-volumes, while scoring 3-planes would read 2.49 on an admissible profile
     params = make_params(3, 2.5)
     coords = WedgeCoordinates.from_axes(7, (0, 1, 2), (3, 4, 5), (6,))
-    retraction = RetractionMap(coords, CutoffProfile.from_params(params))
+    retraction = RetractionMap(coords, params)
     rep = verify_area_nonincreasing(retraction, 200, 20, seed=0)
     assert rep.passed
     assert rep.max_top_scaling <= 1.0 + 1e-8
@@ -243,4 +243,4 @@ def test_profile_mismatch_rejected():
     params = make_params(4, 4.0)
     coords = WedgeCoordinates.from_axes(6, (0, 1, 2), (3, 4, 5))
     with pytest.raises(ValueError, match="does not match"):
-        RetractionMap(coords, CutoffProfile.from_params(params))
+        RetractionMap(coords, params)
