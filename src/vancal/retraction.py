@@ -22,6 +22,10 @@ from .reports import Check, CheckedReport
 IDENTITY_ON_PLANE_TOL = 1e-8
 # slack on the volume scalings' bound of 1
 AREA_SCALING_TOL = 1e-8
+# slack on max plane scaling <= max top scaling: both come from the same
+# Jacobians, through Pluecker norms and through singular values, and agree to
+# rounding where a sampled plane attains the top
+PLANE_WITHIN_TOP_TOL = 1e-12
 # one-homogeneity and idempotence of the map hold to rounding
 MAP_IDENTITY_TOL = 1e-12
 # verify_area_nonincreasing takes samples in blocks of about this many plane
@@ -181,6 +185,12 @@ class AreaScalingReport(CheckedReport):
                   measured=self.max_plane_scaling, threshold=1.0, tolerance=AREA_SCALING_TOL),
             Check("top_volume_scaling", self.max_top_scaling <= 1.0 + AREA_SCALING_TOL,
                   measured=self.max_top_scaling, threshold=1.0, tolerance=AREA_SCALING_TOL),
+            Check("plane_within_top",
+                  self.max_plane_scaling <= self.max_top_scaling + PLANE_WITHIN_TOP_TOL,
+                  measured=self.max_plane_scaling, threshold=self.max_top_scaling,
+                  tolerance=PLANE_WITHIN_TOP_TOL,
+                  detail="no sampled plane may scale by more than the product of "
+                         "the top n + k singular values"),
             Check("identity_on_plane", self.x_plane_scaling_error <= IDENTITY_ON_PLANE_TOL,
                   measured=self.x_plane_scaling_error, tolerance=IDENTITY_ON_PLANE_TOL),
             Check("one_homogeneous", self.homogeneity_error <= MAP_IDENTITY_TOL,

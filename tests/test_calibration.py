@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from vancal import calibration
 from vancal.calibration import (
     CalibrationReport,
     adapted_wedge_coordinates,
@@ -256,23 +257,40 @@ def rotated_region(cal, halfwidth: float = 0.4):
     return list(center - halfwidth), list(center + halfwidth)
 
 
-def test_streamed_scan_matches_materialised_grid(rotated_cal):
-    cal = rotated_cal
-    region = rotated_region(cal)
-    for grid in (6, 10):  # 10^4 tail points per head row span two scan chunks
-        rep = verify_calibration(cal, region, grid, seed=0, optimizer_subsample=0,
-                                 closedness_points=0)
-        pts = brute_force_grid(region, grid)
-        values = cal.pointwise_comass(pts)
+def reference_scan(cals, pts) -> dict:
+    """The scan fields from the materialised grid, one plain NumPy pass per summand."""
+    values, insides, slacks, radii = [], [], [], []
+    for cal in cals:
         r, z = cal.coords.r(pts), cal.coords.z(pts)
         inside = z < cal.params.tan_theta * r
+        value = cal.pointwise_comass(pts)
         t = z[inside] / r[inside]
-        slack = np.sqrt(1.0 - cal.params.delta * t * t) - values[inside]
-        assert 0 < inside.sum() < pts.shape[0]  # the box straddles the interface
-        assert rep.grid_points_total == pts.shape[0] == grid**6
-        assert rep.points_in_wedge == int(inside.sum())
-        assert rep.max_comass == pytest.approx(float(values.max()), abs=1e-12)
-        assert rep.envelope_min_slack == pytest.approx(float(slack.min()), abs=1e-12)
+        slacks.append(np.sqrt(1.0 - cal.params.delta * t * t) - value[inside])
+        values.append(value)
+        insides.append(inside)
+        radii.append(r)
+    hits = np.sum(insides, axis=0)
+    return {
+        "max_comass": float(np.max(values, axis=0).max()),
+        "envelope_min_slack": float(np.concatenate(slacks).min()),
+        "min_grid_r": float(np.min(radii)),
+        "points_in_wedge": int((hits > 0).sum()),
+        "overlap_count": int((hits > 1).sum()),
+    }
+
+
+def test_streamed_scan_matches_materialised_grid(rotated_cal):
+    region = rotated_region(rotated_cal)
+    for grid in (6, 10):
+        rep = verify_calibration(rotated_cal, region, grid, seed=0, optimizer_subsample=0,
+                                 closedness_points=0)
+        expected = reference_scan([rotated_cal], brute_force_grid(region, grid))
+        assert 0 < expected["points_in_wedge"] < grid**6  # the box straddles the interface
+        assert rep.grid_points_total == grid**6
+        assert rep.points_in_wedge == expected["points_in_wedge"]
+        assert rep.max_comass == pytest.approx(expected["max_comass"], abs=1e-12)
+        assert rep.envelope_min_slack == pytest.approx(expected["envelope_min_slack"],
+                                                       abs=1e-12)
 
 
 def test_streamed_scan_still_rejects_singular_axis(rotated_cal):
@@ -295,12 +313,92 @@ def test_streamed_pair_scan_matches_materialised_grid():
     params, pair = make_params(3, 2.5), rotated_pair()
     rep, _ = verify_pair_calibration(params, pair, region, 6, seed=0, optimizer_subsample=0,
                                      closedness_points=0)
-    pts = brute_force_grid(region, 6)
-    v1, v2 = (cal.pointwise_comass(pts) for cal in sum_pair_calibration(params, pair)[1])
-    overlap = (v1 > 0) & (v2 > 0)
+    expected = reference_scan(sum_pair_calibration(params, pair)[1], brute_force_grid(region, 6))
     assert rep.grid_points_total == 6**6
-    assert rep.overlap_count == int(overlap.sum()) == 0
-    assert 0.0 < rep.max_comass == pytest.approx(float(np.maximum(v1, v2).max()), abs=1e-12)
+    assert rep.overlap_count == expected["overlap_count"] == 0
+    assert 0.0 < rep.max_comass == pytest.approx(expected["max_comass"], abs=1e-12)
+
+
+SCAN_FIELDS = ("grid_points_total", "points_in_wedge", "overlap_count", "min_grid_r",
+               "max_comass", "envelope_min_slack")
+
+
+def scan_fields(rep) -> tuple:
+    return tuple(getattr(rep, name) for name in SCAN_FIELDS)
+
+
+def test_scan_does_not_depend_on_the_chunk_size(rotated_cal, monkeypatch):
+    # 1 000 divides none of the tail lengths 6^4 and 7^4, so the scans with
+    # that chunk end every head row on a partial chunk
+    def scans():
+        single = [verify_calibration(rotated_cal, rotated_region(rotated_cal), grid, seed=0,
+                                     optimizer_subsample=0, closedness_points=0)
+                  for grid in (6, 7)]
+        pair = verify_pair_calibration(make_params(3, 2.5), rotated_pair(),
+                                       ([-1.2] * 6, [1.2] * 6), 7, seed=0,
+                                       optimizer_subsample=0, closedness_points=0)[0]
+        return [scan_fields(rep) for rep in (*single, pair)]
+
+    default = scans()
+    for chunk in (1000, 1 << 20):
+        monkeypatch.setattr(calibration, "_SCAN_CHUNK", chunk)
+        assert scans() == default
+
+
+def test_scan_norms_are_bit_identical_to_linalg_norm_on_axis_frames(cal, monkeypatch):
+    # every streamed r and z, in grid order; 7^4 = 2 401 tail points per head
+    # row make chunks of 1 000, 1 000 and 401
+    monkeypatch.setattr(calibration, "_SCAN_CHUNK", 1000)
+    lows, highs = calibration.region_box(*STANDARD_REGION)
+    blocks = [cal.coords.x_frame, cal.coords.y_frame]
+    chunks = [[norm.copy() for norm in norms]
+              for norms in calibration._scan_grid(lows, highs, 7, blocks)]
+    pts = brute_force_grid(STANDARD_REGION, 7)
+    assert len(chunks) == 7**2 * 3
+    assert np.array_equal(np.concatenate([r for r, _ in chunks]), cal.coords.r(pts))
+    assert np.array_equal(np.concatenate([z for _, z in chunks]), cal.coords.z(pts))
+
+
+@pytest.mark.parametrize("region, grid", [
+    (STANDARD_REGION, 6),
+    (STANDARD_REGION, 9),
+    (([0.2] * 3 + [-1.0] * 3, [1.5] * 3 + [1.0] * 3), 8),
+], ids=["standard-6", "standard-9", "wide-8"])
+def test_scan_is_bit_identical_to_the_materialised_grid_on_axis_frames(cal, region, grid):
+    # on coordinate frames the head/tail split of the projections is exact,
+    # so the streamed scan must reproduce the plain closed form bit for bit
+    rep = verify_calibration(cal, region, grid, seed=0, optimizer_subsample=0,
+                             closedness_points=0)
+    expected = reference_scan([cal], brute_force_grid(region, grid))
+    assert 0 < expected["points_in_wedge"] < grid**6
+    assert {name: getattr(rep, name) for name in expected} == expected
+
+
+def test_pair_scan_is_bit_identical_to_the_materialised_grid_on_axis_frames():
+    # criterion 06's R^6 coordinate pair; the odd grid holds the origin, r = z = 0
+    region, params = ([-1.2] * 6, [1.2] * 6), make_params(3, 2.5)
+    pair = intersect_and_split(coordinate_plane(6, (0, 1, 2)), coordinate_plane(6, (3, 4, 5)))
+    rep, _ = verify_pair_calibration(params, pair, region, 7, seed=0, optimizer_subsample=0,
+                                     closedness_points=0)
+    pts = brute_force_grid(region, 7)
+    cals = sum_pair_calibration(params, pair)[1]
+    v1, v2 = (c.pointwise_comass(pts) for c in cals)
+    expected = reference_scan(cals, pts)
+    assert rep.max_comass == float(np.maximum(v1, v2).max()) == expected["max_comass"]
+    assert rep.overlap_count == int(((v1 > 0) & (v2 > 0)).sum()) == 0
+    assert {name: getattr(rep, name) for name in expected} == expected
+
+
+def test_scan_of_a_plane_with_no_normal_block():
+    # m = 0: the y-block has no rows, so z = 0 and every point off the axis is inside
+    coords = WedgeCoordinates(3, np.eye(3), np.zeros((0, 3)))
+    cal = build_vanishing_calibration(make_params(3, 2.5), coords)
+    region = ([0.5] * 3, [1.5] * 3)
+    rep = verify_calibration(cal, region, 5, seed=0, optimizer_subsample=0,
+                             closedness_points=0)
+    expected = reference_scan([cal], brute_force_grid(region, 5))
+    assert expected["points_in_wedge"] == 5**3
+    assert {name: getattr(rep, name) for name in expected} == expected
 
 
 def test_scan_memory_does_not_grow_with_the_grid(cal):

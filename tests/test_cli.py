@@ -285,6 +285,17 @@ def test_retraction_command_and_negative_control(capsys):
     assert top["measured"] > 1.0
 
 
+@pytest.mark.parametrize("extra", [[], ["--force-c", "2.0"]], ids=["admissible", "force-c-2"])
+def test_retraction_report_lists_the_plane_within_top_check(capsys, extra):
+    code, out = run_cli(capsys, "retraction", "--samples", "60", "--planes", "10", *extra)
+    checks = {c["name"]: c for c in report_of(out)["checks"]}
+    within = checks["plane_within_top"]
+    assert within["passed"]
+    assert within["measured"] == checks["plane_volume_scaling"]["measured"]
+    assert within["threshold"] == checks["top_volume_scaling"]["measured"]
+    assert code == (1 if extra else 0)
+
+
 @pytest.mark.parametrize(
     "extra, detail",
     [
@@ -486,7 +497,7 @@ def test_retraction_renders_library_checks(capsys):
         (CutoffParams.forced(3, 2.0), ["--force-c", "2.0"], 1),
     ]:
         rep = verify_area_nonincreasing(RetractionMap(coords, params), 60, 10, 3)
-        assert [c.name for c in rep.checks()][3:] == [
+        assert [c.name for c in rep.checks()][4:] == [
             "one_homogeneous", "idempotent", "lipschitz_finite"]
         assert assert_renders(capsys, argv + extra, rep.checks()) == code
 

@@ -239,6 +239,22 @@ def test_verify_area_nonincreasing_scores_the_shared_block():
     assert rep.max_plane_scaling == pytest.approx(max_plane, abs=1e-13)
 
 
+@pytest.mark.parametrize("coords, params, failing", [
+    (WedgeCoordinates.from_axes(6, (0, 1, 2), (3, 4, 5)), make_params(3, 2.5), []),
+    (WedgeCoordinates.from_axes(7, (0, 1, 2), (3, 4, 5), (6,)), make_params(3, 2.5), []),
+    (WedgeCoordinates.from_axes(6, (0, 1, 2), (3, 4, 5)), CutoffParams.forced(3, 2.0),
+     ["top_volume_scaling"]),
+], ids=["criterion-07", "shared-block", "force-c-2"])
+def test_plane_scaling_stays_within_the_top_scaling(coords, params, failing):
+    # an (n+k)-plane scales by at most the product of the top n + k singular
+    # values, for the expanding control as much as for admissible maps
+    rep = verify_area_nonincreasing(RetractionMap(coords, params), 200, 20, seed=0)
+    within = {c.name: c for c in rep.checks()}["plane_within_top"]
+    assert within.passed
+    assert within.measured == rep.max_plane_scaling < rep.max_top_scaling == within.threshold
+    assert [c.name for c in rep.checks() if not c.passed] == failing
+
+
 def test_profile_mismatch_rejected():
     params = make_params(4, 4.0)
     coords = WedgeCoordinates.from_axes(6, (0, 1, 2), (3, 4, 5))
