@@ -1,10 +1,12 @@
 """Vanishing calibration forms and their numeric verification.
 
 The basic field is (c(t) dr + s(t) dz) ^ (n/r) psi_bar (^ dl on a shared
-block), supported on the angular wedge t <= tan(theta) around the calibrated
-plane.  It is simple at every point, so its pointwise comass equals the
-closed form sqrt(c^2 + s^2).  ``VanishingCalibration._comass_rz`` holds the
-only copy of that closed form, and returns the wedge mask with it.
+block), supported on the open angular wedge z < tan(theta) r around the
+calibrated plane; ``CutoffParams.inside`` is the one copy of that rule, and
+every wedge mask below comes from it.  The field is simple at every point,
+so its pointwise comass equals the closed form sqrt(c^2 + s^2).
+``VanishingCalibration._comass_rz`` holds the only copy of that closed
+form, and returns the wedge mask with it.
 ``pointwise_comass`` calls it on points; the grid scan calls it chunk by
 chunk on buffers that it allocates once per scan; the frame optimizer
 cross-checks it on subsamples.
@@ -78,10 +80,11 @@ def psi_bar(coords: WedgeCoordinates, point: np.ndarray) -> AlternatingTensor:
 class VanishingCalibration:
     """The assembled wedge-supported calibration around a plane.
 
-    ``params`` is the cutoff: its constants and the functions of t that the
-    field is built from.  ``_comass_rz`` is the one copy of the field's
-    closed-form comass; ``pointwise_comass`` and the grid scan both call it
-    and take their wedge mask from it.
+    ``params`` is the cutoff: its constants, the functions of t that the
+    field is built from, and the wedge rule ``params.inside``.
+    ``_comass_rz`` is the one copy of the field's closed-form comass;
+    ``pointwise_comass`` and the grid scan both call it and take their wedge
+    mask from it.
     """
 
     coords: WedgeCoordinates
@@ -112,7 +115,7 @@ class VanishingCalibration:
     def _comass_rz(
         self, r: np.ndarray, z: np.ndarray, out: tuple
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Closed-form comass from r and z, the open-wedge mask z < tan(theta) r, and t = z/r.
+        """Closed-form comass from r and z, the wedge mask ``params.inside``, and t = z/r.
 
         Everything is written into ``out``, a ``_comass_buffers`` tuple whose
         arrays have r's size; the first three are returned.  Outside the
@@ -121,10 +124,10 @@ class VanishingCalibration:
         ``np.errstate`` that ignores division by zero and invalid values.
         """
         values, inside, t, spare = out
-        np.less(z, np.multiply(self.params.tan_theta, r, out=spare), out=inside)
+        self.params.inside(r, z, out=inside)
         np.divide(z, r, out=t)
-        c = self.params._c_coefficient(t, values)
-        s = self.params._s_coefficient(t, spare)
+        c = self.params.c_coefficient(t, values)
+        s = self.params.s_coefficient(t, spare)
         c *= c
         s *= s
         c += s
@@ -146,10 +149,11 @@ def build_vanishing_calibration(
 ) -> VanishingCalibration:
     """Assemble (c dr + s dz) ^ (n/r) psi_bar (^ dl) for admissible parameters.
 
-    The field is identically zero for t >= tan(theta), equals the plane's
-    volume form on the plane itself, and is undefined on r = 0.  Its batched
-    evaluator builds the form on all wedge rows at once: i_radial(vol_x) is
-    linear in the radial rows and the wedges are bilinear in the rows.
+    The field is identically zero outside ``params.inside``, the open wedge
+    z < tan(theta) r, equals the plane's volume form on the plane itself,
+    and is undefined on r = 0.  Its batched evaluator builds the form on all
+    wedge rows at once: i_radial(vol_x) is linear in the radial rows and the
+    wedges are bilinear in the rows.
     """
     if coords.n != params.n:
         raise ValueError(
@@ -162,7 +166,6 @@ def build_vanishing_calibration(
     vol_x = covector_volume(coords.x_frame, N).coefficients[None]
     l_vol = covector_volume(coords.l_frame, N).coefficients[None] if k else None
     sign = float(orientation)
-    tan_theta = params.tan_theta
 
     def coefficients(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -171,7 +174,7 @@ def build_vanishing_calibration(
         z = coords.z(points)
         # the closed wedge exterior z >= tan(theta) r carries the zero form,
         # except the shared subspace r = z = 0, where the form is discontinuous
-        inside = z < tan_theta * r
+        inside = params.inside(r, z)
         if np.any((r == 0.0) & (z == 0.0)):
             raise ValueError(
                 "vanishing calibration is singular on the shared subspace (r = 0)"
@@ -196,10 +199,10 @@ def build_vanishing_calibration(
         return out
 
     def singular(points: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        r, z = coords.r(points), coords.z(points)
-        kink = params.interface_distance(r, z) <= margin
-        # the 1/r singular axis matters only where the wedge is reachable
-        return kink | ((z < tan_theta * r) & (r <= margin))
+        # the 1/r axis needs no term of its own: inside the wedge z >= 0, so the
+        # interface distance (tan(theta) r - z) cos(theta) is at most r sin(theta),
+        # and r <= margin already puts a point within margin of the interface
+        return params.interface_distance(coords.r(points), coords.z(points)) <= margin
 
     field = FormField(N, degree, coefficients, singular)
     return VanishingCalibration(coords, params, field, sign)
@@ -378,13 +381,12 @@ def _box_sample(
         pts = rng.uniform(lows, highs, size=(4 * count, lows.size))
         keep = np.ones(pts.shape[0], dtype=bool)
         for i, cal in enumerate(cals):
-            tan_theta = cal.params.tan_theta
             r, z = cal.coords.r(pts), cal.coords.z(pts)
             keep &= (r > margin) & (cal.params.interface_distance(r, z) > margin)
-            if inside is None:
-                keep &= z > tan_theta * r
+            if inside is None:  # no kept point is on the interface
+                keep &= ~cal.params.inside(r, z)
             elif i == inside:
-                keep &= z < tan_theta * r
+                keep &= cal.params.inside(r, z)
         picked.extend(pts[keep][: count - len(picked)])
     return np.array(picked).reshape(-1, lows.size)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,21 +75,6 @@ class TriangulatedCurrent:
         multiplicities.flags.writeable = False
         object.__setattr__(self, "simplices", vertices)
         object.__setattr__(self, "multiplicities", multiplicities)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        ambient_dim: int,
-        degree: int,
-        vertices: Iterable[np.ndarray],
-        multiplicities: Iterable[int] = None,
-    ) -> "TriangulatedCurrent":
-        vertices = list(vertices)
-        if multiplicities is None:
-            multiplicities = [1] * len(vertices)
-        stack = np.array(vertices, dtype=float) if vertices else np.empty(
-            (0, degree + 1, ambient_dim))
-        return cls(ambient_dim, degree, stack, list(multiplicities))
 
     def __len__(self) -> int:
         return len(self.simplices)

@@ -47,9 +47,9 @@ class CutoffParams:
 
     ``make_params`` builds admissible parameters, ``forced`` negative controls.
     gamma, dgamma and the middle expression are zero beyond the wedge
-    t = tan theta; the c and s coefficients are smooth-branch polynomials
-    whose callers mask the wedge, and ``_c_coefficient`` / ``_s_coefficient``
-    write them into a caller's buffer with the same operations.
+    t = tan theta; the c and s coefficients are smooth-branch polynomials,
+    written into a caller's buffer when one is given, and their callers
+    mask them with ``inside``, the one wedge rule.
     """
 
     n: int
@@ -78,27 +78,21 @@ class CutoffParams:
         t = np.asarray(t, dtype=float)
         return np.where(t <= self.tan_theta, -2.0 * self.c * t, 0.0)
 
-    def c_coefficient(self, t):
-        """gamma - (t/n) gamma' on the smooth branch."""
+    def c_coefficient(self, t, out=None):
+        """gamma - (t/n) gamma' = 1 - (c(n-2)/n) t t on the smooth branch, into any ``out``."""
         t = np.asarray(t, dtype=float)
-        return self._c_coefficient(t, np.empty_like(t))[()]  # [()]: 0-d to scalar
-
-    def s_coefficient(self, t):
-        """gamma'/n on the smooth branch."""
-        t = np.asarray(t, dtype=float)
-        return self._s_coefficient(t, np.empty_like(t))[()]
-
-    def _c_coefficient(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``c_coefficient`` of a float array, written into ``out``: 1 - (c(n-2)/n) t t."""
+        out = np.empty_like(t) if out is None else out
         np.multiply(self.c * (self.n - 2) / self.n, t, out=out)
         out *= t
-        return np.subtract(1.0, out, out=out)
+        return np.subtract(1.0, out, out=out)[()]  # [()]: 0-d to scalar
 
-    def _s_coefficient(self, t: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``s_coefficient`` of a float array, written into ``out``: (-2 c t) / n."""
+    def s_coefficient(self, t, out=None):
+        """gamma'/n = (-2 c t) / n on the smooth branch, into any ``out``."""
+        t = np.asarray(t, dtype=float)
+        out = np.empty_like(t) if out is None else out
         np.multiply(-2.0 * self.c, t, out=out)
         out /= self.n
-        return out
+        return out[()]
 
     def middle_expression(self, t):
         """(gamma - (t/n) gamma')^2 + (gamma'/n)^2 on the closed wedge, zero beyond.
@@ -111,6 +105,10 @@ class CutoffParams:
         dg = -2.0 * self.c * t
         val = (g - t / self.n * dg) ** 2 + (dg / self.n) ** 2
         return np.where(t <= self.tan_theta, val, 0.0)
+
+    def inside(self, r, z, out=None):
+        """The open wedge z < tan(theta) r, the field's support, into ``out`` if given."""
+        return np.less(z, self.tan_theta * r, out=out)
 
     def interface_distance(self, r, z):
         """Distance from (r, z) to the wedge interface z = tan(theta) r."""

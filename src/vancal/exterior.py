@@ -246,22 +246,13 @@ def wedge(u: AlternatingTensor, v: AlternatingTensor) -> AlternatingTensor:
 def _interior_table(ambient_dim: int, degree: int):
     """Table (pos_in, axis, pos_out, sign) for contraction with a vector.
 
-    Rows are grouped by output, N - degree + 1 per output, each group in
-    increasing input order.
+    i_{e_a} e_I = s e_J exactly when e_a ^ e_J = s e_I, so this is
+    ``_wedge_table(N, 1, degree - 1)`` regrouped by output J, N - degree + 1
+    rows per output, each group in increasing input order.
     """
-    out_positions = _index_positions(ambient_dim, degree - 1)
-    rows = []
-    for p, idx in enumerate(multi_indices(ambient_dim, degree)):
-        for j, axis in enumerate(idx):
-            reduced = idx[:j] + idx[j + 1 :]
-            rows.append((out_positions[reduced], p, axis, -1.0 if j % 2 else 1.0))
-    rows.sort(key=lambda row: row[:2])
-    return (
-        np.array([r[1] for r in rows], dtype=np.intp),
-        np.array([r[2] for r in rows], dtype=np.intp),
-        np.array([r[0] for r in rows], dtype=np.intp),
-        np.array([r[3] for r in rows], dtype=float),
-    )
+    axes, pos_out, pos_in, signs = _wedge_table(ambient_dim, 1, degree - 1)
+    order = np.lexsort((pos_in, pos_out))
+    return pos_in[order], axes[order], pos_out[order], signs[order]
 
 
 def _interior_rows(w: np.ndarray, u: np.ndarray, ambient_dim: int, degree: int) -> np.ndarray:

@@ -21,6 +21,17 @@ from .reports import Check, CheckedReport
 FIRST_ORDER_TOL = 1e-3
 
 
+def _central_differences(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray, n: int,
+                         h: float) -> np.ndarray:
+    """(N, n) columns df/du_i at u, by central differences with step h."""
+    cols = []
+    for i in range(n):
+        step = np.zeros(n)
+        step[i] = h
+        cols.append((f(u + step) - f(u - step)) / (2 * h))
+    return np.stack(cols, axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class SurfacePatch:
     """An immersed parameterized n-surface patch in R^(n+m)."""
@@ -46,13 +57,8 @@ class SurfacePatch:
 
     def tangent_frame(self, u: np.ndarray) -> np.ndarray:
         """Columns are coordinate tangent vectors d(param)/du_i, by central differences."""
-        u = np.asarray(u, dtype=float)
-        cols = []
-        for i in range(self.param_dim):
-            step = np.zeros(self.param_dim)
-            step[i] = self.h
-            cols.append((self.point(u + step) - self.point(u - step)) / (2 * self.h))
-        frame = np.stack(cols, axis=1)  # (N, n)
+        frame = _central_differences(self.point, np.asarray(u, dtype=float),
+                                     self.param_dim, self.h)
         svals = np.linalg.svd(frame, compute_uv=False)
         if svals[-1] <= 1e-8 * svals[0]:
             raise ValueError("parameterization is not an immersion at this point")
@@ -129,8 +135,7 @@ class SurfacePatch:
         """Conservative 1 / (shape operator norm) estimate over the normal frame."""
         g = self.first_fundamental_form(u)
         total = 0.0
-        for alpha in range(self.codim):
-            nu = self.normal_frame(u)[:, alpha]
+        for nu in self.normal_frame(u).T:
             shape_op = np.linalg.solve(g, self.second_fundamental_form(u, nu))
             total += np.linalg.norm(shape_op, 2)
         return math.inf if total == 0.0 else 1.0 / total
@@ -151,13 +156,7 @@ def fermi_volume_ratio(
     def displaced(v: np.ndarray) -> np.ndarray:
         return patch.point(v) + y * field(v)
 
-    n = patch.param_dim
-    cols = []
-    for i in range(n):
-        step = np.zeros(n)
-        step[i] = patch.h
-        cols.append((displaced(u + step) - displaced(u - step)) / (2 * patch.h))
-    T = np.stack(cols, axis=1)
+    T = _central_differences(displaced, u, patch.param_dim, patch.h)
     g_y = T.T @ T
     g_0 = patch.first_fundamental_form(u)
     return float(np.linalg.det(g_y) / np.linalg.det(g_0))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vancal.cutoff import (
     CutoffParams,
@@ -81,6 +83,60 @@ def test_interface_distance_is_perpendicular_distance_to_the_ray():
         assert np.allclose(p.interface_distance(r, z), expected, rtol=1e-13, atol=1e-15)
         on_ray = p.interface_distance(r, p.tan_theta * r)
         assert np.all(on_ray <= 1e-15 * (1.0 + r))
+
+
+@st.composite
+def cutoffs(draw):
+    """Admissible (n, a), or a forced c from 1e-12 (tan theta = 1e6) to 1e6."""
+    n = draw(st.integers(3, 10))
+    if draw(st.booleans()):
+        lo, hi = admissible_interval(n)
+        return make_params(n, draw(st.floats(lo, hi, exclude_min=True, exclude_max=True)))
+    c = draw(st.sampled_from([1e-12, 1e6]) | st.floats(-12.0, 6.0).map(lambda e: 10.0**e))
+    return CutoffParams.forced(n, c)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(cutoffs(), st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 2.0),
+       st.integers(0, 2**32 - 1))
+def test_wedge_points_near_the_axis_are_near_the_interface(params, margin, seed):
+    # inside the wedge z >= 0, so the interface distance is at most r sin(theta):
+    # the axis r <= margin adds nothing to the singular locus of the interface
+    rng = np.random.default_rng(seed)
+    r = margin * np.concatenate([rng.uniform(size=2000), [1.0, 0.0]])
+    fraction = np.concatenate([rng.uniform(size=1000), 1.0 - rng.uniform(size=1000) * 1e-12,
+                               [0.0, 0.0]])
+    z = fraction * params.tan_theta * r
+    inside = params.inside(r, z)
+    assert inside.any() or params.tan_theta * margin == 0.0
+    assert np.all(params.interface_distance(r[inside], z[inside]) <= margin)
+
+
+def test_inside_is_the_open_wedge():
+    p = make_params(3, 2.5)
+    r = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0])
+    z = np.array([0.0, 1.0, 0.0, p.tan_theta, 2.0, 0.5])
+    expected = [False, False, True, False, False, True]
+    assert p.inside(r, z).tolist() == expected
+    out = np.ones(r.size, dtype=bool)
+    assert p.inside(r, z, out=out) is out and out.tolist() == expected
+    assert p.inside(1.0, 0.5) and not p.inside(0.0, 0.0)
+
+
+def test_coefficients_write_into_out_and_keep_scalars():
+    p = make_params(4, 5.0)
+    t = np.linspace(0.0, p.tan_theta, 9)
+    c_out, s_out = np.empty_like(t), np.empty_like(t)
+    p.c_coefficient(t, c_out)
+    p.s_coefficient(t, s_out)
+    assert np.array_equal(c_out, 1.0 - p.c * (p.n - 2) / p.n * t * t)
+    assert np.array_equal(s_out, -2.0 * p.c * t / p.n)
+    assert np.array_equal(p.c_coefficient(t), c_out)
+    assert np.array_equal(p.s_coefficient(t), s_out)
+    for value in (p.c_coefficient(0.5), p.s_coefficient(0.5)):
+        assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
+    assert p.c_coefficient(0.5) == 1.0 - p.c * (p.n - 2) / p.n * 0.5 * 0.5
+    assert p.s_coefficient(0.5) == -2.0 * p.c * 0.5 / p.n
 
 
 def test_forced_cutoff_constants():

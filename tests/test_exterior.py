@@ -11,6 +11,7 @@ from vancal import exterior
 from vancal.exterior import (
     AlternatingTensor,
     _batched_plucker,
+    _interior_table,
     _plane_values,
     _wedge_table,
     FormField,
@@ -182,6 +183,33 @@ def test_interior_radial_contraction_matches_alternating_sum():
 def test_interior_degree_zero_rejected():
     with pytest.raises(ValueError, match="degree"):
         interior_product([1.0, 0.0], AlternatingTensor.scalar(2, 1.0))
+
+
+def loop_interior_table(N, degree):
+    """The interior table built index by index: removing slot j of e_I gives sign (-1)^j."""
+    out_positions = {idx: pos for pos, idx in enumerate(multi_indices(N, degree - 1))}
+    rows = []
+    for p, idx in enumerate(multi_indices(N, degree)):
+        for j, axis in enumerate(idx):
+            reduced = idx[:j] + idx[j + 1 :]
+            rows.append((out_positions[reduced], p, axis, -1.0 if j % 2 else 1.0))
+    rows.sort(key=lambda row: row[:2])
+    return (
+        np.array([r[1] for r in rows], dtype=np.intp),
+        np.array([r[2] for r in rows], dtype=np.intp),
+        np.array([r[0] for r in rows], dtype=np.intp),
+        np.array([r[3] for r in rows], dtype=float),
+    )
+
+
+@pytest.mark.parametrize("N", range(1, 10))
+def test_interior_table_is_the_regrouped_wedge_table(N):
+    # i_{e_a} e_I = s e_J exactly when e_a ^ e_J = s e_I
+    for degree in range(1, N + 1):
+        table = _interior_table(N, degree)
+        for got, expected in zip(table, loop_interior_table(N, degree), strict=True):
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
 
 # -- evaluation -----------------------------------------------------------------
