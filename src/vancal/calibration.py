@@ -199,9 +199,8 @@ def build_vanishing_calibration(
         return out
 
     def singular(points: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        # the 1/r axis needs no term of its own: inside the wedge z >= 0, so the
-        # interface distance (tan(theta) r - z) cos(theta) is at most r sin(theta),
-        # and r <= margin already puts a point within margin of the interface
+        # the 1/r axis needs no term of its own: inside the wedge the interface
+        # distance is at most r, so r <= margin is already within margin of it
         return params.interface_distance(coords.r(points), coords.z(points)) <= margin
 
     field = FormField(N, degree, coefficients, singular)

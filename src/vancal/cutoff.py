@@ -111,8 +111,13 @@ class CutoffParams:
         return np.less(z, self.tan_theta * r, out=out)
 
     def interface_distance(self, r, z):
-        """Distance from (r, z) to the wedge interface z = tan(theta) r."""
-        return np.abs(z - self.tan_theta * r) / np.sqrt(1.0 + self.tan_theta**2)
+        """Distance |r sin(theta) - z cos(theta)| to the interface z = tan(theta) r.
+
+        Inside the wedge (0 <= z < tan(theta) r) it is at most r in floating
+        point too: fl(r sin(theta)) <= r, subtracting z cos(theta) >= 0 cannot
+        round above that, and z cos(theta) exceeds r sin(theta) by rounding only.
+        """
+        return np.abs(r * math.sin(self.theta) - z * math.cos(self.theta))
 
 
 def _with_constants(n: int, a: float, c: float, tan_theta: float) -> CutoffParams:

