@@ -313,8 +313,6 @@ class CalibrationReport(CheckedReport):
     vanishing_max_abs: float
     vanishing_samples: int  # points outside every wedge behind vanishing_max_abs
     primitive_interface_norm: float
-    comass_tol: float = COMASS_GRID_TOL
-    closedness_min_order: float = CLOSEDNESS_MIN_ORDER
 
     @property
     def plane_value_max_error(self) -> float:
@@ -327,8 +325,8 @@ class CalibrationReport(CheckedReport):
         return [
             Check("wedges_disjoint", self.overlap_count == 0, measured=self.overlap_count,
                   threshold=0),
-            Check("max_comass", self.max_comass <= 1.0 + self.comass_tol,
-                  measured=self.max_comass, threshold=1.0, tolerance=self.comass_tol),
+            Check("max_comass", self.max_comass <= 1.0 + COMASS_GRID_TOL,
+                  measured=self.max_comass, threshold=1.0, tolerance=COMASS_GRID_TOL),
             Check("envelope",
                   self.points_in_wedge > 0 and self.envelope_min_slack >= -ENVELOPE_SLACK_TOL,
                   measured=self.envelope_min_slack, threshold=0.0,
@@ -341,9 +339,9 @@ class CalibrationReport(CheckedReport):
                   detail=f"{self.optimizer_samples} samples"),
             Check("closedness_order",
                   self.closedness_samples > 0
-                  and (math.isinf(order) or order >= self.closedness_min_order),
+                  and (math.isinf(order) or order >= CLOSEDNESS_MIN_ORDER),
                   measured=None if math.isinf(order) else order,
-                  threshold=self.closedness_min_order,
+                  threshold=CLOSEDNESS_MIN_ORDER,
                   detail=f"{self.closedness_samples} samples, "
                          f"max residual {self.closedness_max_residual:.3e}"),
             *(

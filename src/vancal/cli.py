@@ -1,14 +1,17 @@
 """Command-line front end: verification pipelines with JSON/CSV reports.
 
 Commands: cutoff, threshold, verify-pair, retraction, fermi, comass,
-integrate.  ``threshold`` and ``cutoff --sweep`` print a CSV table; the
-others fill the parameters, provenance and checks of an empty report, and
-``_reported`` times it, prints its JSON (also to ``--json``) and exits 0 iff
-every check passes, else 1.  Exit code 2 has two channels: a ValueError in
-a ``_rejects(name)`` block prints the report ending in that one failing
-check, and any other OSError or ValueError is a command-line error, an
-``error:`` line on stderr with nothing on stdout.  Reports are deterministic
-for a fixed seed (byte-identical JSON except for wall_time_ms).
+integrate.  The CLI parses, calls the library, renders and exits: every
+verdict, tolerance and input rule is the library's, and each JSON command
+renders the ``checks()`` of a library report.  ``threshold`` and ``cutoff
+--sweep`` print a CSV table; the others fill the parameters, provenance and
+checks of an empty report, and ``_reported`` times it, prints its JSON (also
+to ``--json``) and exits 0 iff every check passes, else 1.  Exit code 2 has
+two channels: a ValueError in a ``_rejects(name)`` block prints the report
+ending in that one failing check, and any other OSError or ValueError is a
+command-line error, an ``error:`` line on stderr with nothing on stdout.
+Reports are deterministic for a fixed seed (byte-identical JSON except for
+wall_time_ms).
 """
 
 from __future__ import annotations
@@ -21,18 +24,14 @@ import io
 import math
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .calibration import (
-    CLOSEDNESS_MIN_ORDER,
-    COMASS_GRID_TOL,
     angle_budget,
     build_vanishing_calibration,
     coordinate_plane_sum,
-    verify_calibration,
     verify_pair_calibration,
 )
 from .coords import WedgeCoordinates
@@ -46,10 +45,10 @@ from .cutoff import (
 from .currents import calibration_inequality_check, read_mesh
 from .exterior import (
     AlternatingTensor,
+    ComassReport,
     comass,
     comass_oracle,
     constant_form_field,
-    n_coefficients,
 )
 from .fermi import (
     catenoid_patch,
@@ -149,12 +148,12 @@ def _reported(command):
 
 
 def cmd_cutoff(args) -> int:
-    if args.grid < 2:
-        raise ValueError("--grid must be >= 2")
     if args.sweep is None:
         if args.a is None:
             raise ValueError("--a or --sweep is required")
         return _cutoff_report(args)
+    if args.a is not None or args.json is not None:
+        raise ValueError("--sweep takes neither --a nor --json")
     if args.sweep < 1:
         raise ValueError("--sweep must be >= 1")
     lo, hi = admissible_interval(args.n)
@@ -186,8 +185,6 @@ def _cutoff_report(args, report: VerificationReport) -> None:
 
 
 def cmd_threshold(args) -> int:
-    if args.n_min < 3:
-        raise ValueError("n must be >= 3")
     if args.n_max < args.n_min:
         raise ValueError("--n-max must be >= --n-min")
     rows = []
@@ -221,10 +218,7 @@ def cmd_verify_pair(args, report: VerificationReport) -> None:
     except (KeyError, ValueError, OSError) as err:
         raise ValueError(f"malformed config: {err}") from None
 
-    report.parameters.update(
-        config=args.config, n=n, a=a, grid=grid, ambient_dim=N,
-        tol_comass=args.tol_comass, tol_closed=args.tol_closed,
-    )
+    report.parameters.update(config=args.config, n=n, a=a, grid=grid, ambient_dim=N)
     report.provenance.update(seed=seed, grid=grid)
     with _rejects("pipeline"):
         params = make_params(n, a)
@@ -238,9 +232,7 @@ def cmd_verify_pair(args, report: VerificationReport) -> None:
         rep, _field = verify_pair_calibration(
             params, pair, (lows, highs), grid, seed=seed
         )
-    report.checks.extend(
-        replace(rep, comass_tol=args.tol_comass, closedness_min_order=args.tol_closed).checks()
-    )
+    report.checks.extend(rep.checks())
 
 
 @_reported
@@ -337,27 +329,13 @@ def cmd_comass(args, report: VerificationReport) -> None:
     if len(tokens) < 2:
         raise ValueError("tensor file must start with 'N k'")
     N, k = int(tokens[0]), int(tokens[1])
-    coeffs = [float(tok) for tok in tokens[2:]]
-    if len(coeffs) != n_coefficients(N, k):
-        raise ValueError(
-            f"expected {n_coefficients(N, k)} coefficients, got {len(coeffs)}"
-        )
-    if not all(math.isfinite(c) for c in coeffs):
+    tensor = AlternatingTensor(N, k, np.array([float(tok) for tok in tokens[2:]]))
+    if not np.isfinite(tensor.coefficients).all():
         raise ValueError("coefficients must be finite")
-    tensor = AlternatingTensor(N, k, np.array(coeffs))
     value = comass(tensor, args.multistarts, args.tol, seed=args.seed)
     oracle = comass_oracle(tensor, args.samples, args.seed)
     report.parameters.update(ambient_dim=N, degree=k)
-    report.add(
-        "optimizer_dominates_oracle",
-        value >= oracle - 1e-6,
-        measured=value,
-        threshold=oracle,
-        tolerance=1e-6,
-        detail="sampling oracle is a lower bound for the optimizer",
-    )
-    report.add("comass", True, measured=value)
-    report.add("oracle", True, measured=oracle)
+    report.checks.extend(ComassReport(value, oracle).checks())
 
 
 def _vanishing_field(args, current):
@@ -413,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cutoff family constants and inequality check")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=float)
-    p.add_argument("--sweep", type=int, help="tabulate this many admissible a values")
+    p.add_argument("--sweep", type=int,
+                   help="tabulate this many admissible a values (no --a or --json)")
     p.add_argument("--grid", type=int, default=10_000)
     p.add_argument("--csv", help="write the sweep CSV here")
 
@@ -425,9 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-pair", parents=[reported], help="two-plane calibration pipeline")
     p.add_argument("--config", required=True)
     p.add_argument("--grid", type=int, help="grid points per axis (default: config, else 6)")
-    p.add_argument("--tol-comass", type=float, default=COMASS_GRID_TOL)
-    p.add_argument("--tol-closed", type=float, default=CLOSEDNESS_MIN_ORDER,
-                   help="minimum fitted closedness order")
 
     p = sub.add_parser("retraction", parents=[reported],
                        help="area-nonincreasing retraction suite")

@@ -14,6 +14,8 @@ supremum over orthonormal k-frames) is computed two independent ways:
   of a Gaussian matrix scored through its normalized Pluecker vector, with
   an optional derivative-free refinement.  It shares only the Pluecker
   kernel and the QR helper with the optimizer, never its starts.
+
+``ComassReport`` holds the two values and the one rule that relates them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,11 @@ from typing import Callable
 
 import numpy as np
 
+from .reports import Check, CheckedReport
+
 MAX_AMBIENT_DIM = 16
+# how far the sampling oracle, a lower bound, may exceed the optimizer
+ORACLE_DOMINANCE_TOL = 1e-6
 
 # planes per sampling-oracle pass: keeps the Pluecker gathers in cache, and
 # the heap reused between passes rather than returned and faulted back in
@@ -513,6 +519,24 @@ def comass_oracle_refined(u: AlternatingTensor, samples: int, seed: int) -> floa
             if sigma < 1e-14:
                 break
     return val
+
+
+@dataclass(frozen=True)
+class ComassReport(CheckedReport):
+    """The optimizer's comass against the sampling oracle's lower bound."""
+
+    comass: float
+    oracle: float
+
+    def checks(self) -> list[Check]:
+        return [
+            Check("optimizer_dominates_oracle",
+                  self.comass >= self.oracle - ORACLE_DOMINANCE_TOL,
+                  measured=self.comass, threshold=self.oracle, tolerance=ORACLE_DOMINANCE_TOL,
+                  detail="sampling oracle is a lower bound for the optimizer"),
+            Check("comass", True, measured=self.comass),
+            Check("oracle", True, measured=self.oracle),
+        ]
 
 
 # -- form fields and the finite-difference exterior derivative ---------------

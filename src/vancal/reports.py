@@ -74,11 +74,6 @@ class VerificationReport:
     def overall_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, *args, **kwargs) -> Check:
-        check = Check(*args, **kwargs)
-        self.checks.append(check)
-        return check
-
     def to_dict(self) -> dict:
         return {
             "command": self.command,

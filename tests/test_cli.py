@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from vancal import cli
-from vancal.calibration import angle_budget, verify_pair_calibration
+from vancal.calibration import (
+    CLOSEDNESS_MIN_ORDER,
+    COMASS_GRID_TOL,
+    angle_budget,
+    verify_pair_calibration,
+)
 from vancal.cli import main, parse_config, parse_matrix
 from vancal.coords import WedgeCoordinates
 from vancal.currents import calibration_inequality_check, square_mesh, write_mesh
@@ -79,7 +84,7 @@ def test_report_json_is_strict(capsys):
 def test_report_overall_pass_semantics():
     report = VerificationReport("demo", {}, [Check("a", True), Check("b", True)])
     assert report.overall_pass
-    report.add("c", False)
+    report.checks.append(Check("c", False))
     assert not report.overall_pass
 
 
@@ -170,16 +175,20 @@ def test_threshold_rejects_small_n(capsys):
         ("retraction", "--samples", "0"),
         ("retraction", "--planes", "0"),
         ("threshold", "--n-min", "5", "--n-max", "3"),
+        ("cutoff", "--n", "3", "--sweep", "2", "--grid", "200", "--a", "9"),
+        ("cutoff", "--n", "3", "--sweep", "2", "--grid", "200", "--json", "sw.json"),
     ],
     ids=["grid-0", "grid-neg", "sweep-0", "sweep-small-n", "no-a", "samples-0", "planes-0",
-         "empty-range"],
+         "empty-range", "sweep-with-a", "sweep-with-json"],
 )
-def test_bad_inputs_exit_2_with_an_error_line(capsys, argv):
+def test_bad_inputs_exit_2_with_an_error_line(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    assert not (tmp_path / "sw.json").exists()
 
 
 def test_main_builds_one_parser_and_dispatches_at_call_time(capsys, monkeypatch):
@@ -208,10 +217,10 @@ def test_verify_pair_command(capsys, tmp_path):
     vanishing = next(c for c in report["checks"] if c["name"] == "vanishes_outside_wedges")
     samples = int(re.match(r"(\d+) samples outside both wedges", vanishing["detail"]).group(1))
     assert samples > 0
-    # the tolerance flags reach the report's own verdict
-    code, out = run_cli(capsys, "verify-pair", "--config", str(cfg), "--tol-closed", "2.5")
-    assert code == 1
-    assert [c["name"] for c in report_of(out)["checks"] if not c["passed"]] == ["closedness_order"]
+    # the acceptance tolerances are the library's constants
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["max_comass"]["tolerance"] == COMASS_GRID_TOL
+    assert checks["closedness_order"]["threshold"] == CLOSEDNESS_MIN_ORDER
 
 
 def test_verify_pair_near_threshold_failure(capsys, tmp_path):

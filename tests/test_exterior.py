@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from vancal import exterior
 from vancal.exterior import (
+    ORACLE_DOMINANCE_TOL,
     AlternatingTensor,
+    ComassReport,
     _batched_plucker,
     _interior_table,
     _plane_values,
@@ -549,6 +551,24 @@ def test_comass_rejects_bad_multistarts_and_tol():
     for tol in (math.nan, math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="tol"):
             comass(u, tol=tol)
+
+
+def test_comass_report_accepts_dominance_at_exactly_the_tolerance():
+    rep = ComassReport(comass=1.0 - ORACLE_DOMINANCE_TOL, oracle=1.0)
+    dominates, value, oracle = rep.checks()
+    assert dominates.name == "optimizer_dominates_oracle" and dominates.passed
+    assert (dominates.measured, dominates.threshold, dominates.tolerance) == (
+        1.0 - ORACLE_DOMINANCE_TOL, 1.0, ORACLE_DOMINANCE_TOL)
+    assert (value.name, value.measured, oracle.name, oracle.measured) == (
+        "comass", 1.0 - ORACLE_DOMINANCE_TOL, "oracle", 1.0)
+    assert rep.passed
+
+
+def test_comass_report_fails_an_oracle_above_the_comass():
+    rep = ComassReport(comass=1.0, oracle=1.0 + 2 * ORACLE_DOMINANCE_TOL)
+    assert [(c.name, c.passed) for c in rep.checks()] == [
+        ("optimizer_dominates_oracle", False), ("comass", True), ("oracle", True)]
+    assert not rep.passed
 
 
 # -- finite-difference exterior derivative -----------------------------------------
