@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ from .cutoff import CutoffParams
 from .exterior import (
     AlternatingTensor,
     FD_STEPS,
+    STENCIL_CLEARANCE,
     FormField,
     _batched_plucker,
     _interior_rows,
@@ -198,12 +200,7 @@ def build_vanishing_calibration(
         out[inside] = sign * tensor
         return out
 
-    def singular(points: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        # the 1/r axis needs no term of its own: inside the wedge the interface
-        # distance is at most r, so r <= margin is already within margin of it
-        return params.interface_distance(coords.r(points), coords.z(points)) <= margin
-
-    field = FormField(N, degree, coefficients, singular)
+    field = FormField(N, degree, coefficients, partial(params.near_interface, coords))
     return VanishingCalibration(coords, params, field, sign)
 
 
@@ -459,7 +456,7 @@ def _verify(
                 overlap += int(np.count_nonzero(hits > 1))
 
     # optimizer cross-check of the closed-form pointwise comass, in every wedge
-    margin = 2.0 * max(FD_STEPS)
+    margin = STENCIL_CLEARANCE * max(FD_STEPS)
     opt_pts = np.concatenate(
         [_box_sample(cals, lows, highs, optimizer_subsample, rng, margin, i)
          for i in range(len(cals))]

@@ -95,15 +95,13 @@ class CutoffParams:
         return out[()]
 
     def middle_expression(self, t):
-        """(gamma - (t/n) gamma')^2 + (gamma'/n)^2 on the closed wedge, zero beyond.
+        """c(t)^2 + s(t)^2 from the field's coefficients on the closed wedge, zero beyond.
 
         Uses the left (smooth) branch at the interface, matching the range
         of validity of the differential inequality.
         """
         t = np.asarray(t, dtype=float)
-        g = 1.0 - self.c * t * t
-        dg = -2.0 * self.c * t
-        val = (g - t / self.n * dg) ** 2 + (dg / self.n) ** 2
+        val = self.c_coefficient(t) ** 2 + self.s_coefficient(t) ** 2
         return np.where(t <= self.tan_theta, val, 0.0)
 
     def inside(self, r, z, out=None):
@@ -118,6 +116,15 @@ class CutoffParams:
         round above that, and z cos(theta) exceeds r sin(theta) by rounding only.
         """
         return np.abs(r * math.sin(self.theta) - z * math.cos(self.theta))
+
+    def near_interface(self, coords, points, margin):
+        """Mask of the (P, N) points in ``coords`` within ``margin`` of the interface.
+
+        The vanishing calibration and the retraction's differential jump there.
+        The 1/r axis needs no test: inside the wedge the interface distance is at
+        most r, and beyond it both maps are smooth.
+        """
+        return self.interface_distance(coords.r(points), coords.z(points)) <= margin
 
 
 def _with_constants(n: int, a: float, c: float, tan_theta: float) -> CutoffParams:

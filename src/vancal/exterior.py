@@ -16,6 +16,9 @@ supremum over orthonormal k-frames) is computed two independent ways:
   kernel and the QR helper with the optimizer, never its starts.
 
 ``ComassReport`` holds the two values and the one rule that relates them.
+
+Every finite difference in the package comes from one batched stencil,
+``_central_differences``, which holds the one clearance rule for it.
 """
 
 from __future__ import annotations
@@ -575,31 +578,51 @@ def constant_form_field(tensor: AlternatingTensor) -> FormField:
     )
 
 
+# a central-difference stencil of step h keeps farther than this many h from
+# the set where the map it differences is not smooth
+STENCIL_CLEARANCE = 2.0
+
+
+def _central_differences(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray, steps,
+                         singular: Callable[..., np.ndarray] = _never_singular) -> np.ndarray:
+    """(fn(p + h e_axis) - fn(p - h e_axis)) / 2h for (P, N) points p and H steps h.
+
+    The result is (P, H, N, ...), error O(h^2), from one ``fn`` call over all
+    P * H * 2N stencil points.  ``singular(points, margin)`` flags the points
+    within ``margin`` of where ``fn`` is not smooth; no stencil may come that close.
+    """
+    steps = np.asarray(steps, dtype=float)
+    if not (steps > 0).all():
+        raise ValueError("step h must be positive")
+    margin = STENCIL_CLEARANCE * steps.max()
+    touched = singular(points, margin)
+    if touched.any():
+        raise ValueError(
+            f"finite-difference stencil at {points[np.argmax(touched)].tolist()} touches "
+            f"the singular locus (margin {margin:g})"
+        )
+    P, N = points.shape
+    offsets = np.multiply.outer(steps[:, None] * [1.0, -1.0], np.eye(N))  # (H, +-, axis, N)
+    stencil = points[:, None, None, None, :] + offsets
+    values = fn(stencil.reshape(-1, N))
+    values = values.reshape(P, steps.size, 2, N, *values.shape[1:])
+    diffs = values[:, :, 0] - values[:, :, 1]
+    return diffs / (2.0 * steps).reshape(-1, *[1] * (diffs.ndim - 2))
+
+
 def _exterior_derivatives(field: FormField, points: np.ndarray, steps) -> np.ndarray:
     """Central-difference dF at (P, N) points for each of H steps, as (P, H, C(N, k+1)).
 
-    One field call evaluates all P * H * 2N stencil points.  Each dF is the
-    sum of dx_axis ^ (F(p + h e_axis) - F(p - h e_axis)) / 2h, accumulated
-    in axis order; the error is O(h^2).
+    Each dF is the sum of dx_axis ^ (F(p + h e_axis) - F(p - h e_axis)) / 2h,
+    accumulated in axis order, from the partials of ``_central_differences``.
     """
     N, k = field.ambient_dim, field.degree
     if k >= N:
         raise ValueError("exterior derivative of a top-degree form is not representable")
-    steps = np.asarray(steps, dtype=float)
-    if np.any(steps <= 0):
-        raise ValueError("step h must be positive")
-    for h in steps:
-        touched = field.singular_locus_descriptor(points, 2.0 * h)
-        if np.any(touched):
-            raise ValueError(
-                f"finite-difference stencil at {points[np.argmax(touched)]} touches "
-                f"the singular locus (margin {2 * h:g})"
-            )
-    P, H = points.shape[0], steps.size
-    offsets = steps[:, None, None] * np.eye(N)  # (H, axis, N)
-    stencil = points[:, None, None, None, :] + np.stack([offsets, -offsets], axis=1)
-    values = field.coefficients(stencil.reshape(-1, N)).reshape(P * H, 2, N, -1)
-    partials = (values[:, 0] - values[:, 1]) / (2.0 * np.tile(steps, P)[:, None, None])
+    partials = _central_differences(field.coefficients, points, steps,
+                                    field.singular_locus_descriptor)
+    P, H = partials.shape[:2]
+    partials = partials.reshape(P * H, N, -1)
     axes = np.eye(N)
     out = np.zeros((P * H, n_coefficients(N, k + 1)))
     for axis in range(N):

@@ -5,7 +5,10 @@ normal field by y multiplies the tangent Gram determinant by
 1 - 2 H^nu y + O(y^2), where H^nu is the trace of the second fundamental
 form in the direction nu.  In flat ambient space the Fermi displacement is
 the straight-line normal offset, so everything below is finite differences
-on the displaced parameterization.
+on the displaced parameterization.  They all come from the package's one
+central-difference stencil, ``exterior._central_differences``: tangents at
+step ``FIRST_DIFFERENCE_STEP``, and the second fundamental form as central
+differences of tangents, both at ``SECOND_DIFFERENCE_STEP``.
 """
 
 from __future__ import annotations
@@ -16,20 +19,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .exterior import _central_differences
 from .reports import Check, CheckedReport
 
 FIRST_ORDER_TOL = 1e-3
+# central-difference steps in parameter space; a second difference divides rounding by h^2
+FIRST_DIFFERENCE_STEP = 1e-5
+SECOND_DIFFERENCE_STEP = 1e-4
 
 
-def _central_differences(f: Callable[[np.ndarray], np.ndarray], u: np.ndarray, n: int,
-                         h: float) -> np.ndarray:
-    """(N, n) columns df/du_i at u, by central differences with step h."""
-    cols = []
-    for i in range(n):
-        step = np.zeros(n)
-        step[i] = h
-        cols.append((f(u + step) - f(u - step)) / (2 * h))
-    return np.stack(cols, axis=1)
+def _partials(f: Callable[[np.ndarray], np.ndarray], us: np.ndarray, h: float) -> np.ndarray:
+    """(P, n, ...) partials df/du_i of a one-point map at (P, n) points, by the shared stencil."""
+    return _central_differences(lambda vs: np.stack([f(v) for v in vs]),
+                                np.atleast_2d(np.asarray(us, dtype=float)), [h])[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +41,6 @@ class SurfacePatch:
     parameterization: Callable[[np.ndarray], np.ndarray]
     param_dim: int
     ambient_dim: int
-    h: float = 1e-5  # finite-difference step in parameter space
 
     def __post_init__(self):
         probe = np.asarray(self.parameterization(np.zeros(self.param_dim)), dtype=float)
@@ -57,8 +58,7 @@ class SurfacePatch:
 
     def tangent_frame(self, u: np.ndarray) -> np.ndarray:
         """Columns are coordinate tangent vectors d(param)/du_i, by central differences."""
-        frame = _central_differences(self.point, np.asarray(u, dtype=float),
-                                     self.param_dim, self.h)
+        frame = _partials(self.point, u, FIRST_DIFFERENCE_STEP)[0].T
         svals = np.linalg.svd(frame, compute_uv=False)
         if svals[-1] <= 1e-8 * svals[0]:
             raise ValueError("parameterization is not an immersion at this point")
@@ -102,28 +102,10 @@ class SurfacePatch:
         return T.T @ T
 
     def second_fundamental_form(self, u: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        """A_ij = <d2 f / du_i du_j, nu> for a unit normal nu, central differences."""
-        u = np.asarray(u, dtype=float)
-        nu = np.asarray(nu, dtype=float)
-        n = self.param_dim
-        h = max(self.h, 1e-5) * 10.0  # second differences need a larger step
-        A = np.zeros((n, n))
-        f0 = self.point(u)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
-            A[i, i] = nu @ (self.point(u + ei) - 2 * f0 + self.point(u - ei)) / h**2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = h
-                mixed = (
-                    self.point(u + ei + ej)
-                    - self.point(u + ei - ej)
-                    - self.point(u - ei + ej)
-                    + self.point(u - ei - ej)
-                ) / (4 * h**2)
-                A[i, j] = A[j, i] = nu @ mixed
-        return A
+        """A_ij = <d2 f / du_i du_j, nu> for a unit normal nu, by nested central differences."""
+        second = _central_differences(lambda vs: _partials(self.point, vs, SECOND_DIFFERENCE_STEP),
+                                      np.asarray(u, dtype=float)[None], [SECOND_DIFFERENCE_STEP])
+        return second[0, 0] @ np.asarray(nu, dtype=float)
 
     def mean_curvature_trace(self, u: np.ndarray, nu: np.ndarray) -> float:
         """H^nu = g^{il} A_{li}^nu, the sum of principal curvatures along nu."""
@@ -156,7 +138,7 @@ def fermi_volume_ratio(
     def displaced(v: np.ndarray) -> np.ndarray:
         return patch.point(v) + y * field(v)
 
-    T = _central_differences(displaced, u, patch.param_dim, patch.h)
+    T = _partials(displaced, u, FIRST_DIFFERENCE_STEP)[0].T
     g_y = T.T @ T
     g_0 = patch.first_fundamental_form(u)
     return float(np.linalg.det(g_y) / np.linalg.det(g_0))

@@ -4,19 +4,22 @@ The map scales the x-block by gamma(t)^{1/n} and kills the y-block, sending
 the wedge exterior to the shared subspace (the origin when there is no
 l-block).  Its (n+k)-volume scaling factor on any (n+k)-plane, the
 dimension of the calibrated plane x + l, is controlled by the cutoff
-inequality, which is what the verification below samples.
+inequality, which is what the verification below samples.  Its Jacobian
+comes from the package's one central-difference stencil, whose clearance
+test against the wedge interface the sampler also uses to redraw points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .coords import WedgeCoordinates
 from .cutoff import CutoffParams
-from .exterior import _batched_plucker
+from .exterior import STENCIL_CLEARANCE, _batched_plucker, _central_differences
 from .reports import Check, CheckedReport
 
 IDENTITY_ON_PLANE_TOL = 1e-8
@@ -28,9 +31,11 @@ AREA_SCALING_TOL = 1e-8
 PLANE_WITHIN_TOP_TOL = 1e-12
 # one-homogeneity and idempotence of the map hold to rounding
 MAP_IDENTITY_TOL = 1e-12
-# verify_area_nonincreasing takes samples in blocks of about this many plane
-# frames, so its memory does not grow with the sample count; at 512 each
-# Pluecker temporary is a few hundred KB, small enough that the heap is
+# step of the central-difference Jacobian that verify_area_nonincreasing samples
+DIFFERENTIAL_STEP = 1e-6
+# verify_area_nonincreasing scores samples in blocks of about this many plane
+# frames, so its Pluecker temporaries (not its points) do not grow with the
+# sample count; at 512 each is a few hundred KB, small enough that the heap is
 # reused between blocks instead of being returned and faulted back in
 AREA_BLOCK_FRAMES = 512
 
@@ -72,33 +77,17 @@ class RetractionMap:
             out = out + self.coords.l_part(pts) @ self.coords.l_frame
         return out[0] if single else out
 
-    def differential(self, points: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    def differential(self, points: np.ndarray, h: float = DIFFERENTIAL_STEP) -> np.ndarray:
         """Central-difference Jacobian, error O(h^2); see ``differential_exact``.
 
         A point (N,) gives an (N, N) Jacobian and a batch (C, N) a (C, N, N)
-        stack; one ``apply`` call evaluates all (C, 2N, N) stencil points.
+        stack, from one ``apply`` call over the stencil ``_central_differences``,
+        which rejects a point within ``STENCIL_CLEARANCE * h`` of the interface.
         """
         points = np.asarray(points, dtype=float)
-        pts = np.atleast_2d(points)
-        N = self.coords.ambient_dim
-        if h <= 0:
-            raise ValueError("step h must be positive")
-        r, z = self.coords.r(pts), self.coords.z(pts)
-        if np.any(r <= 2.0 * h):
-            raise ValueError(
-                f"point has r = {r[np.argmax(r <= 2.0 * h)]:g} <= 2h; "
-                "stencil reaches the singular axis"
-            )
-        d_int = self.params.interface_distance(r, z)
-        if np.any(d_int <= 2.0 * h):
-            raise ValueError(
-                f"point is {d_int[np.argmax(d_int <= 2.0 * h)]:g} <= 2h from the wedge "
-                "interface; the differential jumps there"
-            )
-        steps = h * np.eye(N)
-        stencil = pts[:, None, :] + np.concatenate([steps, -steps])  # (C, 2N, N)
-        images = self.apply(stencil.reshape(-1, N)).reshape(-1, 2, N, N)
-        jac = np.swapaxes(images[:, 0] - images[:, 1], 1, 2) / (2.0 * h)
+        partials = _central_differences(self.apply, np.atleast_2d(points), [h],
+                                        partial(self.params.near_interface, self.coords))
+        jac = np.swapaxes(partials[:, 0], 1, 2)
         return jac[0] if points.ndim == 1 else jac
 
     def differential_exact(self, point: np.ndarray) -> np.ndarray:
@@ -231,12 +220,7 @@ def sample_wedge_points(
 
 
 def verify_area_nonincreasing(
-    retraction: RetractionMap,
-    samples: int,
-    planes_per_sample: int,
-    seed: int,
-    *,
-    h: float = 1e-6,
+    retraction: RetractionMap, samples: int, planes_per_sample: int, seed: int
 ) -> AreaScalingReport:
     """Sample (n+k)-volume scalings of the differential inside the wedge.
 
@@ -244,9 +228,10 @@ def verify_area_nonincreasing(
     the map must not increase.  At every sampled interior point the
     finite-difference Jacobian is restricted to Haar-random (n+k)-planes,
     and additionally maximized over all planes via its top n + k singular
-    values.  Each plane is the span of a Gaussian (N, n + k) matrix and is
-    scored through Pluecker vectors by ``plane_volume_scaling``, without
-    orthonormalizing it.  Samples are taken in blocks of about
+    values.  The points are drawn up front, clear of the interface by the
+    Jacobian's own rule.  Each plane is the span of a Gaussian (N, n + k)
+    matrix, scored through Pluecker vectors by ``plane_volume_scaling``
+    without orthonormalizing it.  Samples are taken in blocks of about
     ``AREA_BLOCK_FRAMES`` plane frames: one ``differential`` call, one
     Gaussian draw and two Pluecker passes per block.  The map itself is then
     checked for one-homogeneity, idempotence and a finite Lipschitz estimate.
@@ -258,17 +243,20 @@ def verify_area_nonincreasing(
     coords, params = retraction.coords, retraction.params
     d, N = params.n + coords.k, coords.ambient_dim
     rng = np.random.default_rng(seed)
-    t_hi = max(0.9, 1.0 - 4.0 * h / params.tan_theta)
-    points = sample_wedge_points(
-        coords, params.tan_theta, samples, rng, t_fraction=(0.05, t_hi)
-    )
+    # t up to the interface; the points that differential would reject are drawn
+    # once more, and any still that close make it raise (on a wedge thinner than 2h)
+    margin = STENCIL_CLEARANCE * DIFFERENTIAL_STEP
+    points = sample_wedge_points(coords, params.tan_theta, samples, rng, t_fraction=(0.05, 1.0))
+    near = params.near_interface(coords, points, margin)
+    points[near] = sample_wedge_points(coords, params.tan_theta, int(near.sum()), rng,
+                                       t_fraction=(0.05, 1.0))
 
     # a block's planes come from one draw, the same stream as one draw per sample
     block = max(1, AREA_BLOCK_FRAMES // planes_per_sample)
     max_plane = 0.0
     max_top = 0.0
     for start in range(0, samples, block):
-        jacs = retraction.differential(points[start : start + block], h)
+        jacs = retraction.differential(points[start : start + block])
         mats = rng.standard_normal((len(jacs) * planes_per_sample, N, d))
         frames = np.swapaxes(mats, 1, 2).reshape(len(jacs), -1, d, N)
         scalings = plane_volume_scaling(jacs, frames)
@@ -279,7 +267,7 @@ def verify_area_nonincreasing(
     x_point = coords.assemble(
         np.full(coords.n, 1.0 / math.sqrt(coords.n)), np.zeros(coords.m)
     )
-    jac0 = retraction.differential(x_point, h)
+    jac0 = retraction.differential(x_point)
     tangent = np.vstack([coords.x_frame, coords.l_frame])[None]
     x_err = abs(float(plane_volume_scaling(jac0, tangent)[0]) - 1.0)
 

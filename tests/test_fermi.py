@@ -133,6 +133,13 @@ def test_second_fundamental_form_sphere():
     assert np.allclose(shape, np.eye(2) / 2.0, atol=1e-5)
 
 
+def test_second_fundamental_form_off_diagonal_terms():
+    # graph of q = 0.5 u^2 + 0.4 u v - 0.2 v^2: A at the origin is the Hessian of q
+    q = polynomial_height({(2, 0): 0.5, (1, 1): 0.4, (0, 2): -0.2})
+    A = graph_patch([q]).second_fundamental_form(np.zeros(2), np.array([0.0, 0.0, 1.0]))
+    assert np.allclose(A, [[1.0, 0.4], [0.4, -0.4]], rtol=0.0, atol=1e-6)
+
+
 def test_normal_field_requires_normal_component():
     patch = plane_patch(2, 1)
     with pytest.raises(ValueError, match="normal component"):

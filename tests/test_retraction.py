@@ -5,9 +5,10 @@ import pytest
 
 from vancal.coords import WedgeCoordinates
 from vancal.cutoff import CutoffParams, make_params
-from vancal.exterior import random_orthonormal_frames
+from vancal.exterior import STENCIL_CLEARANCE, random_orthonormal_frames
 from vancal.retraction import (
     AREA_BLOCK_FRAMES,
+    DIFFERENTIAL_STEP,
     RetractionMap,
     level_set_curve_consistency,
     lipschitz_estimate,
@@ -137,13 +138,18 @@ def test_verify_area_nonincreasing_passes(retraction):
     assert rep.max_top_scaling <= 1.0 + 1e-8
 
 
-def reference_area_scalings(retraction, samples, planes, seed, h=1e-6):
+def reference_area_scalings(retraction, samples, planes, seed, h=DIFFERENTIAL_STEP):
     """(max plane scaling, max top scaling) by one Jacobian, draw and SVD per sample."""
     coords, params = retraction.coords, retraction.params
     n, N = params.n + coords.k, coords.ambient_dim
     rng = np.random.default_rng(seed)
-    t_hi = max(0.9, 1.0 - 4.0 * h / params.tan_theta)
-    points = sample_wedge_points(coords, params.tan_theta, samples, rng, t_fraction=(0.05, t_hi))
+
+    def draw(count):  # t up to the interface
+        return sample_wedge_points(coords, params.tan_theta, count, rng, t_fraction=(0.05, 1.0))
+
+    points = draw(samples)
+    near = params.near_interface(coords, points, STENCIL_CLEARANCE * h)
+    points[near] = draw(int(near.sum()))
     max_plane = max_top = 0.0
     for p in points:
         steps = h * np.eye(N)
@@ -195,18 +201,27 @@ def test_differential_guards(retraction):
     tan_theta = retraction.params.tan_theta
     on_interface = np.array([1.0, 0.0, 0.0, tan_theta, 0.0, 0.0])
     near_axis = np.array([1e-9, 0, 0, 0.0, 0, 0])
-    with pytest.raises(ValueError, match="interface"):
-        retraction.differential(on_interface, 1e-3)
-    with pytest.raises(ValueError, match="singular axis"):
-        retraction.differential(near_axis, 1e-3)
-    # one bad point inside a batch of good ones
     good = sample_wedge_points(retraction.coords, tan_theta, 6, np.random.default_rng(8))
-    for bad, match in ((on_interface, "interface"), (near_axis, "singular axis")):
-        with pytest.raises(ValueError, match=match):
+    for bad in (on_interface, near_axis):
+        with pytest.raises(ValueError, match="touches the singular locus"):
+            retraction.differential(bad, 1e-3)
+        # one bad point inside a batch of good ones
+        with pytest.raises(ValueError, match="touches the singular locus"):
             retraction.differential(np.vstack([good[:3], bad, good[3:]]), 1e-3)
-    # a step so large that some samples' stencils reach the axis
-    with pytest.raises(ValueError, match="singular axis"):
-        verify_area_nonincreasing(retraction, 50, 10, seed=0, h=0.3)
+
+
+@pytest.mark.parametrize("seed", [6413, 14721, 15670])
+def test_verify_area_nonincreasing_keeps_the_stencil_clearance(retraction, seed):
+    # at these seeds the first draw puts a point within 2h of the interface,
+    # which the sampler must redraw
+    assert verify_area_nonincreasing(retraction, 1000, 100, seed).passed
+
+
+def test_verify_area_nonincreasing_rejects_a_wedge_thinner_than_the_clearance(retraction):
+    # tan(theta) = 1e-7: every draw, and every redraw, is within 2h of the interface
+    thin = RetractionMap(retraction.coords, CutoffParams.forced(3, 1e14))
+    with pytest.raises(ValueError, match="touches the singular locus"):
+        verify_area_nonincreasing(thin, 20, 2, seed=0)
 
 
 def test_retraction_with_shared_block():
