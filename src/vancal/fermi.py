@@ -144,6 +144,31 @@ def fermi_volume_ratio(
     return float(np.linalg.det(g_y) / np.linalg.det(g_0))
 
 
+def fermi_volume_ratios(
+    patch: SurfacePatch, u: np.ndarray, nu: np.ndarray, ys: Sequence[float]
+) -> np.ndarray:
+    """``fermi_volume_ratio`` for each y, from one evaluation of the stencil.
+
+    The surface points and unit normals at the 2n stencil points around u do
+    not depend on y, so they are evaluated once; each y then displaces them
+    with the same arithmetic as the one-point function, whose values these are.
+    """
+    u = np.asarray(u, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    field = patch.normal_field(u, nu)
+
+    def displaced(vs: np.ndarray) -> np.ndarray:  # (2n, Y, N): every y at each stencil point
+        points = np.stack([patch.point(v) for v in vs])
+        normals = np.stack([field(v) for v in vs])
+        return points[:, None] + ys[:, None] * normals[:, None]
+
+    partials = _central_differences(displaced, u[None], [FIRST_DIFFERENCE_STEP])[0, 0]
+    tangents = np.ascontiguousarray(np.swapaxes(partials, 0, 1))  # (Y, n, N)
+    det_0 = np.linalg.det(patch.first_fundamental_form(u))
+    # one Gram matrix per y, laid out as in the one-point function
+    return np.array([np.linalg.det(T @ T.T) / det_0 for T in tangents])
+
+
 @dataclass(frozen=True)
 class FirstOrderReport(CheckedReport):
     fitted_beta: float
@@ -173,7 +198,8 @@ def verify_first_order(
     """Fit ratio(y) = 1 + beta y + O(y^2) and compare beta against -2 H^nu.
 
     Two-sided ratios cancel the O(y^2) term; Richardson extrapolation over
-    the decreasing y-sequence removes the next order.  Passes iff
+    the decreasing y-sequence removes the next order.  All 2 * len(ys)
+    ratios come from one ``fermi_volume_ratios`` call.  Passes iff
     |beta + 2 H^nu| <= FIRST_ORDER_TOL * max(1, |H^nu|) and the largest y stays
     below the focal radius estimate.
     """
@@ -184,12 +210,8 @@ def verify_first_order(
     field = patch.normal_field(u, nu)
     nu_unit = field(u)
 
-    betas = []
-    for y in ys:
-        plus = fermi_volume_ratio(patch, u, nu_unit, y)
-        minus = fermi_volume_ratio(patch, u, nu_unit, -y)
-        betas.append((plus - minus) / (2 * y))
-    betas = np.asarray(betas)
+    plus, minus = np.split(fermi_volume_ratios(patch, u, nu_unit, np.concatenate([ys, -ys])), 2)
+    betas = (plus - minus) / (2 * ys)
     # one Richardson step on the finest pair (central estimates have O(y^2) error)
     ratio = ys[-2] / ys[-1]
     beta = (ratio**2 * betas[-1] - betas[-2]) / (ratio**2 - 1.0)

@@ -33,10 +33,14 @@ PLANE_WITHIN_TOP_TOL = 1e-12
 MAP_IDENTITY_TOL = 1e-12
 # step of the central-difference Jacobian that verify_area_nonincreasing samples
 DIFFERENTIAL_STEP = 1e-6
-# verify_area_nonincreasing scores samples in blocks of about this many plane
-# frames, so its Pluecker temporaries (not its points) do not grow with the
-# sample count; at 512 each is a few hundred KB, small enough that the heap is
-# reused between blocks instead of being returned and faulted back in
+# verify_area_nonincreasing takes Jacobians (one stencil call) and their
+# singular values for blocks of this many samples, so the stencil and the
+# Jacobians (49 doubles per sample on R^7) do not grow with the sample count
+AREA_BLOCK_SAMPLES = 2048
+# within a Jacobian block, it scores the random planes in sub-blocks of about
+# this many plane frames, so its Pluecker temporaries stay bounded too; at 512
+# each is a few hundred KB, small enough that the heap is reused between
+# sub-blocks instead of being returned and faulted back in
 AREA_BLOCK_FRAMES = 512
 
 
@@ -66,12 +70,10 @@ class RetractionMap:
         xi = self.coords.x_part(pts)
         r = np.linalg.norm(xi, axis=1)
         z = self.coords.z(pts)
-        scale = np.zeros_like(r)
-        inside = r > 0.0
-        t = np.zeros_like(r)
-        t[inside] = z[inside] / r[inside]
-        gamma = self.params.gamma(t[inside])
-        scale[inside] = np.maximum(gamma, 0.0) ** (1.0 / self.params.n)
+        # r = 0 gives t = inf or nan, which the wedge test of gamma sends to 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = z / r
+        scale = np.maximum(self.params.gamma(t), 0.0) ** (1.0 / self.params.n)
         out = (scale[:, None] * xi) @ self.coords.x_frame
         if self.coords.k:
             out = out + self.coords.l_part(pts) @ self.coords.l_frame
@@ -231,10 +233,13 @@ def verify_area_nonincreasing(
     values.  The points are drawn up front, clear of the interface by the
     Jacobian's own rule.  Each plane is the span of a Gaussian (N, n + k)
     matrix, scored through Pluecker vectors by ``plane_volume_scaling``
-    without orthonormalizing it.  Samples are taken in blocks of about
-    ``AREA_BLOCK_FRAMES`` plane frames: one ``differential`` call, one
-    Gaussian draw and two Pluecker passes per block.  The map itself is then
-    checked for one-homogeneity, idempotence and a finite Lipschitz estimate.
+    without orthonormalizing it.  Samples are taken in blocks of
+    ``AREA_BLOCK_SAMPLES``: one ``differential`` call and one batched SVD per
+    block.  Each block's planes are scored in sub-blocks of about
+    ``AREA_BLOCK_FRAMES`` plane frames: one Gaussian draw and two Pluecker
+    passes per sub-block, drawn in sample order, so neither block size changes
+    a value.  The map itself is then checked for one-homogeneity, idempotence
+    and a finite Lipschitz estimate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -251,17 +256,19 @@ def verify_area_nonincreasing(
     points[near] = sample_wedge_points(coords, params.tan_theta, int(near.sum()), rng,
                                        t_fraction=(0.05, 1.0))
 
-    # a block's planes come from one draw, the same stream as one draw per sample
-    block = max(1, AREA_BLOCK_FRAMES // planes_per_sample)
+    # a sub-block's planes come from one draw, the same stream as one draw per sample
+    sub_block = max(1, AREA_BLOCK_FRAMES // planes_per_sample)
     max_plane = 0.0
     max_top = 0.0
-    for start in range(0, samples, block):
-        jacs = retraction.differential(points[start : start + block])
-        mats = rng.standard_normal((len(jacs) * planes_per_sample, N, d))
-        frames = np.swapaxes(mats, 1, 2).reshape(len(jacs), -1, d, N)
-        scalings = plane_volume_scaling(jacs, frames)
-        max_plane = max(max_plane, float(scalings.max()))
+    for start in range(0, samples, AREA_BLOCK_SAMPLES):
+        jacs = retraction.differential(points[start : start + AREA_BLOCK_SAMPLES])
         max_top = max(max_top, float(top_volume_scaling(jacs, d).max()))
+        for sub in range(0, len(jacs), sub_block):
+            sub_jacs = jacs[sub : sub + sub_block]
+            mats = rng.standard_normal((len(sub_jacs) * planes_per_sample, N, d))
+            frames = np.swapaxes(mats, 1, 2).reshape(len(sub_jacs), -1, d, N)
+            scalings = plane_volume_scaling(sub_jacs, frames)
+            max_plane = max(max_plane, float(scalings.max()))
 
     # tangent plane x + l at a point of the calibrated plane scales exactly by 1
     x_point = coords.assemble(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import vancal.fermi as fermi
 from vancal.fermi import (
     SurfacePatch,
     catenoid_patch,
@@ -159,3 +160,26 @@ def test_y_sequence_validation():
     patch = plane_patch(2, 1)
     with pytest.raises(ValueError, match="positive"):
         verify_first_order(patch, np.zeros(2), np.array([0, 0, 1.0]), [0.1])
+
+
+def test_verify_first_order_evaluates_the_stencil_normals_once(monkeypatch):
+    # the normals at the 2n stencil points do not depend on y: one evaluation
+    # serves all six displacements (220 parameterization calls when each y
+    # evaluated them anew)
+    sphere = sphere_patch(1.0, 2)
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return sphere.parameterization(u)
+
+    patch = SurfacePatch(counted, 2, 3)
+    u = np.array([0.7, 0.8])
+    nu, ys = -sphere.point(u), [0.04, 0.02, 0.01]
+    calls.clear()  # the constructor's probe
+    rep = verify_first_order(patch, u, nu, ys)
+    assert len(calls) == 80
+    # and the report is the one that one-point ratios, one per y and sign, give
+    monkeypatch.setattr(fermi, "fermi_volume_ratios", lambda patch, u, nu, ys: np.array(
+        [fermi_volume_ratio(patch, u, nu, y) for y in ys]))
+    assert verify_first_order(patch, u, nu, ys) == rep

@@ -1,13 +1,16 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import vancal.retraction as retraction_module
 from vancal.coords import WedgeCoordinates
 from vancal.cutoff import CutoffParams, make_params
 from vancal.exterior import STENCIL_CLEARANCE, random_orthonormal_frames
 from vancal.retraction import (
     AREA_BLOCK_FRAMES,
+    AREA_BLOCK_SAMPLES,
     DIFFERENTIAL_STEP,
     RetractionMap,
     level_set_curve_consistency,
@@ -39,6 +42,33 @@ def test_wedge_exterior_maps_to_zero(retraction):
     tan_theta = retraction.params.tan_theta
     just_inside = np.array([1.0, 0, 0, tan_theta * (1 - 1e-9), 0, 0])
     assert np.linalg.norm(retraction.apply(just_inside)) < 1e-2
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["no-l-block", "l-block"])
+def test_apply_maps_the_x_axis_locus_to_its_l_part(shared):
+    # r = 0 makes t = z / r inf or nan, which must give scale 0 without a warning
+    if shared:
+        coords = WedgeCoordinates.from_axes(7, (0, 1, 2), (3, 4, 5), (6,))
+    else:
+        coords = WedgeCoordinates.from_axes(6, (0, 1, 2), (3, 4, 5))
+    retraction = RetractionMap(coords, make_params(3, 2.5))
+    wedge = sample_wedge_points(coords, retraction.params.tan_theta, 4, np.random.default_rng(5))
+    axis = np.zeros((3, coords.ambient_dim))  # z = 0, then two points with z > 0
+    axis[1, 3] = 0.7
+    axis[2, 3:6] = [0.2, -0.5, 1.1]
+    if shared:
+        axis[:, 6] = [1.3, -0.4, 0.0]
+    batch = np.vstack([wedge[:2], axis[:1], wedge[2:3], axis[1:], wedge[3:]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = retraction.apply(batch)
+        rows = [retraction.apply(p) for p in batch]
+    for row, one in zip(out, rows):
+        assert np.array_equal(row, one)
+    on_axis = coords.r(batch) == 0.0
+    assert on_axis.sum() == 3
+    assert np.array_equal(out[on_axis], coords.l_part(axis) @ coords.l_frame)
+    assert np.all(np.linalg.norm(coords.x_part(out[~on_axis]), axis=1) > 0.0)
 
 
 def test_one_homogeneous(retraction):
@@ -163,16 +193,38 @@ def reference_area_scalings(retraction, samples, planes, seed, h=DIFFERENTIAL_ST
 
 
 @pytest.mark.parametrize("profile_c", [None, 2.0])
-def test_verify_area_nonincreasing_matches_per_sample_loop(retraction, profile_c):
+def test_verify_area_nonincreasing_matches_per_sample_loop(retraction, profile_c, monkeypatch):
     if profile_c is not None:  # the expanding negative control
         retraction = RetractionMap(retraction.coords, CutoffParams.forced(3, profile_c))
-    samples, planes = 12, 100
-    assert samples * planes > 2 * AREA_BLOCK_FRAMES  # several blocks
-    assert samples % max(1, AREA_BLOCK_FRAMES // planes) != 0  # the last one partial
+    samples, planes, jacobian_block = 12, 100, 7
+    monkeypatch.setattr(retraction_module, "AREA_BLOCK_SAMPLES", jacobian_block)
+    sub_block = max(1, AREA_BLOCK_FRAMES // planes)
+    assert samples * planes > 2 * AREA_BLOCK_FRAMES  # several plane sub-blocks
+    # several Jacobian blocks, the last one partial, and sub-blocks that end
+    # inside a Jacobian block as well as at its end
+    assert samples > jacobian_block and samples % jacobian_block != 0
+    assert jacobian_block > sub_block and jacobian_block % sub_block != 0
     rep = verify_area_nonincreasing(retraction, samples, planes, seed=7)
     max_plane, max_top = reference_area_scalings(retraction, samples, planes, seed=7)
     assert rep.max_top_scaling == max_top
     assert rep.max_plane_scaling == pytest.approx(max_plane, abs=1e-13)
+
+
+def test_verify_area_nonincreasing_takes_one_differential_per_jacobian_block(
+        retraction, monkeypatch):
+    # 500 samples of 100 planes are 100 plane sub-blocks of 5 samples, but one
+    # Jacobian block; the second call is the point on the calibrated plane
+    assert AREA_BLOCK_SAMPLES >= 500
+    differential = RetractionMap.differential
+    shapes = []
+
+    def counted(self, points, *args, **kwargs):
+        shapes.append(np.shape(points))
+        return differential(self, points, *args, **kwargs)
+
+    monkeypatch.setattr(RetractionMap, "differential", counted)
+    verify_area_nonincreasing(retraction, 500, 100, seed=0)
+    assert shapes == [(500, 6), (6,)]
 
 
 def test_negative_control_detects_expansion():
