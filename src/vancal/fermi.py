@@ -34,6 +34,21 @@ def _partials(f: Callable[[np.ndarray], np.ndarray], us: np.ndarray, h: float) -
                                 np.atleast_2d(np.asarray(us, dtype=float)), [h])[:, 0]
 
 
+def _normal_projector(frame: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the complement of a frame's (column) span."""
+    return np.eye(frame.shape[0]) - frame @ np.linalg.solve(frame.T @ frame, frame.T)
+
+
+def _unit_projection(projector: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    vec = projector @ direction
+    return vec / np.linalg.norm(vec)
+
+
+def _shape_operator(gram: np.ndarray, second: np.ndarray, nu) -> np.ndarray:
+    """g^{-1} A^nu from the first fundamental form and the second derivatives."""
+    return np.linalg.solve(gram, second @ np.asarray(nu, dtype=float))
+
+
 @dataclass(frozen=True, eq=False)
 class SurfacePatch:
     """An immersed parameterized n-surface patch in R^(n+m)."""
@@ -65,13 +80,14 @@ class SurfacePatch:
         return frame
 
     def normal_projector(self, u: np.ndarray) -> np.ndarray:
-        T = self.tangent_frame(u)
-        return np.eye(self.ambient_dim) - T @ np.linalg.solve(T.T @ T, T.T)
+        return _normal_projector(self.tangent_frame(u))
 
     def normal_frame(self, u: np.ndarray) -> np.ndarray:
         """Orthonormal basis of the normal space (columns), Gram-Schmidt on projections."""
-        P = self.normal_projector(u)
-        eigvals, eigvecs = np.linalg.eigh(P)
+        return self._normal_frame(self.normal_projector(u))
+
+    def _normal_frame(self, projector: np.ndarray) -> np.ndarray:
+        eigvals, eigvecs = np.linalg.eigh(projector)
         cols = eigvecs[:, eigvals > 0.5]
         if cols.shape[1] != self.codim:
             raise ValueError("normal space has unexpected dimension")
@@ -84,18 +100,20 @@ class SurfacePatch:
         transported by projection and renormalization; smooth wherever the
         projection stays bounded away from zero.
         """
-        nu = np.asarray(nu, dtype=float)
-        anchor = self.normal_projector(u0) @ nu
+        return self._normal_field(self.normal_projector(u0), nu)[0]
+
+    def _normal_field(self, projector: np.ndarray, nu: np.ndarray):
+        """``normal_field`` from the normal projector at u0, and its value at u0."""
+        anchor = projector @ np.asarray(nu, dtype=float)
         norm = np.linalg.norm(anchor)
         if norm < 1e-12:
             raise ValueError("direction has no normal component at the base point")
         anchor = anchor / norm
 
         def field(u: np.ndarray) -> np.ndarray:
-            vec = self.normal_projector(u) @ anchor
-            return vec / np.linalg.norm(vec)
+            return _unit_projection(self.normal_projector(u), anchor)
 
-        return field
+        return field, _unit_projection(projector, anchor)
 
     def first_fundamental_form(self, u: np.ndarray) -> np.ndarray:
         T = self.tangent_frame(u)
@@ -103,23 +121,28 @@ class SurfacePatch:
 
     def second_fundamental_form(self, u: np.ndarray, nu: np.ndarray) -> np.ndarray:
         """A_ij = <d2 f / du_i du_j, nu> for a unit normal nu, by nested central differences."""
+        return self._second_derivatives(u) @ np.asarray(nu, dtype=float)
+
+    def _second_derivatives(self, u: np.ndarray) -> np.ndarray:
+        """(n, n, N) second partials d2 f / du_i du_j, whatever the normal."""
         second = _central_differences(lambda vs: _partials(self.point, vs, SECOND_DIFFERENCE_STEP),
                                       np.asarray(u, dtype=float)[None], [SECOND_DIFFERENCE_STEP])
-        return second[0, 0] @ np.asarray(nu, dtype=float)
+        return second[0, 0]
 
     def mean_curvature_trace(self, u: np.ndarray, nu: np.ndarray) -> float:
         """H^nu = g^{il} A_{li}^nu, the sum of principal curvatures along nu."""
-        g = self.first_fundamental_form(u)
-        A = self.second_fundamental_form(u, nu)
-        return float(np.trace(np.linalg.solve(g, A)))
+        shape_op = _shape_operator(self.first_fundamental_form(u), self._second_derivatives(u), nu)
+        return float(np.trace(shape_op))
 
     def focal_radius_estimate(self, u: np.ndarray) -> float:
         """Conservative 1 / (shape operator norm) estimate over the normal frame."""
-        g = self.first_fundamental_form(u)
+        T = self.tangent_frame(u)
+        return self._focal_radius(T.T @ T, self._second_derivatives(u), _normal_projector(T))
+
+    def _focal_radius(self, gram: np.ndarray, second: np.ndarray, projector: np.ndarray) -> float:
         total = 0.0
-        for nu in self.normal_frame(u).T:
-            shape_op = np.linalg.solve(g, self.second_fundamental_form(u, nu))
-            total += np.linalg.norm(shape_op, 2)
+        for nu in self._normal_frame(projector).T:
+            total += np.linalg.norm(_shape_operator(gram, second, nu), 2)
         return math.inf if total == 0.0 else 1.0 / total
 
 
@@ -154,8 +177,14 @@ def fermi_volume_ratios(
     with the same arithmetic as the one-point function, whose values these are.
     """
     u = np.asarray(u, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    field = patch.normal_field(u, nu)
+    return _fermi_volume_ratios(patch, u, nu, np.asarray(ys, dtype=float), patch.tangent_frame(u))
+
+
+def _fermi_volume_ratios(
+    patch: SurfacePatch, u: np.ndarray, nu: np.ndarray, ys: np.ndarray, frame: np.ndarray
+) -> np.ndarray:
+    """``fermi_volume_ratios`` from the tangent frame at u."""
+    field, _ = patch._normal_field(_normal_projector(frame), nu)
 
     def displaced(vs: np.ndarray) -> np.ndarray:  # (2n, Y, N): every y at each stencil point
         points = np.stack([patch.point(v) for v in vs])
@@ -164,7 +193,7 @@ def fermi_volume_ratios(
 
     partials = _central_differences(displaced, u[None], [FIRST_DIFFERENCE_STEP])[0, 0]
     tangents = np.ascontiguousarray(np.swapaxes(partials, 0, 1))  # (Y, n, N)
-    det_0 = np.linalg.det(patch.first_fundamental_form(u))
+    det_0 = np.linalg.det(frame.T @ frame)
     # one Gram matrix per y, laid out as in the one-point function
     return np.array([np.linalg.det(T @ T.T) / det_0 for T in tangents])
 
@@ -199,7 +228,9 @@ def verify_first_order(
 
     Two-sided ratios cancel the O(y^2) term; Richardson extrapolation over
     the decreasing y-sequence removes the next order.  All 2 * len(ys)
-    ratios come from one ``fermi_volume_ratios`` call.  Passes iff
+    ratios come from one ``fermi_volume_ratios`` call.  The tangent frame
+    and the second derivatives at u are computed once and shared by the
+    normal, the ratios, the mean curvature and the focal radius.  Passes iff
     |beta + 2 H^nu| <= FIRST_ORDER_TOL * max(1, |H^nu|) and the largest y stays
     below the focal radius estimate.
     """
@@ -207,19 +238,22 @@ def verify_first_order(
     if ys.size < 2 or np.any(ys <= 0):
         raise ValueError("y_sequence must contain at least two positive values")
     u = np.asarray(u, dtype=float)
-    field = patch.normal_field(u, nu)
-    nu_unit = field(u)
+    frame = patch.tangent_frame(u)
+    projector = _normal_projector(frame)
+    _, nu_unit = patch._normal_field(projector, nu)
 
-    plus, minus = np.split(fermi_volume_ratios(patch, u, nu_unit, np.concatenate([ys, -ys])), 2)
+    plus, minus = np.split(
+        _fermi_volume_ratios(patch, u, nu_unit, np.concatenate([ys, -ys]), frame), 2)
     betas = (plus - minus) / (2 * ys)
     # one Richardson step on the finest pair (central estimates have O(y^2) error)
     ratio = ys[-2] / ys[-1]
     beta = (ratio**2 * betas[-1] - betas[-2]) / (ratio**2 - 1.0)
 
-    H = patch.mean_curvature_trace(u, nu_unit)
+    gram, second = frame.T @ frame, patch._second_derivatives(u)
+    H = float(np.trace(_shape_operator(gram, second, nu_unit)))
     expected = -2.0 * H
     error = abs(beta - expected) / max(1.0, abs(H))
-    focal = patch.focal_radius_estimate(u)
+    focal = patch._focal_radius(gram, second, projector)
     return FirstOrderReport(
         fitted_beta=float(beta),
         expected_beta=float(expected),

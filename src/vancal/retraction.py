@@ -19,7 +19,12 @@ import numpy as np
 
 from .coords import WedgeCoordinates
 from .cutoff import CutoffParams
-from .exterior import STENCIL_CLEARANCE, _batched_plucker, _central_differences
+from .exterior import (
+    STENCIL_CLEARANCE,
+    PluckerWorkspace,
+    _batched_plucker,
+    _central_differences,
+)
 from .reports import Check, CheckedReport
 
 IDENTITY_ON_PLANE_TOL = 1e-8
@@ -38,9 +43,8 @@ DIFFERENTIAL_STEP = 1e-6
 # Jacobians (49 doubles per sample on R^7) do not grow with the sample count
 AREA_BLOCK_SAMPLES = 2048
 # within a Jacobian block, it scores the random planes in sub-blocks of about
-# this many plane frames, so its Pluecker temporaries stay bounded too; at 512
-# each is a few hundred KB, small enough that the heap is reused between
-# sub-blocks instead of being returned and faulted back in
+# this many plane frames, all in one Pluecker workspace, so its Pluecker
+# buffers are allocated once and stay bounded too
 AREA_BLOCK_FRAMES = 512
 
 
@@ -130,7 +134,9 @@ class RetractionMap:
         return jac
 
 
-def plane_volume_scaling(jacobian: np.ndarray, plane_frames: np.ndarray) -> np.ndarray:
+def plane_volume_scaling(
+    jacobian: np.ndarray, plane_frames: np.ndarray, workspace: PluckerWorkspace | None = None
+) -> np.ndarray:
     """n-volume scaling |Lambda^n(J) xi| / |xi| of the planes spanned by n-frames.
 
     ``jacobian`` is (N, N) with ``plane_frames`` (count, n, N), or a stack
@@ -138,14 +144,17 @@ def plane_volume_scaling(jacobian: np.ndarray, plane_frames: np.ndarray) -> np.n
     (C, count).  A frame's rows, and their images J v, span parallelepipeds
     whose n-volumes are the norms of their Pluecker vectors; the ratio is the
     scaling of the spanned plane, so any full-rank frame works.  Raises
-    ``ValueError`` on a frame that spans no n-plane.
+    ``ValueError`` on a frame that spans no n-plane.  The Pluecker vectors
+    are computed in ``workspace``, which a caller scoring many stacks reuses.
     """
     images = plane_frames @ np.swapaxes(jacobian, -1, -2)[..., None, :, :]
     *lead, n, N = images.shape
-    volumes = np.linalg.norm(_batched_plucker(plane_frames.reshape(-1, n, N), N, n), axis=1)
+    volumes = np.linalg.norm(
+        _batched_plucker(plane_frames.reshape(-1, n, N), N, n, workspace), axis=1)
     if not np.all(volumes > 0.0):
         raise ValueError("plane frame is rank-deficient: it spans no n-plane")
-    images_volumes = np.linalg.norm(_batched_plucker(images.reshape(-1, n, N), N, n), axis=1)
+    images_volumes = np.linalg.norm(
+        _batched_plucker(images.reshape(-1, n, N), N, n, workspace), axis=1)
     return (images_volumes / volumes).reshape(lead)
 
 
@@ -238,8 +247,9 @@ def verify_area_nonincreasing(
     block.  Each block's planes are scored in sub-blocks of about
     ``AREA_BLOCK_FRAMES`` plane frames: one Gaussian draw and two Pluecker
     passes per sub-block, drawn in sample order, so neither block size changes
-    a value.  The map itself is then checked for one-homogeneity, idempotence
-    and a finite Lipschitz estimate.
+    a value, and every sub-block shares one Pluecker workspace.  The map
+    itself is then checked for one-homogeneity, idempotence and a finite
+    Lipschitz estimate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -258,6 +268,7 @@ def verify_area_nonincreasing(
 
     # a sub-block's planes come from one draw, the same stream as one draw per sample
     sub_block = max(1, AREA_BLOCK_FRAMES // planes_per_sample)
+    workspace = PluckerWorkspace(N, d, min(sub_block, samples) * planes_per_sample)
     max_plane = 0.0
     max_top = 0.0
     for start in range(0, samples, AREA_BLOCK_SAMPLES):
@@ -267,8 +278,11 @@ def verify_area_nonincreasing(
             sub_jacs = jacs[sub : sub + sub_block]
             mats = rng.standard_normal((len(sub_jacs) * planes_per_sample, N, d))
             frames = np.swapaxes(mats, 1, 2).reshape(len(sub_jacs), -1, d, N)
-            scalings = plane_volume_scaling(sub_jacs, frames)
+            scalings = plane_volume_scaling(sub_jacs, frames, workspace)
             max_plane = max(max_plane, float(scalings.max()))
+    # freed before the map checks below, whose 20 000-pair Lipschitz sample
+    # would otherwise raise the peak heap by the workspace
+    del workspace
 
     # tangent plane x + l at a point of the calibrated plane scales exactly by 1
     x_point = coords.assemble(

@@ -12,6 +12,7 @@ from vancal.exterior import (
     ORACLE_DOMINANCE_TOL,
     AlternatingTensor,
     ComassReport,
+    PluckerWorkspace,
     _batched_plucker,
     _interior_table,
     _plane_values,
@@ -282,16 +283,40 @@ def einsum_plucker(frames, N, k):
 
 @pytest.mark.parametrize("N", range(1, 10))
 def test_batched_plucker_is_bit_identical_to_einsum_reference(N):
-    # the coefficient-major kernel adds the same products in the same order
+    # the coefficient-major kernel adds the same products in the same order,
+    # in a workspace of its own or in one reused across calls of every k and S
     rng = np.random.default_rng(100 + N)
+    workspace = PluckerWorkspace(N, N, 300)
     for k in range(N + 1):
         for S in (1, 7, 300):
             contiguous = rng.standard_normal((S, k, N))
             swapped = np.swapaxes(rng.standard_normal((S, N, k)), 1, 2)
             for frames in (contiguous, swapped):
-                plucker = _batched_plucker(frames, N, k)
-                assert plucker.shape == (S, n_coefficients(N, k))
-                assert np.array_equal(plucker, einsum_plucker(frames, N, k))
+                expected = einsum_plucker(frames, N, k)
+                for plucker in (_batched_plucker(frames, N, k),
+                                _batched_plucker(frames, N, k, workspace)):
+                    assert plucker.shape == (S, n_coefficients(N, k))
+                    assert np.array_equal(plucker, expected)
+
+
+@pytest.mark.parametrize("N, k", [(5, 2), (7, 3), (8, 4)])
+def test_batched_plucker_workspace_leaks_nothing_into_a_smaller_call(N, k):
+    # a large call leaves its levels in the buffers; a smaller one must not read them
+    rng = np.random.default_rng(N * k)
+    workspace = PluckerWorkspace(N, k, 300)
+    for S in (300, 7, 300, 1):
+        frames = rng.standard_normal((S, k, N))
+        plucker = _batched_plucker(frames, N, k, workspace)
+        assert np.array_equal(plucker, einsum_plucker(frames, N, k))
+        assert np.shares_memory(plucker, workspace.levels[k % 2])
+
+
+def test_batched_plucker_rejects_a_workspace_too_small():
+    frames = np.zeros((8, 3, 6))
+    for workspace in (PluckerWorkspace(6, 3, 7), PluckerWorkspace(6, 2, 8),
+                      PluckerWorkspace(7, 3, 8)):
+        with pytest.raises(ValueError, match="cannot hold"):
+            _batched_plucker(frames, 6, 3, workspace)
 
 
 # -- comass ----------------------------------------------------------------------
@@ -511,6 +536,31 @@ def test_comass_oracle_matches_qr_reference(name):
             reference_oracle(u, 20_000, seed, refine=False), rel=0, abs=1e-14)
         assert comass_oracle_refined(u, 5_000, seed) == pytest.approx(
             reference_oracle(u, 5_000, seed, refine=True), rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("associative", 0.9954681685850475),
+    ("special-lagrangian", 0.9991123478685934),
+    ("kahler-square", 0.9556713261707269),
+    ("generic", 5.036117117659592),
+])
+def test_comass_oracle_values_are_pinned(name, value):
+    # the battery forms' 20 000-sample values, to the last bit
+    assert comass_oracle(ORACLE_FORMS[name](), 20_000, 0) == value
+
+
+def test_comass_oracle_scores_every_chunk_in_one_workspace(monkeypatch):
+    workspaces = []
+
+    def spy(frames, ambient_dim, degree, workspace=None):
+        workspaces.append(workspace)
+        return _batched_plucker(frames, ambient_dim, degree, workspace)
+
+    monkeypatch.setattr(exterior, "_batched_plucker", spy)
+    comass_oracle(half_kahler_square(), 5 * exterior._ORACLE_CHUNK // 2, 3)
+    assert len(workspaces) == 3
+    assert isinstance(workspaces[0], PluckerWorkspace)
+    assert all(w is workspaces[0] for w in workspaces)
 
 
 def test_comass_oracle_does_not_depend_on_the_chunk_size(monkeypatch):

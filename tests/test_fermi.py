@@ -165,7 +165,10 @@ def test_y_sequence_validation():
 def test_verify_first_order_evaluates_the_stencil_normals_once(monkeypatch):
     # the normals at the 2n stencil points do not depend on y: one evaluation
     # serves all six displacements (220 parameterization calls when each y
-    # evaluated them anew)
+    # evaluated them anew).  The tangent frame at u (4 calls) and the second
+    # derivatives there (16) are taken once each, and the stencil normals
+    # take 20: 40 calls, where taking the frame seven times and the second
+    # derivatives twice made 80
     sphere = sphere_patch(1.0, 2)
     calls = []
 
@@ -178,8 +181,12 @@ def test_verify_first_order_evaluates_the_stencil_normals_once(monkeypatch):
     nu, ys = -sphere.point(u), [0.04, 0.02, 0.01]
     calls.clear()  # the constructor's probe
     rep = verify_first_order(patch, u, nu, ys)
-    assert len(calls) == 80
-    # and the report is the one that one-point ratios, one per y and sign, give
-    monkeypatch.setattr(fermi, "fermi_volume_ratios", lambda patch, u, nu, ys: np.array(
+    assert len(calls) == 40
+    # and the report is the one that one-point ratios, one per y and sign, and
+    # the one-point curvature methods give
+    monkeypatch.setattr(fermi, "_fermi_volume_ratios", lambda patch, u, nu, ys, frame: np.array(
         [fermi_volume_ratio(patch, u, nu, y) for y in ys]))
     assert verify_first_order(patch, u, nu, ys) == rep
+    nu_unit = patch.normal_field(u, nu)(u)
+    assert rep.mean_curvature_trace == patch.mean_curvature_trace(u, nu_unit)
+    assert rep.focal_radius == patch.focal_radius_estimate(u)
