@@ -328,16 +328,24 @@ def scan_fields(rep) -> tuple:
 
 
 def test_scan_does_not_depend_on_the_chunk_size(rotated_cal, monkeypatch):
-    # 1 000 divides none of the tail lengths 6^4 and 7^4, so the scans with
-    # that chunk end every head row on a partial chunk
+    # 1 000 divides none of the tail lengths 6^4, 7^4 and 6^5, so the scans
+    # with that chunk end on a partial chunk; on the rotated R^7 pair, whose
+    # tail has 5 axes, a chunk of 1 000 also cuts the tail across its axes,
+    # and each chunk's own projection must give the whole tail's bits
+    q = random_rotation(7, 13)
+    pair7 = shared_axis_pair()
+    pair7 = intersect_and_split(OrientedSubspace(7, pair7.p1.orthonormal_basis() @ q),
+                                OrientedSubspace(7, pair7.p2.orthonormal_basis() @ q))
+
     def scans():
         single = [verify_calibration(rotated_cal, rotated_region(rotated_cal), grid, seed=0,
                                      optimizer_subsample=0, closedness_points=0)
                   for grid in (6, 7)]
-        pair = verify_pair_calibration(make_params(3, 2.5), rotated_pair(),
-                                       ([-1.2] * 6, [1.2] * 6), 7, seed=0,
-                                       optimizer_subsample=0, closedness_points=0)[0]
-        return [scan_fields(rep) for rep in (*single, pair)]
+        pairs = [verify_pair_calibration(make_params(3, 2.5), pair, ([-half] * N, [half] * N),
+                                         grid, seed=0, optimizer_subsample=0,
+                                         closedness_points=0)[0]
+                 for pair, N, half, grid in ((rotated_pair(), 6, 1.2, 7), (pair7, 7, 1.1, 6))]
+        return [scan_fields(rep) for rep in (*single, *pairs)]
 
     default = scans()
     for chunk in (1000, 1 << 20):
@@ -346,15 +354,17 @@ def test_scan_does_not_depend_on_the_chunk_size(rotated_cal, monkeypatch):
 
 
 def test_scan_norms_are_bit_identical_to_linalg_norm_on_axis_frames(cal, monkeypatch):
-    # every streamed r and z, in grid order; 7^4 = 2 401 tail points per head
-    # row make chunks of 1 000, 1 000 and 401
+    # every streamed r and z; 7^4 = 2 401 tail points make chunks of 1 000,
+    # 1 000 and 401, each yielded for the 7^2 head rows in turn, so the
+    # yields are put back into grid order (head row, then tail chunk)
     monkeypatch.setattr(calibration, "_SCAN_CHUNK", 1000)
     lows, highs = calibration.region_box(*STANDARD_REGION)
     blocks = [cal.coords.x_frame, cal.coords.y_frame]
-    chunks = [[norm.copy() for norm in norms]
+    yields = [[norm.copy() for norm in norms]
               for norms in calibration._scan_grid(lows, highs, 7, blocks)]
     pts = brute_force_grid(STANDARD_REGION, 7)
-    assert len(chunks) == 7**2 * 3
+    assert len(yields) == 7**2 * 3
+    chunks = [yields[chunk * 7**2 + row] for row in range(7**2) for chunk in range(3)]
     assert np.array_equal(np.concatenate([r for r, _ in chunks]), cal.coords.r(pts))
     assert np.array_equal(np.concatenate([z for _, z in chunks]), cal.coords.z(pts))
 
@@ -410,6 +420,23 @@ def test_scan_memory_does_not_grow_with_the_grid(cal):
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_pair_scan_memory_does_not_grow_with_the_grid():
+    # the R^7 pair's tail has 5 axes: 8^5 and 10^5 points, both more than one
+    # chunk, so a scan that held the whole tail's projections would grow
+    # from grid 8 to grid 10 (by 9 MB), and one that holds a chunk does not
+    def peak(grid: int) -> int:
+        tracemalloc.start()
+        try:
+            verify_pair_calibration(make_params(3, 2.5), shared_axis_pair(),
+                                    ([-1.1] * 7, [1.1] * 7), grid, seed=0,
+                                    optimizer_subsample=0, closedness_points=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(10) <= peak(8) + 2**20
 
 
 # -- k-block (shared intersection directions) --------------------------------------
