@@ -26,6 +26,7 @@ from .cutoff import CutoffParams
 from .exterior import (
     AlternatingTensor,
     FD_STEPS,
+    SAMPLE_ROUNDS,
     STENCIL_CLEARANCE,
     FormField,
     _batched_plucker,
@@ -39,7 +40,7 @@ from .exterior import (
     wedge,
 )
 from .reports import Check, CheckedReport
-from .retraction import RetractionMap
+from .retraction import RetractionMap, sample_wedge_points
 from .subspaces import PlanePair
 
 COMASS_GRID_TOL = 1e-9
@@ -359,6 +360,7 @@ class CalibrationReport(CheckedReport):
 
 
 def _box_sample(
+    field: FormField,
     cals: Sequence[VanishingCalibration],
     lows: np.ndarray,
     highs: np.ndarray,
@@ -369,23 +371,19 @@ def _box_sample(
 ) -> np.ndarray:
     """Up to ``count`` seeded box points, as a (found, N) array.
 
-    Every point is farther than ``margin`` from each summand's axis and
-    interface, and lies inside summand ``inside``'s wedge, or outside every
-    wedge when ``inside`` is None.
+    Each round draws 4 ``count`` box-uniform points and keeps those that
+    ``field.singular_locus_descriptor`` does not flag at ``margin`` and that
+    lie inside summand ``inside``'s wedge, or outside every wedge when
+    ``inside`` is None; it stops at ``count`` points or ``SAMPLE_ROUNDS`` rounds.
     """
     picked = []
-    for _ in range(400):
+    for _ in range(SAMPLE_ROUNDS):
         if len(picked) >= count:
             break
         pts = rng.uniform(lows, highs, size=(4 * count, lows.size))
-        keep = np.ones(pts.shape[0], dtype=bool)
-        for i, cal in enumerate(cals):
-            r, z = cal.coords.r(pts), cal.coords.z(pts)
-            keep &= (r > margin) & (cal.params.interface_distance(r, z) > margin)
-            if inside is None:  # no kept point is on the interface
-                keep &= ~cal.params.inside(r, z)
-            elif i == inside:
-                keep &= cal.params.inside(r, z)
+        keep = ~field.singular_locus_descriptor(pts, margin)
+        wedges = [cal.params.inside(cal.coords.r(pts), cal.coords.z(pts)) for cal in cals]
+        keep &= ~np.any(wedges, axis=0) if inside is None else wedges[inside]
         picked.extend(pts[keep][: count - len(picked)])
     return np.array(picked).reshape(-1, lows.size)
 
@@ -411,15 +409,16 @@ def _verify(
     sqrt(1 - delta t^2) - comass goes into the spare buffer, and the fold
     keeps running counts, minima and maxima over the points inside the
     wedge (outside it the closed form and the envelope are overwritten with
-    the neutral values 0 and inf first, so nothing there counts), plus the
-    count of points inside two or more wedges when there are several
-    summands.  None of these depends on the order of the points.  Seeded
-    samples, each farther than 2 max(FD_STEPS) from every axis and
-    interface, then check the closed form against the frame optimizer
-    (``optimizer_subsample`` per wedge) and fit the finite-difference
-    closedness order (``closedness_points`` shared between the wedges).
-    Calibrated values are sampled on each summand's plane, and exact
-    vanishing at up to 50 points outside every wedge.  ``min_grid_r`` is the
+    the neutral values 0 and inf first, so nothing there counts), plus, for
+    a pair, the count of points inside both wedges.  None of these depends
+    on the order of the points.  Seeded box samples (``_box_sample``), none
+    of them flagged by ``field.singular_locus_descriptor`` at the stencil's
+    margin ``STENCIL_CLEARANCE * max(FD_STEPS)``, then check the closed form
+    against the frame optimizer (``optimizer_subsample`` per wedge) and fit
+    the finite-difference closedness order (``closedness_points`` shared
+    between the wedges).  Calibrated values are sampled on each summand's
+    plane (``sample_wedge_points`` at t = 0), and exact vanishing at up to
+    50 box points outside every wedge.  ``min_grid_r`` is the
     smallest grid distance to a summand's r = 0 axis; this function does
     not judge it, because pair boxes contain the shared origin.
     """
@@ -440,6 +439,7 @@ def _verify(
             if buffers is None:  # the first yield is the widest
                 buffers = [_comass_buffers(size) for _ in cals]
                 outside_buffer = np.empty(size, dtype=bool)
+                both_buffer = np.empty(size, dtype=bool)
             insides = []
             for cal, r, z, out in zip(cals, norms[0::2], norms[1::2], buffers):
                 values, inside, t, envelope = work = tuple(b[:size] for b in out)
@@ -461,17 +461,16 @@ def _verify(
                 min_r = min(min_r, float(r.min()))
                 insides.append(inside)
             total += size
-            if len(insides) == 1:
-                in_wedge += int(np.count_nonzero(insides[0]))
-            else:
-                hits = np.sum(insides, axis=0)
-                in_wedge += int(np.count_nonzero(hits))
-                overlap += int(np.count_nonzero(hits > 1))
+            in_wedge += int(np.count_nonzero(insides[0]))
+            if len(insides) == 2:  # a pair: inclusion-exclusion
+                both = int(np.count_nonzero(np.logical_and(*insides, out=both_buffer[:size])))
+                in_wedge += int(np.count_nonzero(insides[1])) - both
+                overlap += both
 
     # optimizer cross-check of the closed-form pointwise comass, in every wedge
     margin = STENCIL_CLEARANCE * max(FD_STEPS)
     opt_pts = np.concatenate(
-        [_box_sample(cals, lows, highs, optimizer_subsample, rng, margin, i)
+        [_box_sample(field, cals, lows, highs, optimizer_subsample, rng, margin, i)
          for i in range(len(cals))]
     )
     # the wedges are disjoint, so the largest summand value is the sum's comass
@@ -485,44 +484,32 @@ def _verify(
     # closedness with order fit
     shares = [part.size for part in np.array_split(np.arange(closedness_points), len(cals))]
     fd_pts = np.concatenate(
-        [_box_sample(cals, lows, highs, share, rng, margin, i)
+        [_box_sample(field, cals, lows, highs, share, rng, margin, i)
          for i, share in enumerate(shares)]
     )
     max_res, order, _ = closedness_order(field, fd_pts)
 
-    # calibrated value on each plane frame (z = 0 section of its coordinates)
+    # calibrated value on each plane frame (the t = 0 section of its wedge)
     plane_errs = []
     for cal in cals:
-        points = np.array([
-            cal.coords.assemble(
-                rng.uniform(0.25, 1.5, size=cal.coords.n) * rng.choice([-1.0, 1.0], size=cal.coords.n),
-                np.zeros(cal.coords.m),
-                rng.uniform(-1.0, 1.0, size=cal.coords.k) if cal.coords.k else None,
-            )
-            for _ in range(50 // len(cals))
-        ])
+        points = sample_wedge_points(cal.coords, cal.params, 50 // len(cals), rng,
+                                     t_fraction=(0.0, 0.0))
         values = field.coefficients(points) @ _batched_plucker(cal.plane_frame()[None], N, k)[0]
         plane_errs.append(float(np.abs(values - 1.0).max()))
 
     # exact vanishing beyond every wedge
-    vanish_pts = _box_sample(cals, lows, highs, 50, rng, 0.0, None)
+    vanish_pts = _box_sample(field, cals, lows, highs, 50, rng, 0.0, None)
     vanish_max = float(np.abs(field.coefficients(vanish_pts)).max(initial=0.0))
 
     # the Lipschitz primitive gamma psi_bar tends to 0 at the interface; the
     # summands share one cutoff, so the first one stands for all
     cal = cals[0]
+    n, m = cal.coords.n, cal.coords.m
     ts = cal.params.tan_theta * (1.0 - np.geomspace(1e-8, 0.2, 12))
-    ray_x = np.full(cal.coords.n, 1.0 / math.sqrt(cal.coords.n))
-    ray_pts = np.array(
-        [
-            cal.coords.assemble(
-                ray_x,
-                t / math.sqrt(cal.coords.m) * np.ones(cal.coords.m) if cal.coords.m else np.zeros(0),
-            )
-            for t in ts
-        ]
-    )
-    prim = cal.primitive_norm(ray_pts)
+    prim = cal.primitive_norm(cal.coords.assemble(
+        np.full((ts.size, n), 1.0 / math.sqrt(n)),
+        np.repeat(ts[:, None] / math.sqrt(m), m, axis=1) if m else None,
+    ))
 
     return CalibrationReport(
         grid=grid,

@@ -621,9 +621,9 @@ class FormField:
     basis.  ``singular_locus_descriptor(points, margin)`` maps (P, N) points
     to a (P,) bool mask flagging those within ``margin`` of the set where
     the field is undefined or not smooth; for a vanishing calibration that
-    is the axis r = 0 and the wedge interface t = tan(theta), across which
-    the field is discontinuous.  ``evaluator(point)`` is the one-point form
-    and returns a tensor.
+    is the wedge interface t = tan(theta), where the field jumps (inside the
+    wedge its distance is at most r, so points near the axis r = 0 are
+    flagged too).  ``evaluator(point)`` is the one-point form and returns a tensor.
     """
 
     ambient_dim: int
@@ -648,6 +648,8 @@ def constant_form_field(tensor: AlternatingTensor) -> FormField:
 # a central-difference stencil of step h keeps farther than this many h from
 # the set where the map it differences is not smooth
 STENCIL_CLEARANCE = 2.0
+# rounds of a sampler that draws again the points a singular-locus test flags
+SAMPLE_ROUNDS = 400
 
 
 def _central_differences(fn: Callable[[np.ndarray], np.ndarray], points: np.ndarray, steps,

@@ -5,8 +5,8 @@ the wedge exterior to the shared subspace (the origin when there is no
 l-block).  Its (n+k)-volume scaling factor on any (n+k)-plane, the
 dimension of the calibrated plane x + l, is controlled by the cutoff
 inequality, which is what the verification below samples.  Its Jacobian
-comes from the package's one central-difference stencil, whose clearance
-test against the wedge interface the sampler also uses to redraw points.
+comes from the package's one central-difference stencil, and the sampler
+redraws points by the stencil's clearance test, ``CutoffParams.near_interface``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from .coords import WedgeCoordinates
 from .cutoff import CutoffParams
 from .exterior import (
+    SAMPLE_ROUNDS,
     STENCIL_CLEARANCE,
     PluckerWorkspace,
     _batched_plucker,
@@ -203,30 +204,46 @@ class AreaScalingReport(CheckedReport):
 
 def sample_wedge_points(
     coords: WedgeCoordinates,
-    tan_theta: float,
+    params: CutoffParams,
     count: int,
     rng: np.random.Generator,
     *,
     t_fraction=(0.05, 0.9),
 ) -> np.ndarray:
-    """Seeded points in the open wedge interior, away from both singular strata.
+    """Seeded points in the open wedge interior of ``params``, away from its singular set.
 
-    r is uniform in [0.5, 1.5], t / tan(theta) in ``t_fraction`` and each
-    l-coordinate in [-1, 1].
+    r is uniform in [0.5, 1.5], t / tan(theta) in ``t_fraction``, the x- and
+    y-directions on their unit spheres and each l-coordinate in [-1, 1].  The
+    points that ``params.near_interface`` flags at the stencil's clearance are
+    drawn again in their places, for at most ``SAMPLE_ROUNDS`` rounds, or not
+    at all when no draw can clear it; the caller's stencil rejects the rest.
     """
     n, m, k = coords.n, coords.m, coords.k
-    x_dir = rng.standard_normal((count, n))
-    x_dir /= np.linalg.norm(x_dir, axis=1, keepdims=True)
-    r = rng.uniform(0.5, 1.5, size=count)
-    t = tan_theta * rng.uniform(*t_fraction, size=count)
-    points = (r[:, None] * x_dir) @ coords.x_frame
-    if m:
-        y_dir = rng.standard_normal((count, m))
-        y_dir /= np.linalg.norm(y_dir, axis=1, keepdims=True)
-        points = points + ((r * t)[:, None] * y_dir) @ coords.y_frame
-    if k:
-        lam = rng.uniform(-1.0, 1.0, size=(count, k))
-        points = points + lam @ coords.l_frame
+    margin = STENCIL_CLEARANCE * DIFFERENTIAL_STEP
+
+    def draw(size):
+        x_dir = rng.standard_normal((size, n))
+        x_dir /= np.linalg.norm(x_dir, axis=1, keepdims=True)
+        r = rng.uniform(0.5, 1.5, size=size)
+        t = params.tan_theta * rng.uniform(*t_fraction, size=size)
+        points = (r[:, None] * x_dir) @ coords.x_frame
+        if m:
+            y_dir = rng.standard_normal((size, m))
+            y_dir /= np.linalg.norm(y_dir, axis=1, keepdims=True)
+            points = points + ((r * t)[:, None] * y_dir) @ coords.y_frame
+        if k:
+            points = points + rng.uniform(-1.0, 1.0, size=(size, k)) @ coords.l_frame
+        return points
+
+    points = draw(count)
+    if 1.5 * math.sin(params.theta) * (1.0 - t_fraction[0]) <= margin:  # widest interface distance
+        return points
+    flagged = params.near_interface(coords, points, margin)
+    for _ in range(SAMPLE_ROUNDS):
+        if not flagged.any():
+            break
+        points[flagged] = draw(int(flagged.sum()))
+        flagged[flagged] = params.near_interface(coords, points[flagged], margin)
     return points
 
 
@@ -239,17 +256,17 @@ def verify_area_nonincreasing(
     the map must not increase.  At every sampled interior point the
     finite-difference Jacobian is restricted to Haar-random (n+k)-planes,
     and additionally maximized over all planes via its top n + k singular
-    values.  The points are drawn up front, clear of the interface by the
-    Jacobian's own rule.  Each plane is the span of a Gaussian (N, n + k)
-    matrix, scored through Pluecker vectors by ``plane_volume_scaling``
-    without orthonormalizing it.  Samples are taken in blocks of
-    ``AREA_BLOCK_SAMPLES``: one ``differential`` call and one batched SVD per
-    block.  Each block's planes are scored in sub-blocks of about
-    ``AREA_BLOCK_FRAMES`` plane frames: one Gaussian draw and two Pluecker
-    passes per sub-block, drawn in sample order, so neither block size changes
-    a value, and every sub-block shares one Pluecker workspace.  The map
-    itself is then checked for one-homogeneity, idempotence and a finite
-    Lipschitz estimate.
+    values.  The points are drawn up front by ``sample_wedge_points``, with
+    t up to the interface and clear of it by the stencil's clearance.  Each
+    plane is the span of a Gaussian (N, n + k) matrix, scored through
+    Pluecker vectors by ``plane_volume_scaling`` without orthonormalizing it.
+    Samples are taken in blocks of ``AREA_BLOCK_SAMPLES``: one
+    ``differential`` call and one batched SVD per block.  Each block's
+    planes are scored in sub-blocks of about ``AREA_BLOCK_FRAMES`` plane
+    frames: one Gaussian draw and two Pluecker passes per sub-block, drawn
+    in sample order, so neither block size changes a value, and every
+    sub-block shares one Pluecker workspace.  The map itself is then
+    checked for one-homogeneity, idempotence and a finite Lipschitz estimate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -258,13 +275,7 @@ def verify_area_nonincreasing(
     coords, params = retraction.coords, retraction.params
     d, N = params.n + coords.k, coords.ambient_dim
     rng = np.random.default_rng(seed)
-    # t up to the interface; the points that differential would reject are drawn
-    # once more, and any still that close make it raise (on a wedge thinner than 2h)
-    margin = STENCIL_CLEARANCE * DIFFERENTIAL_STEP
-    points = sample_wedge_points(coords, params.tan_theta, samples, rng, t_fraction=(0.05, 1.0))
-    near = params.near_interface(coords, points, margin)
-    points[near] = sample_wedge_points(coords, params.tan_theta, int(near.sum()), rng,
-                                       t_fraction=(0.05, 1.0))
+    points = sample_wedge_points(coords, params, samples, rng, t_fraction=(0.05, 1.0))
 
     # a sub-block's planes come from one draw, the same stream as one draw per sample
     sub_block = max(1, AREA_BLOCK_FRAMES // planes_per_sample)
@@ -342,11 +353,9 @@ def level_set_curve_consistency(
         if gamma <= 0.0:
             continue
         r = gamma ** (-1.0 / n)
-        point = coords.assemble(r * x0, np.zeros(coords.m))
-        if coords.m:
-            eta = np.zeros(coords.m)
-            eta[0] = r * tan_t
-            point = coords.assemble(r * x0, eta)
+        eta = np.zeros(coords.m)
+        eta[:1] = r * tan_t
+        point = coords.assemble(r * x0, eta)
         image = retraction.apply(point)
         worst = max(worst, float(np.linalg.norm(image - coords.assemble(x0, np.zeros(coords.m)))))
         rho = float(np.linalg.norm(point))

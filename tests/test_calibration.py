@@ -21,6 +21,8 @@ from vancal.calibration import (
 from vancal.coords import WedgeCoordinates
 from vancal.cutoff import CutoffParams, make_params
 from vancal.exterior import (
+    FD_STEPS,
+    STENCIL_CLEARANCE,
     AlternatingTensor,
     closedness_order,
     comass,
@@ -524,6 +526,52 @@ def test_sampled_checks_fail_without_samples(cal):
     assert [c.name for c in outside.checks() if not c.passed] == [
         "envelope", "optimizer_agreement", "closedness_order"]
     assert outside.passed is False
+
+
+def test_pair_samples_near_a_plane_keep_clear_of_the_singular_set_only():
+    # the box hugs plane 1: all of it lies in plane 1's wedge, and near plane
+    # 2's axis but outside its wedge, where the field is smooth; so only the
+    # vanishing check has nothing to measure
+    pair = intersect_and_split(coordinate_plane(6, (0, 1, 2)), coordinate_plane(6, (3, 4, 5)))
+    rep, _ = verify_pair_calibration(make_params(3, 2.5), pair,
+                                     ([0.5] * 3 + [-0.01] * 3, [1.5] * 3 + [0.01] * 3), 5)
+    assert rep.optimizer_samples > 0
+    assert rep.closedness_samples > 0
+    assert [c.name for c in rep.checks() if not c.passed] == ["vanishes_outside_wedges"]
+
+
+def acceptance_summands(case: str):
+    """(field, summands, box) of criterion 05 and of criterion 06's two pairs."""
+    params = make_params(3, 2.5)
+    if case == "criterion-05":
+        coords = WedgeCoordinates.from_axes(6, (0, 1, 2), (3, 4, 5))
+        cal = build_vanishing_calibration(params, coords)
+        return cal.field, (cal,), STANDARD_REGION
+    if case == "criterion-06-R6":
+        pair = intersect_and_split(coordinate_plane(6, (0, 1, 2)), coordinate_plane(6, (3, 4, 5)))
+        return (*sum_pair_calibration(params, pair), ([-1.2] * 6, [1.2] * 6))
+    return (*sum_pair_calibration(params, shared_axis_pair()), ([-1.1] * 7, [1.1] * 7))
+
+
+@pytest.mark.parametrize("margin", [0.0, STENCIL_CLEARANCE * max(FD_STEPS), 0.3])
+@pytest.mark.parametrize("case", ["criterion-05", "criterion-06-R6", "criterion-06-R7"])
+def test_box_samples_lie_in_the_box_clear_of_the_singular_set_and_in_the_wedge(case, margin):
+    field, cals, region = acceptance_summands(case)
+    lows, highs = (np.asarray(bound, dtype=float) for bound in region)
+    rng = np.random.default_rng(0)
+    # a pair's band outside both wedges is too thin to keep 0.3 from both interfaces
+    outside = [None] if len(cals) == 1 or margin < 0.1 else []
+    for inside in [*range(len(cals)), *outside]:
+        pts = calibration._box_sample(field, cals, lows, highs, 200, rng, margin, inside)
+        assert pts.shape == (200, lows.size)
+        assert np.all((lows <= pts) & (pts <= highs))
+        assert not field.singular_locus_descriptor(pts, margin).any()
+        for i, cal in enumerate(cals):
+            wedge = cal.params.inside(cal.coords.r(pts), cal.coords.z(pts))
+            if inside is None:
+                assert not wedge.any()
+            elif i == inside:
+                assert wedge.all()
 
 
 def test_angle_budget_fails_on_equal_planes():

@@ -52,7 +52,7 @@ def test_apply_maps_the_x_axis_locus_to_its_l_part(shared):
     else:
         coords = WedgeCoordinates.from_axes(6, (0, 1, 2), (3, 4, 5))
     retraction = RetractionMap(coords, make_params(3, 2.5))
-    wedge = sample_wedge_points(coords, retraction.params.tan_theta, 4, np.random.default_rng(5))
+    wedge = sample_wedge_points(coords, retraction.params, 4, np.random.default_rng(5))
     axis = np.zeros((3, coords.ambient_dim))  # z = 0, then two points with z > 0
     axis[1, 3] = 0.7
     axis[2, 3:6] = [0.2, -0.5, 1.1]
@@ -103,9 +103,7 @@ def test_jacobian_zero_outside_wedge(retraction):
 
 def test_jacobian_matches_chain_rule_oracle(retraction):
     rng = np.random.default_rng(2)
-    pts = sample_wedge_points(
-        retraction.coords, retraction.params.tan_theta, 20, rng
-    )
+    pts = sample_wedge_points(retraction.coords, retraction.params, 20, rng)
     for p in pts:
         fd = retraction.differential(p, 1e-6)
         exact = retraction.differential_exact(p)
@@ -125,7 +123,7 @@ def test_fd_jacobian_second_order(retraction):
 def test_volume_scaling_equals_middle_expression(retraction):
     # the top-n scaling of the differential is exactly sqrt((c)^2 + (s)^2)
     rng = np.random.default_rng(3)
-    pts = sample_wedge_points(retraction.coords, retraction.params.tan_theta, 10, rng)
+    pts = sample_wedge_points(retraction.coords, retraction.params, 10, rng)
     for p in pts:
         t = float(retraction.coords.t(p))
         expected = math.sqrt(float(retraction.params.middle_expression(t)))
@@ -143,7 +141,7 @@ def test_tangent_plane_scaling_is_one(retraction):
 def test_plane_volume_scaling_depends_only_on_the_plane(retraction):
     # a Gaussian frame and its orthonormalization span the same plane
     rng = np.random.default_rng(8)
-    points = sample_wedge_points(retraction.coords, retraction.params.tan_theta, 4, rng)
+    points = sample_wedge_points(retraction.coords, retraction.params, 4, rng)
     jacs = retraction.differential(points, 1e-6)
     mats = rng.standard_normal((4 * 30, 6, 3))
     orthonormal = np.linalg.qr(mats)[0]
@@ -173,13 +171,8 @@ def reference_area_scalings(retraction, samples, planes, seed, h=DIFFERENTIAL_ST
     coords, params = retraction.coords, retraction.params
     n, N = params.n + coords.k, coords.ambient_dim
     rng = np.random.default_rng(seed)
-
-    def draw(count):  # t up to the interface
-        return sample_wedge_points(coords, params.tan_theta, count, rng, t_fraction=(0.05, 1.0))
-
-    points = draw(samples)
-    near = params.near_interface(coords, points, STENCIL_CLEARANCE * h)
-    points[near] = draw(int(near.sum()))
+    # t up to the interface
+    points = sample_wedge_points(coords, params, samples, rng, t_fraction=(0.05, 1.0))
     max_plane = max_top = 0.0
     for p in points:
         steps = h * np.eye(N)
@@ -253,7 +246,7 @@ def test_differential_guards(retraction):
     tan_theta = retraction.params.tan_theta
     on_interface = np.array([1.0, 0.0, 0.0, tan_theta, 0.0, 0.0])
     near_axis = np.array([1e-9, 0, 0, 0.0, 0, 0])
-    good = sample_wedge_points(retraction.coords, tan_theta, 6, np.random.default_rng(8))
+    good = sample_wedge_points(retraction.coords, retraction.params, 6, np.random.default_rng(8))
     for bad in (on_interface, near_axis):
         with pytest.raises(ValueError, match="touches the singular locus"):
             retraction.differential(bad, 1e-3)
@@ -267,6 +260,50 @@ def test_verify_area_nonincreasing_keeps_the_stencil_clearance(retraction, seed)
     # at these seeds the first draw puts a point within 2h of the interface,
     # which the sampler must redraw
     assert verify_area_nonincreasing(retraction, 1000, 100, seed).passed
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["no-l-block", "l-block"])
+def test_sample_wedge_points_redraws_every_flagged_point(shared, monkeypatch):
+    if shared:
+        coords = WedgeCoordinates.from_axes(7, (0, 1, 2), (3, 4, 5), (6,))
+    else:
+        coords = WedgeCoordinates.from_axes(6, (0, 1, 2), (3, 4, 5))
+    # tan(theta) = 6.7e-6: the stencil's clearance flags every point with
+    # r (1 - t / tan(theta)) <= 0.3, about a third of the first draws
+    params, margin = CutoffParams.forced(3, 2.25e10), STENCIL_CLEARANCE * DIFFERENTIAL_STEP
+
+    def draw():
+        return sample_wedge_points(coords, params, 500, np.random.default_rng(3),
+                                   t_fraction=(0.05, 1.0))
+
+    points = draw()
+    monkeypatch.setattr(retraction_module, "SAMPLE_ROUNDS", 0)  # the first draw alone
+    first = draw()
+    flagged = params.near_interface(coords, first, margin)
+    assert flagged.mean() > 0.2
+    assert points.shape == first.shape
+    assert not params.near_interface(coords, points, margin).any()
+    assert params.inside(coords.r(points), coords.z(points)).all()
+    # a redraw replaces only the flagged points, in their places
+    assert np.array_equal(points[~flagged], first[~flagged])
+
+
+def test_sample_wedge_points_draws_once_when_no_point_can_clear_the_interface(retraction):
+    # tan(theta) = 1e-7: every point is within 1.5e-7 of the interface, inside
+    # the clearance 2e-6, so redrawing is no use
+    thin = CutoffParams.forced(3, 1e14)
+    rng = np.random.default_rng(0)
+    calls = []
+
+    class CountingGenerator:
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(rng, name)
+
+    points = sample_wedge_points(retraction.coords, thin, 20, CountingGenerator())
+    assert len(calls) == 4  # one draw: x-directions, r, t and y-directions
+    assert thin.near_interface(retraction.coords, points,
+                               STENCIL_CLEARANCE * DIFFERENTIAL_STEP).all()
 
 
 def test_verify_area_nonincreasing_rejects_a_wedge_thinner_than_the_clearance(retraction):
