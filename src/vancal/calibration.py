@@ -2,9 +2,12 @@
 
 The basic field is (c(t) dr + s(t) dz) ^ (n/r) psi_bar (^ dl on a shared
 block), supported on the open angular wedge z < tan(theta) r around the
-calibrated plane; ``CutoffParams.inside`` is the one copy of that rule, and
-every wedge mask below comes from it.  The field is simple at every point,
-so its pointwise comass equals the closed form sqrt(c^2 + s^2).
+calibrated plane.  Both the wedge and the comass are functions of
+u = t^2 = z^2 / r^2, so everything below works on the squared norms r^2 and
+z^2: ``CutoffParams.inside`` is the one copy of the wedge rule,
+u < tan^2(theta), and every wedge mask below comes from it.  The field is
+simple at every point, so its pointwise comass equals the closed form
+sqrt(c^2 + s^2) = sqrt(``CutoffParams.middle_u``(u)).
 ``VanishingCalibration._comass_rz`` holds the only copy of that closed
 form, and returns the wedge mask with it.
 ``pointwise_comass`` calls it on points; the grid scan calls it chunk by
@@ -21,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .coords import WedgeCoordinates
+from .coords import WedgeCoordinates, squared_norms
 from .cutoff import CutoffParams
 from .exterior import (
     AlternatingTensor,
@@ -51,9 +54,12 @@ ENVELOPE_SLACK_TOL = 1e-9
 # tail points per scan chunk.  The scan's buffers are allocated once, and a
 # chunk's projections are reused by every head row, so the size only trades
 # NumPy's per-call overhead against keeping those projections in cache.  On
-# a 2-vCPU Xeon, the 16^6 scan of verify_calibration (no sampled checks) took
-# a median 0.385 s of CPU at 8 192, 0.341 s at 16 384 and 0.347 s at 32 768,
-# whose larger buffers only add to the peak RSS (7 runs each)
+# a shared 2-vCPU Xeon, the 16^6 scan of verify_calibration (squared norms,
+# no sampled checks) took a median 0.287, 0.364 and 0.326 s of CPU at 8 192,
+# 0.242, 0.349 and 0.314 s at 16 384 and 0.256, 0.340 and 0.309 s at 32 768
+# in three interleaved series (7, 11 and 11 runs each): 8 192 was slowest in
+# each, and 32 768 was no faster beyond the noise, while its larger buffers
+# add to the peak RSS
 _SCAN_CHUNK = 16384
 
 
@@ -111,31 +117,27 @@ class VanishingCalibration:
     def pointwise_comass(self, points: np.ndarray) -> np.ndarray:
         """Exact pointwise comass sqrt(c(t)^2 + s(t)^2); zero outside the wedge."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        r, z = self.coords.r(points), self.coords.z(points)
+        r2, z2 = self.coords.r_squared(points), self.coords.z_squared(points)
         with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 lies outside
-            values, inside, _ = self._comass_rz(r, z, _comass_buffers(r.size))
+            values, inside, _ = self._comass_rz(r2, z2, _comass_buffers(r2.size))
         return np.where(inside, values, 0.0)
 
     def _comass_rz(
-        self, r: np.ndarray, z: np.ndarray, out: tuple
+        self, r2: np.ndarray, z2: np.ndarray, out: tuple
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Closed-form comass from r and z, the wedge mask ``params.inside``, and t = z/r.
+        """Closed-form comass from r^2 and z^2, the wedge mask ``params.inside``, and u.
 
-        Everything is written into ``out``, a ``_comass_buffers`` tuple whose
-        arrays have r's size; the first three are returned.  Outside the
-        mask the values are not comasses (r = 0 gives an inf or nan t), so
-        callers mask them or reduce with ``where=inside``, under an
+        u = z^2 / r^2 = t^2.  Everything is written into ``out``, a
+        ``_comass_buffers`` tuple whose arrays have r2's size; the first
+        three are returned.  Outside the mask the values are not comasses
+        (r = 0 gives an inf or nan u), so callers mask them, under an
         ``np.errstate`` that ignores division by zero and invalid values.
         """
-        values, inside, t, spare = out
-        self.params.inside(r, z, out=inside)
-        np.divide(z, r, out=t)
-        c = self.params.c_coefficient(t, values)
-        s = self.params.s_coefficient(t, spare)
-        c *= c
-        s *= s
-        c += s
-        return np.sqrt(c, out=values), inside, t
+        values, inside, u, spare = out
+        np.divide(z2, r2, out=u)
+        self.params.inside(u, out=inside)
+        middle = self.params.middle_u(u, values, spare)
+        return np.sqrt(middle, out=values), inside, u
 
     def primitive_norm(self, points: np.ndarray) -> np.ndarray:
         """Norm of the Lipschitz primitive gamma * psi_bar (up to the l factor)."""
@@ -154,10 +156,10 @@ def build_vanishing_calibration(
     """Assemble (c dr + s dz) ^ (n/r) psi_bar (^ dl) for admissible parameters.
 
     The field is identically zero outside ``params.inside``, the open wedge
-    z < tan(theta) r, equals the plane's volume form on the plane itself,
-    and is undefined on r = 0.  Its batched evaluator builds the form on all
-    wedge rows at once: i_radial(vol_x) is linear in the radial rows and the
-    wedges are bilinear in the rows.
+    u = z^2 / r^2 < tan^2(theta), equals the plane's volume form on the
+    plane itself, and is undefined on r = 0.  Its batched evaluator builds
+    the form on all wedge rows at once: i_radial(vol_x) is linear in the
+    radial rows and the wedges are bilinear in the rows.
     """
     if coords.n != params.n:
         raise ValueError(
@@ -174,19 +176,19 @@ def build_vanishing_calibration(
     def coefficients(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
         xi = coords.x_part(points)
-        r = np.linalg.norm(xi, axis=1)
-        z = coords.z(points)
-        # the closed wedge exterior z >= tan(theta) r carries the zero form,
+        r2, z2 = squared_norms(xi), coords.z_squared(points)
+        # the closed wedge exterior u >= tan^2(theta) carries the zero form,
         # except the shared subspace r = z = 0, where the form is discontinuous
-        inside = params.inside(r, z)
-        if np.any((r == 0.0) & (z == 0.0)):
+        if np.any((r2 == 0.0) & (z2 == 0.0)):
             raise ValueError(
                 "vanishing calibration is singular on the shared subspace (r = 0)"
             )
+        with np.errstate(divide="ignore"):  # r = 0 < z lies outside
+            inside = params.inside(z2 / r2)
         out = np.zeros((points.shape[0], n_coefficients(N, degree)))
         if not inside.any():
             return out
-        xi, r, z = xi[inside], r[inside], z[inside]
+        xi, r, z = xi[inside], np.sqrt(r2[inside]), np.sqrt(z2[inside])
         t = z / r  # wedge interior forces r > 0
         radial = (xi / r[:, None]) @ coords.x_frame
         one_form = params.c_coefficient(t)[:, None] * radial
@@ -229,15 +231,15 @@ def _grid_rows(axes: Sequence[np.ndarray], start: int, stop: int) -> np.ndarray:
 
 
 def _comass_buffers(size: int) -> tuple:
-    """Work arrays for ``VanishingCalibration._comass_rz``: values, wedge mask, t, spare."""
+    """Work arrays for ``VanishingCalibration._comass_rz``: values, wedge mask, u, spare."""
     return np.empty(size), np.empty(size, dtype=bool), np.empty(size), np.empty(size)
 
 
-def _block_norms(rows: np.ndarray, offset: np.ndarray, out: np.ndarray,
-                 diff: np.ndarray) -> np.ndarray:
-    """Per-column |rows[:, j] + offset| into ``out``, squares summed in row order.
+def _block_squared_norms(rows: np.ndarray, offset: np.ndarray, out: np.ndarray,
+                         diff: np.ndarray) -> np.ndarray:
+    """Per-column |rows[:, j] + offset|^2 into ``out``, squares summed in row order.
 
-    The order is np.linalg.norm's; ``diff`` is a work array of ``out``'s size.
+    The order is ``squared_norms``'s; ``diff`` is a work array of ``out``'s size.
     """
     if not len(rows):
         out.fill(0.0)
@@ -248,7 +250,7 @@ def _block_norms(rows: np.ndarray, offset: np.ndarray, out: np.ndarray,
         np.add(row, h, out=diff)
         diff *= diff
         out += diff
-    return np.sqrt(out, out=out)
+    return out
 
 
 def _scan_grid(
@@ -257,19 +259,19 @@ def _scan_grid(
     grid: int,
     blocks: Sequence[np.ndarray],
 ) -> Iterator[list]:
-    """Stream a grid^N box scan through the norms of its projections onto frame blocks.
+    """Stream a grid^N box scan through the squared norms of its projections onto frame blocks.
 
     The grid is a tensor product, so a point's projection onto a frame F is
     head @ F[:, :2].T + tail @ F[:, 2:].T, with head over the first two
     axes and tail over the rest.  The tail is walked in chunks of
     ``_SCAN_CHUNK`` points; each chunk's projections are computed once and
     reused by all grid^2 head rows, which add their offsets and yield the
-    list of per-point norms |x F_b^T| for every (rows, N) block F_b, in
-    tail-chunk order and then head-row order.  Nothing of the grid's size
-    is materialised: memory is O(``_SCAN_CHUNK``) per block, whatever the
-    grid or N.  The norms are written in place into one buffer per block,
-    allocated once per scan, so each yielded list holds views that the next
-    yield overwrites.
+    list of per-point squared norms |x F_b^T|^2 for every (rows, N) block
+    F_b, in tail-chunk order and then head-row order; no square root is
+    taken.  Nothing of the grid's size is materialised: memory is
+    O(``_SCAN_CHUNK``) per block, whatever the grid or N.  The squared norms
+    are written in place into one buffer per block, allocated once per
+    scan, so each yielded list holds views that the next yield overwrites.
     """
     axes = [np.linspace(lo, hi, grid) for lo, hi in zip(lows, highs)]
     h = min(2, len(axes))
@@ -284,7 +286,7 @@ def _scan_grid(
         size = tail.shape[0]
         tail_proj = [F[:, h:] @ tail.T for F in blocks]
         for i in range(head.shape[0]):
-            yield [_block_norms(T, H[:, i], out[:size], diff[:size])
+            yield [_block_squared_norms(T, H[:, i], out[:size], diff[:size])
                    for T, H, out in zip(tail_proj, head_proj, norms)]
 
 
@@ -306,7 +308,7 @@ class CalibrationReport(CheckedReport):
     overlap_count: int  # grid points inside two or more wedges
     min_grid_r: float  # smallest distance from a grid point to a summand's axis
     max_comass: float
-    envelope_min_slack: float  # min of sqrt(1 - delta t^2) - comass inside the wedges
+    envelope_min_slack: float  # min of sqrt(1 - delta u) - comass inside the wedges
     optimizer_max_deviation: float
     optimizer_samples: int
     closedness_max_residual: float
@@ -382,7 +384,7 @@ def _box_sample(
             break
         pts = rng.uniform(lows, highs, size=(4 * count, lows.size))
         keep = ~field.singular_locus_descriptor(pts, margin)
-        wedges = [cal.params.inside(cal.coords.r(pts), cal.coords.z(pts)) for cal in cals]
+        wedges = [cal.params.inside(cal.coords.u(pts)) for cal in cals]
         keep &= ~np.any(wedges, axis=0) if inside is None else wedges[inside]
         picked.extend(pts[keep][: count - len(picked)])
     return np.array(picked).reshape(-1, lows.size)
@@ -403,11 +405,11 @@ def _verify(
     the sum is each summand's closed form sqrt(c^2 + s^2) inside its own
     wedge and 0 outside all of them.  The grid scan streams every grid^N
     point through that closed form in one loop (``_scan_grid``: tail chunk,
-    then head row, memory O(``_SCAN_CHUNK``)).  Per yield and summand,
-    ``_comass_rz`` writes the closed form, the wedge mask and t = z/r into
-    buffers allocated on the first yield, the envelope
-    sqrt(1 - delta t^2) - comass goes into the spare buffer, and the fold
-    keeps running counts, minima and maxima over the points inside the
+    then head row, memory O(``_SCAN_CHUNK``)), on squared norms only.  Per
+    yield and summand, ``_comass_rz`` writes the closed form, the wedge mask
+    and u = z^2 / r^2 into buffers allocated on the first yield, the
+    envelope sqrt(1 - delta u) - comass goes into the spare buffer, and the
+    fold keeps running counts, minima and maxima over the points inside the
     wedge (outside it the closed form and the envelope are overwritten with
     the neutral values 0 and inf first, so nothing there counts), plus, for
     a pair, the count of points inside both wedges.  None of these depends
@@ -419,8 +421,10 @@ def _verify(
     between the wedges).  Calibrated values are sampled on each summand's
     plane (``sample_wedge_points`` at t = 0), and exact vanishing at up to
     50 box points outside every wedge.  ``min_grid_r`` is the
-    smallest grid distance to a summand's r = 0 axis; this function does
-    not judge it, because pair boxes contain the shared origin.
+    smallest grid distance to a summand's r = 0 axis, the square root of
+    the smallest r^2 (sqrt is monotone and correctly rounded, so this is
+    the smallest r); this function does not judge it, because pair boxes
+    contain the shared origin.
     """
     lows, highs = region_box(*region)
     if lows.size != field.ambient_dim:
@@ -431,7 +435,7 @@ def _verify(
 
     blocks = [F for cal in cals for F in (cal.coords.x_frame, cal.coords.y_frame)]
     total = in_wedge = overlap = 0
-    min_r, top, envelope_min = math.inf, 0.0, math.inf
+    min_r2, top, envelope_min = math.inf, 0.0, math.inf
     buffers = None
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 lies outside
         for norms in _scan_grid(lows, highs, grid, blocks):
@@ -441,12 +445,11 @@ def _verify(
                 outside_buffer = np.empty(size, dtype=bool)
                 both_buffer = np.empty(size, dtype=bool)
             insides = []
-            for cal, r, z, out in zip(cals, norms[0::2], norms[1::2], buffers):
-                values, inside, t, envelope = work = tuple(b[:size] for b in out)
-                cal._comass_rz(r, z, work)
-                # sqrt(1 - delta t^2) - comass, in the spare buffer
-                np.multiply(cal.params.delta, t, out=envelope)
-                envelope *= t
+            for cal, r2, z2, out in zip(cals, norms[0::2], norms[1::2], buffers):
+                values, inside, u, envelope = work = tuple(b[:size] for b in out)
+                cal._comass_rz(r2, z2, work)
+                # sqrt(1 - delta u) - comass, in the spare buffer
+                np.multiply(cal.params.delta, u, out=envelope)
                 np.subtract(1.0, envelope, out=envelope)
                 np.sqrt(envelope, out=envelope)
                 envelope -= values
@@ -458,7 +461,7 @@ def _verify(
                 np.copyto(envelope, math.inf, where=outside)
                 top = max(top, float(values.max()))
                 envelope_min = min(envelope_min, float(envelope.min()))
-                min_r = min(min_r, float(r.min()))
+                min_r2 = min(min_r2, float(r2.min()))
                 insides.append(inside)
             total += size
             in_wedge += int(np.count_nonzero(insides[0]))
@@ -501,15 +504,14 @@ def _verify(
     vanish_pts = _box_sample(field, cals, lows, highs, 50, rng, 0.0, None)
     vanish_max = float(np.abs(field.coefficients(vanish_pts)).max(initial=0.0))
 
-    # the Lipschitz primitive gamma psi_bar tends to 0 at the interface; the
-    # summands share one cutoff, so the first one stands for all
+    # the Lipschitz primitive gamma psi_bar tends to 0 at the interface: its
+    # norm at r = 1 and t = tan(theta)(1 - 1e-8); the summands share one
+    # cutoff, so the first one stands for all
     cal = cals[0]
     n, m = cal.coords.n, cal.coords.m
-    ts = cal.params.tan_theta * (1.0 - np.geomspace(1e-8, 0.2, 12))
+    t = cal.params.tan_theta * (1.0 - 1e-8)
     prim = cal.primitive_norm(cal.coords.assemble(
-        np.full((ts.size, n), 1.0 / math.sqrt(n)),
-        np.repeat(ts[:, None] / math.sqrt(m), m, axis=1) if m else None,
-    ))
+        np.full(n, 1.0 / math.sqrt(n)), np.full(m, t / math.sqrt(m)) if m else None))
 
     return CalibrationReport(
         grid=grid,
@@ -517,7 +519,7 @@ def _verify(
         intersection_dim=cal.coords.k,
         points_in_wedge=in_wedge,
         overlap_count=overlap,
-        min_grid_r=min_r,
+        min_grid_r=math.sqrt(min_r2),
         max_comass=top,
         envelope_min_slack=envelope_min if envelope_min < math.inf else 0.0,
         optimizer_max_deviation=opt_dev,

@@ -2,7 +2,8 @@
 
 The x-block spans the calibrated directions off the shared subspace, the
 y-block the directions normal to the plane, and the optional l-block the
-shared intersection directions.  r = |x-part|, z = |y-part|, t = z/r.
+shared intersection directions.  r = |x-part|, z = |y-part|, t = z/r, and
+u = t^2 = z^2 / r^2, the variable of the wedge rule ``CutoffParams.inside``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FRAME_ORTHO_TOL = 1e-10
+
+
+def squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norms along the last axis, 0 for an empty one.
+
+    The sum is np.linalg.norm's, so its square root is bit-identical to the norm.
+    """
+    return np.add.reduce(rows * rows, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,18 +88,26 @@ class WedgeCoordinates:
     def l_part(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=float) @ self.l_frame.T
 
+    def r_squared(self, points: np.ndarray) -> np.ndarray:
+        return squared_norms(self.x_part(points))
+
+    def z_squared(self, points: np.ndarray) -> np.ndarray:
+        return squared_norms(self.y_part(points))
+
     def r(self, points: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(self.x_part(points), axis=-1)
+        return np.sqrt(self.r_squared(points))
 
     def z(self, points: np.ndarray) -> np.ndarray:
-        if self.m == 0:
-            points = np.asarray(points, dtype=float)
-            return np.zeros(points.shape[:-1])
-        return np.linalg.norm(self.y_part(points), axis=-1)
+        return np.sqrt(self.z_squared(points))
 
     def t(self, points: np.ndarray) -> np.ndarray:
         """z/r; requires r > 0."""
         return self.z(points) / self.r(points)
+
+    def u(self, points: np.ndarray) -> np.ndarray:
+        """z^2 / r^2 = t^2: inf or nan on r = 0, which ``CutoffParams.inside`` puts outside."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.z_squared(points) / self.r_squared(points)
 
     def assemble(self, xi: np.ndarray, eta: np.ndarray, lam: np.ndarray = None) -> np.ndarray:
         """Ambient point from block coordinates."""

@@ -47,9 +47,10 @@ class CutoffParams:
 
     ``make_params`` builds admissible parameters, ``forced`` negative controls.
     gamma, dgamma and the middle expression are zero beyond the wedge
-    t = tan theta; the c and s coefficients are smooth-branch polynomials,
-    written into a caller's buffer when one is given, and their callers
-    mask them with ``inside``, the one wedge rule.
+    t = tan theta; the c and s coefficients and ``middle_u``, the one copy of
+    c^2 + s^2, are smooth-branch polynomials, written into a caller's buffer
+    when one is given, and their callers mask them with ``inside``, the one
+    wedge rule, which reads u = t^2 = z^2 / r^2.
     """
 
     n: int
@@ -94,19 +95,37 @@ class CutoffParams:
         out /= self.n
         return out[()]
 
+    def middle_u(self, u, out=None, spare=None):
+        """c^2 + s^2 = (1 - (c(n-2)/n) u)^2 + (2c/n)^2 u in u = t^2, on the smooth branch.
+
+        Written into ``out`` and, for the second term, ``spare`` when given;
+        callers mask it with ``inside``.
+        """
+        u = np.asarray(u, dtype=float)
+        out = np.empty_like(u) if out is None else out
+        spare = np.empty_like(u) if spare is None else spare
+        np.multiply(self.c * (self.n - 2) / self.n, u, out=out)
+        np.subtract(1.0, out, out=out)
+        out *= out
+        np.multiply((2.0 * self.c / self.n) ** 2, u, out=spare)
+        out += spare
+        return out[()]
+
     def middle_expression(self, t):
-        """c(t)^2 + s(t)^2 from the field's coefficients on the closed wedge, zero beyond.
+        """``middle_u`` at u = t^2 on the closed wedge, zero beyond.
 
         Uses the left (smooth) branch at the interface, matching the range
         of validity of the differential inequality.
         """
         t = np.asarray(t, dtype=float)
-        val = self.c_coefficient(t) ** 2 + self.s_coefficient(t) ** 2
-        return np.where(t <= self.tan_theta, val, 0.0)
+        return np.where(t <= self.tan_theta, self.middle_u(t * t), 0.0)
 
-    def inside(self, r, z, out=None):
-        """The open wedge z < tan(theta) r, the field's support, into ``out`` if given."""
-        return np.less(z, self.tan_theta * r, out=out)
+    def inside(self, u, out=None):
+        """The open wedge u < tan^2(theta), the field's support, into ``out`` if given.
+
+        u = z^2 / r^2 is inf or nan on r = 0, which is outside.
+        """
+        return np.less(u, self.tan_theta * self.tan_theta, out=out)
 
     def interface_distance(self, r, z):
         """Distance |r sin(theta) - z cos(theta)| to the interface z = tan(theta) r.

@@ -225,7 +225,7 @@ def sample_wedge_points(
         x_dir = rng.standard_normal((size, n))
         x_dir /= np.linalg.norm(x_dir, axis=1, keepdims=True)
         r = rng.uniform(0.5, 1.5, size=size)
-        t = params.tan_theta * rng.uniform(*t_fraction, size=size)
+        t = rng.uniform(*t_fraction, size=size) * params.tan_theta
         points = (r[:, None] * x_dir) @ coords.x_frame
         if m:
             y_dir = rng.standard_normal((size, m))

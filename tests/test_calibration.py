@@ -263,11 +263,11 @@ def reference_scan(cals, pts) -> dict:
     """The scan fields from the materialised grid, one plain NumPy pass per summand."""
     values, insides, slacks, radii = [], [], [], []
     for cal in cals:
-        r, z = cal.coords.r(pts), cal.coords.z(pts)
-        inside = z < cal.params.tan_theta * r
+        r = cal.coords.r(pts)
+        u = cal.coords.u(pts)
+        inside = cal.params.inside(u)
         value = cal.pointwise_comass(pts)
-        t = z[inside] / r[inside]
-        slacks.append(np.sqrt(1.0 - cal.params.delta * t * t) - value[inside])
+        slacks.append(np.sqrt(1.0 - cal.params.delta * u[inside]) - value[inside])
         values.append(value)
         insides.append(inside)
         radii.append(r)
@@ -356,9 +356,10 @@ def test_scan_does_not_depend_on_the_chunk_size(rotated_cal, monkeypatch):
 
 
 def test_scan_norms_are_bit_identical_to_linalg_norm_on_axis_frames(cal, monkeypatch):
-    # every streamed r and z; 7^4 = 2 401 tail points make chunks of 1 000,
-    # 1 000 and 401, each yielded for the 7^2 head rows in turn, so the
-    # yields are put back into grid order (head row, then tail chunk)
+    # every streamed r^2 and z^2, whose square roots are np.linalg.norm's r
+    # and z; 7^4 = 2 401 tail points make chunks of 1 000, 1 000 and 401,
+    # each yielded for the 7^2 head rows in turn, so the yields are put back
+    # into grid order (head row, then tail chunk)
     monkeypatch.setattr(calibration, "_SCAN_CHUNK", 1000)
     lows, highs = calibration.region_box(*STANDARD_REGION)
     blocks = [cal.coords.x_frame, cal.coords.y_frame]
@@ -367,8 +368,13 @@ def test_scan_norms_are_bit_identical_to_linalg_norm_on_axis_frames(cal, monkeyp
     pts = brute_force_grid(STANDARD_REGION, 7)
     assert len(yields) == 7**2 * 3
     chunks = [yields[chunk * 7**2 + row] for row in range(7**2) for chunk in range(3)]
-    assert np.array_equal(np.concatenate([r for r, _ in chunks]), cal.coords.r(pts))
-    assert np.array_equal(np.concatenate([z for _, z in chunks]), cal.coords.z(pts))
+    r2 = np.concatenate([r2 for r2, _ in chunks])
+    z2 = np.concatenate([z2 for _, z2 in chunks])
+    x, y = cal.coords.x_part(pts), cal.coords.y_part(pts)
+    assert np.array_equal(r2, np.add.reduce(x * x, axis=-1))
+    assert np.array_equal(z2, np.add.reduce(y * y, axis=-1))
+    assert np.array_equal(np.sqrt(r2), np.linalg.norm(x, axis=-1))
+    assert np.array_equal(np.sqrt(z2), np.linalg.norm(y, axis=-1))
 
 
 @pytest.mark.parametrize("region, grid", [
@@ -399,6 +405,33 @@ def test_pair_scan_is_bit_identical_to_the_materialised_grid_on_axis_frames():
     assert rep.max_comass == float(np.maximum(v1, v2).max()) == expected["max_comass"]
     assert rep.overlap_count == int(((v1 > 0) & (v2 > 0)).sum()) == 0
     assert {name: getattr(rep, name) for name in expected} == expected
+
+
+def test_scan_wedge_is_the_field_support_on_the_r7_pair():
+    # criterion 06's R^7 pair at grid 5: in exact arithmetic 2 880 grid points
+    # per summand lie on its interface u = 5/6 (1 920 of them with u equal to
+    # tan^2(theta) in floating point too), so a second wedge rule in the scan
+    # or in the field would disagree there; the field raises on r = z = 0
+    params = make_params(3, 2.5)
+    _, cals = sum_pair_calibration(params, shared_axis_pair())
+    region = ([-1.1] * 7, [1.1] * 7)
+    lows, highs = calibration.region_box(*region)
+    blocks = [F for cal in cals for F in (cal.coords.x_frame, cal.coords.y_frame)]
+    yields = [[norm.copy() for norm in norms]
+              for norms in calibration._scan_grid(lows, highs, 5, blocks)]
+    assert len(yields) == 5**2  # one tail chunk, so the yields are in grid order
+    pts = brute_force_grid(region, 5)
+    for i, cal in enumerate(cals):
+        r2 = np.concatenate([norms[2 * i] for norms in yields])
+        z2 = np.concatenate([norms[2 * i + 1] for norms in yields])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, inside, u = cal._comass_rz(r2, z2, calibration._comass_buffers(r2.size))
+        assert np.count_nonzero(np.isclose(u, 5.0 / 6.0, rtol=1e-12, atol=0.0)) == 2880
+        assert np.count_nonzero(u == params.tan_theta * params.tan_theta) == 1920
+        defined = (r2 > 0.0) | (z2 > 0.0)
+        support = np.any(cal.field.coefficients(pts[defined]) != 0.0, axis=1)
+        assert np.array_equal(inside[defined], support)
+        assert not inside[~defined].any()
 
 
 def test_scan_of_a_plane_with_no_normal_block():
@@ -567,7 +600,7 @@ def test_box_samples_lie_in_the_box_clear_of_the_singular_set_and_in_the_wedge(c
         assert np.all((lows <= pts) & (pts <= highs))
         assert not field.singular_locus_descriptor(pts, margin).any()
         for i, cal in enumerate(cals):
-            wedge = cal.params.inside(cal.coords.r(pts), cal.coords.z(pts))
+            wedge = cal.params.inside(cal.coords.u(pts))
             if inside is None:
                 assert not wedge.any()
             elif i == inside:
@@ -737,7 +770,7 @@ def test_singular_flags_wedge_points_at_r_equal_to_margin_for_tiny_c():
     points[:, 0] = r
     points[1000:, 3] = 1e-9 * r[1000:]
     assert np.array_equal(coords.r(points), r)
-    assert params.inside(r, coords.z(points)).all()
+    assert params.inside(coords.u(points)).all()
     unflagged = [i for i, p in enumerate(points)
                  if not field.singular_locus_descriptor(p[None], r[i])[0]]
     assert unflagged == []

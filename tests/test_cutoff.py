@@ -101,26 +101,33 @@ def cutoffs(draw):
        st.integers(0, 2**32 - 1))
 def test_wedge_points_near_the_axis_are_near_the_interface(params, margin, seed):
     # inside the wedge z >= 0, so the interface distance is at most r sin(theta):
-    # the axis r <= margin adds nothing to the singular locus of the interface
+    # the axis r <= margin adds nothing to the singular locus of the interface.
+    # The point r = margin, z = 0 is inside unless margin^2 underflows to 0,
+    # which makes u = z^2 / r^2 nan or inf at every point, so none is inside
     rng = np.random.default_rng(seed)
     r = margin * np.concatenate([rng.uniform(size=2000), [1.0, 0.0]])
     fraction = np.concatenate([rng.uniform(size=1000), 1.0 - rng.uniform(size=1000) * 1e-12,
                                [0.0, 0.0]])
     z = fraction * params.tan_theta * r
-    inside = params.inside(r, z)
-    assert inside.any() or params.tan_theta * margin == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 lies outside
+        inside = params.inside(z * z / (r * r))
+    assert inside.any() == (margin * margin > 0.0)
     assert np.all(params.interface_distance(r[inside], z[inside]) <= margin)
 
 
 def test_inside_is_the_open_wedge():
+    # u = z^2 / r^2; r = 0 gives nan (z = 0) or inf, both outside, and the
+    # interface point r = 1, z = tan(theta) gives u = tan^2(theta), outside too
     p = make_params(3, 2.5)
     r = np.array([0.0, 0.0, 1.0, 1.0, 1.0, 2.0])
     z = np.array([0.0, 1.0, 0.0, p.tan_theta, 2.0, 0.5])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = z * z / (r * r)
     expected = [False, False, True, False, False, True]
-    assert p.inside(r, z).tolist() == expected
+    assert p.inside(u).tolist() == expected
     out = np.ones(r.size, dtype=bool)
-    assert p.inside(r, z, out=out) is out and out.tolist() == expected
-    assert p.inside(1.0, 0.5) and not p.inside(0.0, 0.0)
+    assert p.inside(u, out=out) is out and out.tolist() == expected
+    assert p.inside(0.25) and not p.inside(math.nan) and not p.inside(math.inf)
 
 
 def test_coefficients_write_into_out_and_keep_scalars():
@@ -133,7 +140,12 @@ def test_coefficients_write_into_out_and_keep_scalars():
     assert np.array_equal(s_out, -2.0 * p.c * t / p.n)
     assert np.array_equal(p.c_coefficient(t), c_out)
     assert np.array_equal(p.s_coefficient(t), s_out)
-    for value in (p.c_coefficient(0.5), p.s_coefficient(0.5)):
+    u, m_out = t * t, np.empty_like(t)
+    p.middle_u(u, m_out, np.empty_like(t))
+    assert np.array_equal(m_out, (1.0 - p.c * (p.n - 2) / p.n * u) ** 2
+                          + (2.0 * p.c / p.n) ** 2 * u)
+    assert np.array_equal(p.middle_u(u), m_out)
+    for value in (p.c_coefficient(0.5), p.s_coefficient(0.5), p.middle_u(0.25)):
         assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
     assert p.c_coefficient(0.5) == 1.0 - p.c * (p.n - 2) / p.n * 0.5 * 0.5
     assert p.s_coefficient(0.5) == -2.0 * p.c * 0.5 / p.n

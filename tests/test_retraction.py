@@ -283,7 +283,7 @@ def test_sample_wedge_points_redraws_every_flagged_point(shared, monkeypatch):
     assert flagged.mean() > 0.2
     assert points.shape == first.shape
     assert not params.near_interface(coords, points, margin).any()
-    assert params.inside(coords.r(points), coords.z(points)).all()
+    assert params.inside(coords.u(points)).all()
     # a redraw replaces only the flagged points, in their places
     assert np.array_equal(points[~flagged], first[~flagged])
 
