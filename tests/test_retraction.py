@@ -7,11 +7,12 @@ import pytest
 import vancal.retraction as retraction_module
 from vancal.coords import WedgeCoordinates
 from vancal.cutoff import CutoffParams, make_params
-from vancal.exterior import STENCIL_CLEARANCE, random_orthonormal_frames
+from vancal.exterior import STENCIL_CLEARANCE, _batched_plucker, random_orthonormal_frames
 from vancal.retraction import (
     AREA_BLOCK_FRAMES,
     AREA_BLOCK_SAMPLES,
     DIFFERENTIAL_STEP,
+    PLANE_LEAK_TOL,
     RetractionMap,
     level_set_curve_consistency,
     lipschitz_estimate,
@@ -134,7 +135,8 @@ def test_volume_scaling_equals_middle_expression(retraction):
 def test_tangent_plane_scaling_is_one(retraction):
     p = np.array([0.8, 0.5, -0.3, 0.0, 0.0, 0.0])
     jac = retraction.differential(p, 1e-6)
-    scaling = plane_volume_scaling(jac, retraction.coords.x_frame[None])
+    x_frame = retraction.coords.x_frame
+    scaling = plane_volume_scaling(jac, x_frame[None], x_frame)
     assert scaling[0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -146,8 +148,11 @@ def test_plane_volume_scaling_depends_only_on_the_plane(retraction):
     mats = rng.standard_normal((4 * 30, 6, 3))
     orthonormal = np.linalg.qr(mats)[0]
     gaussian = np.swapaxes(mats, 1, 2).reshape(4, 30, 3, 6)
-    expected = plane_volume_scaling(jacs, np.swapaxes(orthonormal, 1, 2).reshape(4, 30, 3, 6))
-    assert np.allclose(plane_volume_scaling(jacs, gaussian), expected, rtol=1e-13, atol=0.0)
+    x_frame = retraction.coords.x_frame
+    expected = plane_volume_scaling(
+        jacs, np.swapaxes(orthonormal, 1, 2).reshape(4, 30, 3, 6), x_frame)
+    assert np.allclose(plane_volume_scaling(jacs, gaussian, x_frame), expected,
+                       rtol=1e-13, atol=0.0)
 
 
 def test_plane_volume_scaling_rejects_rank_deficient_frames(retraction):
@@ -156,7 +161,77 @@ def test_plane_volume_scaling_rejects_rank_deficient_frames(retraction):
     frames = np.random.default_rng(2).standard_normal((1, 2, 3, 6))
     frames[0, 1, 1] = frames[0, 1, 0]  # a repeated row: the Pluecker vector is exactly 0
     with pytest.raises(ValueError, match="rank-deficient"):
-        plane_volume_scaling(jac[None], frames)
+        plane_volume_scaling(jac[None], frames, retraction.coords.x_frame)
+
+
+def two_pass_plane_volume_scaling(jacobian, plane_frames):
+    """|P(frames J^T)| / |P(frames)| for (C, N, N) and (C, count, d, N): no plane assumed."""
+    images = plane_frames @ np.swapaxes(jacobian, -1, -2)[:, None]
+    *lead, d, N = plane_frames.shape
+
+    def volumes(frames):
+        return np.linalg.norm(_batched_plucker(frames.reshape(-1, d, N), N, d), axis=1)
+
+    return (volumes(images) / volumes(plane_frames)).reshape(lead)
+
+
+@pytest.mark.parametrize("N, n, k, a", [(6, 3, 0, 2.5), (7, 3, 1, 2.5), (8, 4, 0, 5.0)],
+                         ids=["R6", "R7-k1", "R8-n4"])
+def test_plane_volume_scaling_matches_the_two_pass_formula(N, n, k, a):
+    # on rotated frames, with the exact Jacobians, which map into x + l to rounding
+    q, r = np.linalg.qr(np.random.default_rng(N).standard_normal((N, N)))
+    q *= np.sign(np.diag(r))
+    coords = WedgeCoordinates(N, q[:n], q[n : N - k], q[N - k :])
+    retraction = RetractionMap(coords, make_params(n, a))
+    rng = np.random.default_rng(3)
+    points = sample_wedge_points(coords, retraction.params, 20, rng)
+    jacs = np.array([retraction.differential_exact(p) for p in points])
+    frames = rng.standard_normal((20, 40, n + k, N))
+    scalings = plane_volume_scaling(jacs, frames, np.vstack([coords.x_frame, coords.l_frame]))
+    expected = two_pass_plane_volume_scaling(jacs, frames)
+    # relative to each Jacobian's largest scaling: both formulas cancel in the
+    # minors of a thin plane, whose own relative error reaches 1e-11
+    assert np.all(np.abs(scalings - expected) <= 1e-13 * expected.max(axis=1, keepdims=True))
+    assert expected.max() > 0.25
+
+
+class LeakyRetraction(RetractionMap):
+    """Adds 1e-6 y to the image, off the calibrated plane: no longer a retraction."""
+
+    def apply(self, points):
+        points = np.asarray(points, dtype=float)
+        return super().apply(points) + 1e-6 * self.coords.y_part(points) @ self.coords.y_frame
+
+
+class ScaledRetraction(RetractionMap):
+    """Scales the image by 1.001, so the plane x + l scales by 1.001^3."""
+
+    def apply(self, points):
+        return 1.001 * super().apply(points)
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["no-l-block", "l-block"])
+def test_maps_into_plane_catches_a_leak(shared):
+    if shared:
+        coords = WedgeCoordinates.from_axes(7, (0, 1, 2), (3, 4, 5), (6,))
+    else:
+        coords = WedgeCoordinates.from_axes(6, (0, 1, 2), (3, 4, 5))
+    plain = verify_area_nonincreasing(RetractionMap(coords, make_params(3, 2.5)), 200, 20, 0)
+    assert plain.passed
+    assert plain.max_plane_leak == 0.0  # axis frames: the y-rows of J are exactly 0
+    rep = verify_area_nonincreasing(LeakyRetraction(coords, make_params(3, 2.5)), 200, 20, 0)
+    leak = {c.name: c for c in rep.checks()}["maps_into_plane"]
+    assert leak.measured == pytest.approx(1e-6, rel=1e-6)
+    assert leak.tolerance == PLANE_LEAK_TOL
+    assert [c.name for c in rep.checks() if not c.passed] == ["maps_into_plane", "idempotent"]
+
+
+def test_identity_on_plane_catches_a_scaled_map():
+    coords = WedgeCoordinates.from_axes(6, (0, 1, 2), (3, 4, 5))
+    rep = verify_area_nonincreasing(ScaledRetraction(coords, make_params(3, 2.5)), 200, 20, 0)
+    identity = {c.name: c for c in rep.checks()}["identity_on_plane"]
+    assert not identity.passed
+    assert identity.measured == pytest.approx(1.001**3 - 1.0, rel=1e-6)
 
 
 def test_verify_area_nonincreasing_passes(retraction):
