@@ -1,10 +1,11 @@
 """Vanishing calibration forms and their numeric verification.
 
-The basic field is (c(t) dr + s(t) dz) ^ (n/r) psi_bar (^ dl on a shared
+The basic field is (c dr + s dz) ^ (n/r) psi_bar (^ dl on a shared
 block), supported on the open angular wedge z < tan(theta) r around the
-calibrated plane.  Both the wedge and the comass are functions of
-u = t^2 = z^2 / r^2, so everything below works on the squared norms r^2 and
-z^2: ``CutoffParams.inside`` is the one copy of the wedge rule,
+calibrated plane.  The wedge, c, the comass and the primitive are functions
+of u = t^2 = z^2 / r^2, and s dz = s_slope (z/r) (eta/z) = s_slope eta / r,
+so everything below works on the squared norms r^2 and z^2 and takes no
+square root of z: ``CutoffParams.inside`` is the one copy of the wedge rule,
 u < tan^2(theta), and every wedge mask below comes from it.  The field is
 simple at every point, so its pointwise comass equals the closed form
 sqrt(c^2 + s^2) = sqrt(``CutoffParams.middle_u``(u)).
@@ -90,7 +91,7 @@ def psi_bar(coords: WedgeCoordinates, point: np.ndarray) -> AlternatingTensor:
 class VanishingCalibration:
     """The assembled wedge-supported calibration around a plane.
 
-    ``params`` is the cutoff: its constants, the functions of t that the
+    ``params`` is the cutoff: its constants, the functions of u that the
     field is built from, and the wedge rule ``params.inside``.
     ``_comass_rz`` is the one copy of the field's closed-form comass;
     ``pointwise_comass`` and the grid scan both call it and take their wedge
@@ -115,7 +116,7 @@ class VanishingCalibration:
         return frame
 
     def pointwise_comass(self, points: np.ndarray) -> np.ndarray:
-        """Exact pointwise comass sqrt(c(t)^2 + s(t)^2); zero outside the wedge."""
+        """Exact pointwise comass sqrt(c^2 + s^2) = sqrt(middle_u(u)); zero outside the wedge."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         r2, z2 = self.coords.r_squared(points), self.coords.z_squared(points)
         with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 lies outside
@@ -142,9 +143,7 @@ class VanishingCalibration:
     def primitive_norm(self, points: np.ndarray) -> np.ndarray:
         """Norm of the Lipschitz primitive gamma * psi_bar (up to the l factor)."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        r = self.coords.r(points)
-        t = np.where(r > 0, self.coords.z(points) / np.where(r > 0, r, 1.0), 0.0)
-        return self.params.gamma(t) * r / self.coords.n
+        return self.params.gamma_u(self.coords.u(points)) * self.coords.r(points) / self.coords.n
 
 
 def build_vanishing_calibration(
@@ -175,8 +174,8 @@ def build_vanishing_calibration(
 
     def coefficients(points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        xi = coords.x_part(points)
-        r2, z2 = squared_norms(xi), coords.z_squared(points)
+        xi, eta = coords.x_part(points), coords.y_part(points)
+        r2, z2 = squared_norms(xi), squared_norms(eta)
         # the closed wedge exterior u >= tan^2(theta) carries the zero form,
         # except the shared subspace r = z = 0, where the form is discontinuous
         if np.any((r2 == 0.0) & (z2 == 0.0)):
@@ -184,19 +183,16 @@ def build_vanishing_calibration(
                 "vanishing calibration is singular on the shared subspace (r = 0)"
             )
         with np.errstate(divide="ignore"):  # r = 0 < z lies outside
-            inside = params.inside(z2 / r2)
+            u = z2 / r2
+        inside = params.inside(u)
         out = np.zeros((points.shape[0], n_coefficients(N, degree)))
         if not inside.any():
             return out
-        xi, r, z = xi[inside], np.sqrt(r2[inside]), np.sqrt(z2[inside])
-        t = z / r  # wedge interior forces r > 0
-        radial = (xi / r[:, None]) @ coords.x_frame
-        one_form = params.c_coefficient(t)[:, None] * radial
-        tilted = z > 0.0
-        if tilted.any():
-            eta = coords.y_part(points[inside][tilted])
-            s = params.s_coefficient(t[tilted])
-            one_form[tilted] += s[:, None] * ((eta / z[tilted, None]) @ coords.y_frame)
+        r = np.sqrt(r2[inside])  # wedge interior forces r > 0
+        radial = (xi[inside] / r[:, None]) @ coords.x_frame
+        # c dr + s dz, with s dz = s_slope eta / r
+        one_form = params.c_u(u[inside])[:, None] * radial
+        one_form += (params.s_slope / r)[:, None] * (eta[inside] @ coords.y_frame)
         sphere = _interior_rows(radial, vol_x, N, n)
         tensor = _wedge_rows(one_form, sphere, N, 1, n - 1)
         if l_vol is not None:

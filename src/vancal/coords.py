@@ -2,8 +2,9 @@
 
 The x-block spans the calibrated directions off the shared subspace, the
 y-block the directions normal to the plane, and the optional l-block the
-shared intersection directions.  r = |x-part|, z = |y-part|, t = z/r, and
-u = t^2 = z^2 / r^2, the variable of the wedge rule ``CutoffParams.inside``.
+shared intersection directions.  r = |x-part|, z = |y-part|, and the cutoff's
+one variable is u = z^2 / r^2, the square of the wedge slope t = z/r: it is
+what ``CutoffParams.inside``, the wedge rule, and every profile method read.
 """
 
 from __future__ import annotations
@@ -99,10 +100,6 @@ class WedgeCoordinates:
 
     def z(self, points: np.ndarray) -> np.ndarray:
         return np.sqrt(self.z_squared(points))
-
-    def t(self, points: np.ndarray) -> np.ndarray:
-        """z/r; requires r > 0."""
-        return self.z(points) / self.r(points)
 
     def u(self, points: np.ndarray) -> np.ndarray:
         """z^2 / r^2 = t^2: inf or nan on r = 0, which ``CutoffParams.inside`` puts outside."""

@@ -10,6 +10,11 @@ middle expression is both the pointwise comass of the vanishing calibration
 and the top (n+k)-volume scaling of the associated retraction (the product
 of the differential's top n + k singular values), which is why the whole
 construction hinges on this one inequality.
+
+t = z/r enters only through u = t^2 = z^2 / r^2: gamma = 1 - c u,
+c = gamma - (t/n) gamma' = 1 - (c(n-2)/n) u and s = gamma'/n = (-2c/n) t,
+so c^2 + s^2 is a polynomial in u, and the wedge t < tan(theta) is
+u < tan^2(theta).
 """
 
 from __future__ import annotations
@@ -43,14 +48,15 @@ def admissible_interval(n: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class CutoffParams:
-    """The cutoff gamma(t) = max(1 - c t^2, 0) for plane dimension n, with its constants.
+    """The cutoff gamma = max(1 - c u, 0) in u = t^2 for plane dimension n, with its constants.
 
     ``make_params`` builds admissible parameters, ``forced`` negative controls.
-    gamma, dgamma and the middle expression are zero beyond the wedge
-    t = tan theta; the c and s coefficients and ``middle_u``, the one copy of
-    c^2 + s^2, are smooth-branch polynomials, written into a caller's buffer
-    when one is given, and their callers mask them with ``inside``, the one
-    wedge rule, which reads u = t^2 = z^2 / r^2.
+    Every profile method takes u = z^2 / r^2, and ``inside``, u < tan^2(theta),
+    is the one wedge rule.  ``gamma_u`` applies it itself; ``c_u`` and
+    ``middle_u``, the one copies of c and of c^2 + s^2, are smooth-branch
+    polynomials, written into a caller's buffer when one is given, and their
+    callers mask them with ``inside``.  s = ``s_slope`` * t is the only
+    coefficient odd in t, and the field reads it as s_slope * eta / r.
     """
 
     n: int
@@ -70,33 +76,25 @@ class CutoffParams:
             raise ValueError(f"forced cutoff needs a finite c > 0, got {c!r}")
         return _with_constants(n, n * (n - 2) / c, c, 1.0 / math.sqrt(c))
 
-    def gamma(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < self.tan_theta, 1.0 - self.c * t * t, 0.0)
+    @property
+    def s_slope(self) -> float:
+        """-2c/n, the slope of s = gamma'/n = (-2c/n) t in t."""
+        return -2.0 * self.c / self.n
 
-    def dgamma(self, t):
-        """gamma' from the left: -2 c t on the closed wedge, zero beyond."""
-        t = np.asarray(t, dtype=float)
-        return np.where(t <= self.tan_theta, -2.0 * self.c * t, 0.0)
+    def gamma_u(self, u):
+        """gamma = 1 - c u on the open wedge ``inside(u)``, zero beyond."""
+        u = np.asarray(u, dtype=float)
+        return np.where(self.inside(u), 1.0 - self.c * u, 0.0)[()]
 
-    def c_coefficient(self, t, out=None):
-        """gamma - (t/n) gamma' = 1 - (c(n-2)/n) t t on the smooth branch, into any ``out``."""
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t) if out is None else out
-        np.multiply(self.c * (self.n - 2) / self.n, t, out=out)
-        out *= t
+    def c_u(self, u, out=None):
+        """c = gamma - (t/n) gamma' = 1 - (c(n-2)/n) u on the smooth branch, into any ``out``."""
+        u = np.asarray(u, dtype=float)
+        out = np.empty_like(u) if out is None else out
+        np.multiply(self.c * (self.n - 2) / self.n, u, out=out)
         return np.subtract(1.0, out, out=out)[()]  # [()]: 0-d to scalar
 
-    def s_coefficient(self, t, out=None):
-        """gamma'/n = (-2 c t) / n on the smooth branch, into any ``out``."""
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t) if out is None else out
-        np.multiply(-2.0 * self.c, t, out=out)
-        out /= self.n
-        return out[()]
-
     def middle_u(self, u, out=None, spare=None):
-        """c^2 + s^2 = (1 - (c(n-2)/n) u)^2 + (2c/n)^2 u in u = t^2, on the smooth branch.
+        """c^2 + s^2 = ``c_u``(u)^2 + s_slope^2 u on the smooth branch.
 
         Written into ``out`` and, for the second term, ``spare`` when given;
         callers mask it with ``inside``.
@@ -104,21 +102,11 @@ class CutoffParams:
         u = np.asarray(u, dtype=float)
         out = np.empty_like(u) if out is None else out
         spare = np.empty_like(u) if spare is None else spare
-        np.multiply(self.c * (self.n - 2) / self.n, u, out=out)
-        np.subtract(1.0, out, out=out)
+        self.c_u(u, out)
         out *= out
-        np.multiply((2.0 * self.c / self.n) ** 2, u, out=spare)
+        np.multiply(self.s_slope**2, u, out=spare)
         out += spare
         return out[()]
-
-    def middle_expression(self, t):
-        """``middle_u`` at u = t^2 on the closed wedge, zero beyond.
-
-        Uses the left (smooth) branch at the interface, matching the range
-        of validity of the differential inequality.
-        """
-        t = np.asarray(t, dtype=float)
-        return np.where(t <= self.tan_theta, self.middle_u(t * t), 0.0)
 
     def inside(self, u, out=None):
         """The open wedge u < tan^2(theta), the field's support, into ``out`` if given.
@@ -255,20 +243,22 @@ def _golden_section_minimum(fn, lo: float, hi: float) -> tuple[float, float]:
 def verify_inequality_one(params: CutoffParams, grid_points: int) -> InequalityReport:
     """Evaluate both sides of the inequality on a uniform grid over [0, tan theta].
 
-    The middle expression is unimodal in t >= 0, so its minimum lies in the
-    grid cell pair around the smallest grid value; ``grid_min_middle`` and
-    ``argmin_t`` refine it there by golden-section search.
+    The middle expression ``middle_u``(t^2) is unimodal in t >= 0, so its
+    minimum lies in the grid cell pair around the smallest grid value;
+    ``grid_min_middle`` and ``argmin_t`` refine it there by golden-section
+    search.  The grid is the closed interval, the smooth branch throughout,
+    so nothing is masked.
     """
     if grid_points < 2:
         raise ValueError("grid_points must be >= 2")
     t = np.linspace(0.0, params.tan_theta, grid_points)
-    middle = params.middle_expression(t)
+    middle = params.middle_u(t * t)
     upper = 1.0 - params.delta * t * t
     slack_lower = middle - params.kappa
     slack_upper = upper - middle
     j = int(np.argmin(middle))
     argmin_t, grid_min = _golden_section_minimum(
-        lambda s: float(params.middle_expression(s)),
+        lambda s: float(params.middle_u(s * s)),
         float(t[max(j - 1, 0)]), float(t[min(j + 1, grid_points - 1)]),
     )
     if middle[j] < grid_min:
@@ -300,9 +290,7 @@ def half_angle_cap(n: int) -> float:
     return math.atan(2.0 / math.sqrt((n - 2) * (n + 1.5)))
 
 
-def choose_a_for_angle(
-    n: int, target_half_angle: float, *, with_branch: bool = False
-):
+def choose_a_for_angle(n: int, target_half_angle: float) -> float:
     """Pick a so the wedge half-angle is min(target, cap), or fail below threshold.
 
     The target must exceed arctan(2 / sqrt(n^2 - 4)) strictly; the returned
@@ -315,13 +303,11 @@ def choose_a_for_angle(
             f"target half angle {target_half_angle:g} does not exceed the "
             f"threshold arctan(2/sqrt(n^2-4)) = {threshold_half:g} for n={n}"
         )
-    cap = half_angle_cap(n)
-    branch = "target" if target_half_angle <= cap else "cap"
-    half = min(target_half_angle, cap)
+    half = min(target_half_angle, half_angle_cap(n))
     a = n * (n - 2) * math.tan(half) ** 2
     lo, hi = admissible_interval(n)
     if not lo < a < hi:  # cannot happen; guards the closed-form derivation
         raise ValueError(
             f"derived a={a:g} fell outside the admissible interval ({lo:g}, {hi:g})"
         )
-    return (a, branch) if with_branch else a
+    return a

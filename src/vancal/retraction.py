@@ -1,12 +1,16 @@
 """Area-nonincreasing retraction onto the calibrated plane.
 
-The map scales the x-block by gamma(t)^{1/n} and kills the y-block, sending
+The map scales the x-block by gamma^{1/n} and kills the y-block, sending
 the wedge exterior to the shared subspace (the origin when there is no
-l-block).  Its (n+k)-volume scaling factor on any (n+k)-plane, the
-dimension of the calibrated plane x + l, is controlled by the cutoff
-inequality, which is what the verification below samples.  Its Jacobian
-comes from the package's one central-difference stencil, and the sampler
-redraws points by the stencil's clearance test, ``CutoffParams.near_interface``.
+l-block).  gamma = ``CutoffParams.gamma_u``(u) reads u = z^2 / r^2 from the
+squared norms through the wedge rule ``CutoffParams.inside``, the one that
+the vanishing calibration's field uses, so the map zeros the x-block exactly
+where that field vanishes.  Its (n+k)-volume scaling factor on any
+(n+k)-plane, the dimension of the calibrated plane x + l, is controlled by
+the cutoff inequality, which is what the verification below samples.  Its
+Jacobian comes from the package's one central-difference stencil, and the
+sampler redraws points by the stencil's clearance test,
+``CutoffParams.near_interface``.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .coords import WedgeCoordinates
+from .coords import WedgeCoordinates, squared_norms
 from .cutoff import CutoffParams
 from .exterior import (
     SAMPLE_ROUNDS,
@@ -60,7 +64,7 @@ AREA_BLOCK_FRAMES = 512
 
 @dataclass(frozen=True, eq=False)
 class RetractionMap:
-    """p = (x, y, l)  ->  (gamma(t)^{1/n} x, 0, l), with gamma the cutoff of ``params``.
+    """p = (x, y, l)  ->  (gamma^{1/n} x, 0, l), with gamma = ``params.gamma_u``(z^2 / r^2).
 
     ``params`` may be admissible (``make_params``) or a forced negative
     control (``CutoffParams.forced``); its n must be the x-block dimension.
@@ -82,12 +86,10 @@ class RetractionMap:
         single = points.ndim == 1
         pts = np.atleast_2d(points)
         xi = self.coords.x_part(pts)
-        r = np.linalg.norm(xi, axis=1)
-        z = self.coords.z(pts)
-        # r = 0 gives t = inf or nan, which the wedge test of gamma sends to 0
+        # r = 0 gives u = inf or nan, which the wedge test of gamma_u sends to 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = z / r
-        scale = np.maximum(self.params.gamma(t), 0.0) ** (1.0 / self.params.n)
+            u = self.coords.z_squared(pts) / squared_norms(xi)
+        scale = np.maximum(self.params.gamma_u(u), 0.0) ** (1.0 / self.params.n)
         out = (scale[:, None] * xi) @ self.coords.x_frame
         if self.coords.k:
             out = out + self.coords.l_part(pts) @ self.coords.l_frame
@@ -107,7 +109,12 @@ class RetractionMap:
         return jac[0] if points.ndim == 1 else jac
 
     def differential_exact(self, point: np.ndarray) -> np.ndarray:
-        """Chain-rule Jacobian on the smooth strata (independent oracle)."""
+        """Chain-rule Jacobian on the smooth strata (independent oracle).
+
+        It writes gamma = 1 - c t^2, gamma' = -2 c t and the wedge cut
+        t >= tan(theta) itself, so it shares no profile code with ``apply``,
+        whose central differences it checks.
+        """
         point = np.asarray(point, dtype=float)
         coords, params = self.coords, self.params
         n = params.n
@@ -124,8 +131,8 @@ class RetractionMap:
             jac += coords.l_frame.T @ coords.l_frame
         if t >= params.tan_theta:
             return jac  # constant map onto the l-block beyond the wedge
-        gamma = float(params.gamma(t))
-        dgamma = float(params.dgamma(t))
+        gamma = 1.0 - params.c * t * t
+        dgamma = -2.0 * params.c * t
         G = gamma ** (1.0 / n)
         Gp = (1.0 / n) * gamma ** (1.0 / n - 1.0) * dgamma
         # t-gradient: dt = (1/r) dz - (t/r) dr
@@ -397,7 +404,7 @@ def level_set_curve_consistency(
     x0[0] = 1.0
     for theta in np.atleast_1d(theta_values):
         tan_t = math.tan(theta)
-        gamma = float(params.gamma(tan_t))
+        gamma = float(params.gamma_u(tan_t * tan_t))
         if gamma <= 0.0:
             continue
         r = gamma ** (-1.0 / n)

@@ -120,7 +120,7 @@ def test_field_vanishes_exactly_beyond_wedge(cal):
     assert tensor.is_zero()
     # and at 2 tan(theta) along a generic direction
     q = np.array([0.5, 0.1, -0.2, 0.9, 0.4, 0.55])
-    assert float(cal.coords.t(q)) > tan_theta
+    assert float(cal.coords.u(q)) > tan_theta ** 2
     assert cal.field.evaluator(q).is_zero()
 
 
@@ -734,12 +734,14 @@ def reference_vanishing_tensor(cal, p: np.ndarray) -> np.ndarray:
     xi, r, z = coords.x_part(p), float(coords.r(p)), float(coords.z(p))
     if z >= params.tan_theta * r:
         return np.zeros(math.comb(N, degree))
+    # c = gamma - (t/n) gamma' and s = gamma'/n, from gamma = 1 - c t^2 by hand
     t = z / r
+    c = 1.0 - params.c * t * t + t / params.n * 2.0 * params.c * t
+    s = -2.0 * params.c * t / params.n
     radial = coords.x_frame.T @ (xi / r)
-    one_form = float(params.c_coefficient(t)) * radial
+    one_form = c * radial
     if z > 0.0:
-        one_form = one_form + float(params.s_coefficient(t)) * (
-            coords.y_frame.T @ (coords.y_part(p) / z))
+        one_form = one_form + s * (coords.y_frame.T @ (coords.y_part(p) / z))
     tensor = wedge(AlternatingTensor(N, 1, one_form),
                    interior_product(radial, covector_volume(coords.x_frame, N)))
     if coords.k:

@@ -56,17 +56,19 @@ def test_params_invariants_across_interval():
 
 def test_profile_shape():
     p = make_params(3, 2.5)
-    assert p.gamma(0.0) == 1.0
-    assert p.dgamma(0.0) == 0.0
-    t = np.linspace(0.0, p.tan_theta, 100)
-    g = p.gamma(t)
-    assert np.all(np.diff(g) < 0.0)  # monotone decreasing on the wedge
-    assert abs(p.gamma(p.tan_theta * (1 - 1e-14)) - 0.0) < 1e-12
-    assert p.gamma(p.tan_theta) == 0.0
-    assert p.gamma(2 * p.tan_theta) == 0.0
-    # the left derivative at the interface, zero beyond it
-    assert p.dgamma(p.tan_theta) == pytest.approx(-2 * p.c * p.tan_theta)
-    assert p.dgamma(2 * p.tan_theta) == 0.0
+    edge = p.tan_theta * p.tan_theta
+    assert p.gamma_u(0.0) == 1.0
+    u = np.linspace(0.0, edge, 100)
+    g = p.gamma_u(u)
+    assert np.all(np.diff(g) < 0.0)  # monotone decreasing to 0 at the interface
+    assert abs(p.gamma_u(edge * (1 - 1e-14)) - 0.0) < 1e-12
+    # zero on the interface and beyond it, and on r = 0 (u inf or nan)
+    for outside in (edge, 4 * edge, math.inf, math.nan):
+        assert p.gamma_u(outside) == 0.0
+    # s = gamma'/n is s_slope t: a central difference of gamma in t
+    t, h = 0.5 * p.tan_theta, 1e-6
+    dgamma = (p.gamma_u((t + h) ** 2) - p.gamma_u((t - h) ** 2)) / (2 * h)
+    assert dgamma / p.n == pytest.approx(p.s_slope * t, rel=1e-8)
 
 
 def test_interface_distance_is_perpendicular_distance_to_the_ray():
@@ -133,22 +135,18 @@ def test_inside_is_the_open_wedge():
 def test_coefficients_write_into_out_and_keep_scalars():
     p = make_params(4, 5.0)
     t = np.linspace(0.0, p.tan_theta, 9)
-    c_out, s_out = np.empty_like(t), np.empty_like(t)
-    p.c_coefficient(t, c_out)
-    p.s_coefficient(t, s_out)
-    assert np.array_equal(c_out, 1.0 - p.c * (p.n - 2) / p.n * t * t)
-    assert np.array_equal(s_out, -2.0 * p.c * t / p.n)
-    assert np.array_equal(p.c_coefficient(t), c_out)
-    assert np.array_equal(p.s_coefficient(t), s_out)
-    u, m_out = t * t, np.empty_like(t)
+    u, c_out, m_out = t * t, np.empty_like(t), np.empty_like(t)
+    p.c_u(u, c_out)
+    assert np.array_equal(c_out, 1.0 - p.c * (p.n - 2) / p.n * u)
+    assert np.array_equal(p.c_u(u), c_out)
     p.middle_u(u, m_out, np.empty_like(t))
     assert np.array_equal(m_out, (1.0 - p.c * (p.n - 2) / p.n * u) ** 2
                           + (2.0 * p.c / p.n) ** 2 * u)
     assert np.array_equal(p.middle_u(u), m_out)
-    for value in (p.c_coefficient(0.5), p.s_coefficient(0.5), p.middle_u(0.25)):
+    for value in (p.c_u(0.25), p.middle_u(0.25), p.gamma_u(0.25)):
         assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
-    assert p.c_coefficient(0.5) == 1.0 - p.c * (p.n - 2) / p.n * 0.5 * 0.5
-    assert p.s_coefficient(0.5) == -2.0 * p.c * 0.5 / p.n
+    assert p.c_u(0.25) == 1.0 - p.c * (p.n - 2) / p.n * 0.25
+    assert p.gamma_u(0.25) == 1.0 - p.c * 0.25
 
 
 def test_forced_cutoff_constants():
@@ -188,7 +186,7 @@ def test_quartic_identity_random_points_all_params():
         for a in np.linspace(lo * 1.01, hi * 0.99, 5):
             p = make_params(n, float(a))
             t = rng.uniform(0.0, p.tan_theta, size=1000)
-            direct = p.middle_expression(t)
+            direct = p.middle_u(t * t)
             quartic = quartic_expansion(p, t)
             rel = np.abs(direct - quartic) / np.abs(quartic)
             assert rel.max() < 1e-13
@@ -274,8 +272,8 @@ def test_angle_threshold_strictly_decreasing():
 
 def test_choose_a_cap_branch_is_admissible():
     # target pi/4 for n=3 hits the cap arctan(2/sqrt(4.5)); a = 4n/(n+3/2) = 8/3
-    a, branch = choose_a_for_angle(3, math.pi / 4, with_branch=True)
-    assert branch == "cap"
+    assert math.pi / 4 > half_angle_cap(3)
+    a = choose_a_for_angle(3, math.pi / 4)
     assert a == pytest.approx(4 * 3 / 4.5, rel=1e-14)
     lo, hi = admissible_interval(3)
     assert lo < a < hi
@@ -286,8 +284,8 @@ def test_choose_a_target_branch():
     n = 6
     cap = half_angle_cap(n)
     target = (angle_threshold(n) / 2 + cap) / 2  # strictly between threshold and cap
-    a, branch = choose_a_for_angle(n, target, with_branch=True)
-    assert branch == "target"
+    assert target < cap
+    a = choose_a_for_angle(n, target)
     assert a == pytest.approx(n * (n - 2) * math.tan(target) ** 2, rel=1e-14)
     p = make_params(n, a)
     assert p.theta == pytest.approx(target, rel=1e-12)

@@ -123,6 +123,17 @@ def test_focal_radius_estimate_and_flag():
     assert not rep_ok.y_beyond_focal
 
 
+def test_within_focal_radius_fails_alone_below_the_largest_y():
+    # `vancal fermi --surface sphere --radius 0.03`: the focal radius 0.03 lies
+    # below the largest y = 0.04, while the fitted slope still matches -2 H
+    patch = sphere_patch(0.03, 2)
+    u = np.array([0.7, 0.8])
+    rep = verify_first_order(patch, u, -patch.point(u), [0.04, 0.02, 0.01])
+    assert rep.focal_radius == pytest.approx(0.03, rel=1e-4)
+    assert [c.name for c in rep.checks() if not c.passed] == ["within_focal_radius"]
+    assert not rep.passed
+
+
 def test_second_fundamental_form_sphere():
     patch = sphere_patch(2.0, 2)
     u = np.array([0.8, 0.7])

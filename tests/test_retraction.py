@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import vancal.retraction as retraction_module
+from vancal.calibration import build_vanishing_calibration
 from vancal.coords import WedgeCoordinates
 from vancal.cutoff import CutoffParams, make_params
 from vancal.exterior import STENCIL_CLEARANCE, _batched_plucker, random_orthonormal_frames
@@ -37,7 +38,7 @@ def test_identity_on_the_plane(retraction):
 
 def test_wedge_exterior_maps_to_zero(retraction):
     p = np.array([0.1, 0.0, 0.0, 1.0, 1.0, 1.0])
-    assert float(retraction.coords.t(p)) > retraction.params.tan_theta
+    assert float(retraction.coords.u(p)) > retraction.params.tan_theta ** 2
     assert np.array_equal(retraction.apply(p), np.zeros(6))
     # continuity: both sides of the interface give 0 in the limit
     tan_theta = retraction.params.tan_theta
@@ -47,7 +48,7 @@ def test_wedge_exterior_maps_to_zero(retraction):
 
 @pytest.mark.parametrize("shared", [False, True], ids=["no-l-block", "l-block"])
 def test_apply_maps_the_x_axis_locus_to_its_l_part(shared):
-    # r = 0 makes t = z / r inf or nan, which must give scale 0 without a warning
+    # r = 0 makes u = z^2 / r^2 inf or nan, which must give scale 0 without a warning
     if shared:
         coords = WedgeCoordinates.from_axes(7, (0, 1, 2), (3, 4, 5), (6,))
     else:
@@ -70,6 +71,28 @@ def test_apply_maps_the_x_axis_locus_to_its_l_part(shared):
     assert on_axis.sum() == 3
     assert np.array_equal(out[on_axis], coords.l_part(axis) @ coords.l_frame)
     assert np.all(np.linalg.norm(coords.x_part(out[~on_axis]), axis=1) > 0.0)
+
+
+def test_apply_zeros_the_x_part_exactly_where_the_field_vanishes():
+    # both read the one wedge rule, so they agree point by point within a few
+    # ulps of the interface: t = tan(theta) (1 + j 2^-52), j in [-4, 4]
+    params = make_params(3, 2.5)
+    coords = WedgeCoordinates.from_axes(6, (0, 1, 2), (3, 4, 5))
+    retraction = RetractionMap(coords, params)
+    field = build_vanishing_calibration(params, coords).field
+    rng = np.random.default_rng(1)
+    count = 20_000
+    x_dir = rng.standard_normal((count, 3))
+    y_dir = rng.standard_normal((count, 3))
+    x_dir /= np.linalg.norm(x_dir, axis=1, keepdims=True)
+    y_dir /= np.linalg.norm(y_dir, axis=1, keepdims=True)
+    r = rng.uniform(0.5, 1.5, size=count)
+    t = params.tan_theta * (1.0 + rng.integers(-4, 5, size=count) * 2.0**-52)
+    points = coords.assemble(r[:, None] * x_dir, (r * t)[:, None] * y_dir)
+    vanishes = ~field.coefficients(points).any(axis=1)
+    zeroed = ~coords.x_part(retraction.apply(points)).any(axis=1)
+    assert 0 < vanishes.sum() < count  # both sides of the interface
+    assert np.array_equal(zeroed, vanishes)
 
 
 def test_one_homogeneous(retraction):
@@ -126,8 +149,8 @@ def test_volume_scaling_equals_middle_expression(retraction):
     rng = np.random.default_rng(3)
     pts = sample_wedge_points(retraction.coords, retraction.params, 10, rng)
     for p in pts:
-        t = float(retraction.coords.t(p))
-        expected = math.sqrt(float(retraction.params.middle_expression(t)))
+        u = float(retraction.coords.u(p))
+        expected = math.sqrt(float(retraction.params.middle_u(u)))
         measured = top_volume_scaling(retraction.differential_exact(p), 3)
         assert measured == pytest.approx(expected, rel=1e-10)
 
