@@ -7,8 +7,9 @@ form in the direction nu.  In flat ambient space the Fermi displacement is
 the straight-line normal offset, so everything below is finite differences
 on the displaced parameterization.  They all come from the package's one
 central-difference stencil, ``exterior._central_differences``: tangents at
-step ``FIRST_DIFFERENCE_STEP``, and the second fundamental form as central
-differences of tangents, both at ``SECOND_DIFFERENCE_STEP``.
+step ``FIRST_DIFFERENCE_STEP``, and the second derivatives as central
+differences of tangents, both at ``SECOND_DIFFERENCE_STEP``.  The second
+fundamental form along a unit normal nu is ``second_derivatives(u) @ nu``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,29 @@ def _normal_projector(frame: np.ndarray) -> np.ndarray:
 def _unit_projection(projector: np.ndarray, direction: np.ndarray) -> np.ndarray:
     vec = projector @ direction
     return vec / np.linalg.norm(vec)
+
+
+def _normal_frame(projector: np.ndarray, codim: int) -> np.ndarray:
+    """Orthonormal basis (columns) of the range of a normal projector."""
+    eigvals, eigvecs = np.linalg.eigh(projector)
+    cols = eigvecs[:, eigvals > 0.5]
+    if cols.shape[1] != codim:
+        raise ValueError("normal space has unexpected dimension")
+    return cols
+
+
+def _normal_field(patch: SurfacePatch, projector: np.ndarray, nu: np.ndarray):
+    """``SurfacePatch.normal_field`` from the normal projector at u0, and its value at u0."""
+    anchor = projector @ np.asarray(nu, dtype=float)
+    norm = np.linalg.norm(anchor)
+    if norm < 1e-12:
+        raise ValueError("direction has no normal component at the base point")
+    anchor = anchor / norm
+
+    def field(u: np.ndarray) -> np.ndarray:
+        return _unit_projection(_normal_projector(patch.tangent_frame(u)), anchor)
+
+    return field, _unit_projection(projector, anchor)
 
 
 def _shape_operator(gram: np.ndarray, second: np.ndarray, nu) -> np.ndarray:
@@ -79,19 +103,9 @@ class SurfacePatch:
             raise ValueError("parameterization is not an immersion at this point")
         return frame
 
-    def normal_projector(self, u: np.ndarray) -> np.ndarray:
-        return _normal_projector(self.tangent_frame(u))
-
     def normal_frame(self, u: np.ndarray) -> np.ndarray:
-        """Orthonormal basis of the normal space (columns), Gram-Schmidt on projections."""
-        return self._normal_frame(self.normal_projector(u))
-
-    def _normal_frame(self, projector: np.ndarray) -> np.ndarray:
-        eigvals, eigvecs = np.linalg.eigh(projector)
-        cols = eigvecs[:, eigvals > 0.5]
-        if cols.shape[1] != self.codim:
-            raise ValueError("normal space has unexpected dimension")
-        return cols
+        """Orthonormal basis of the normal space (columns), from the normal projector."""
+        return _normal_frame(_normal_projector(self.tangent_frame(u)), self.codim)
 
     def normal_field(self, u0: np.ndarray, nu: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Smooth unit normal field near u0 extending a given ambient direction.
@@ -100,50 +114,17 @@ class SurfacePatch:
         transported by projection and renormalization; smooth wherever the
         projection stays bounded away from zero.
         """
-        return self._normal_field(self.normal_projector(u0), nu)[0]
+        return _normal_field(self, _normal_projector(self.tangent_frame(u0)), nu)[0]
 
-    def _normal_field(self, projector: np.ndarray, nu: np.ndarray):
-        """``normal_field`` from the normal projector at u0, and its value at u0."""
-        anchor = projector @ np.asarray(nu, dtype=float)
-        norm = np.linalg.norm(anchor)
-        if norm < 1e-12:
-            raise ValueError("direction has no normal component at the base point")
-        anchor = anchor / norm
+    def second_derivatives(self, u: np.ndarray) -> np.ndarray:
+        """(n, n, N) second partials d2 f / du_i du_j, by nested central differences.
 
-        def field(u: np.ndarray) -> np.ndarray:
-            return _unit_projection(self.normal_projector(u), anchor)
-
-        return field, _unit_projection(projector, anchor)
-
-    def first_fundamental_form(self, u: np.ndarray) -> np.ndarray:
-        T = self.tangent_frame(u)
-        return T.T @ T
-
-    def second_fundamental_form(self, u: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        """A_ij = <d2 f / du_i du_j, nu> for a unit normal nu, by nested central differences."""
-        return self._second_derivatives(u) @ np.asarray(nu, dtype=float)
-
-    def _second_derivatives(self, u: np.ndarray) -> np.ndarray:
-        """(n, n, N) second partials d2 f / du_i du_j, whatever the normal."""
+        Contracted with a unit normal nu, they give the second fundamental
+        form A^nu_ij = <d2 f / du_i du_j, nu>.
+        """
         second = _central_differences(lambda vs: _partials(self.point, vs, SECOND_DIFFERENCE_STEP),
                                       np.asarray(u, dtype=float)[None], [SECOND_DIFFERENCE_STEP])
         return second[0, 0]
-
-    def mean_curvature_trace(self, u: np.ndarray, nu: np.ndarray) -> float:
-        """H^nu = g^{il} A_{li}^nu, the sum of principal curvatures along nu."""
-        shape_op = _shape_operator(self.first_fundamental_form(u), self._second_derivatives(u), nu)
-        return float(np.trace(shape_op))
-
-    def focal_radius_estimate(self, u: np.ndarray) -> float:
-        """Conservative 1 / (shape operator norm) estimate over the normal frame."""
-        T = self.tangent_frame(u)
-        return self._focal_radius(T.T @ T, self._second_derivatives(u), _normal_projector(T))
-
-    def _focal_radius(self, gram: np.ndarray, second: np.ndarray, projector: np.ndarray) -> float:
-        total = 0.0
-        for nu in self._normal_frame(projector).T:
-            total += np.linalg.norm(_shape_operator(gram, second, nu), 2)
-        return math.inf if total == 0.0 else 1.0 / total
 
 
 def fermi_volume_ratio(
@@ -153,7 +134,8 @@ def fermi_volume_ratio(
 
     Tangents of u -> f(u) + y nu(u) are taken by central differences; a
     warning-free result needs |y| below the focal radius (the displaced
-    surface may degenerate beyond it).
+    surface may degenerate beyond it).  This is the one-point reference for
+    the ratios that ``verify_first_order`` takes for every y at once.
     """
     u = np.asarray(u, dtype=float)
     field = patch.normal_field(u, nu)
@@ -162,29 +144,21 @@ def fermi_volume_ratio(
         return patch.point(v) + y * field(v)
 
     T = _partials(displaced, u, FIRST_DIFFERENCE_STEP)[0].T
-    g_y = T.T @ T
-    g_0 = patch.first_fundamental_form(u)
-    return float(np.linalg.det(g_y) / np.linalg.det(g_0))
-
-
-def fermi_volume_ratios(
-    patch: SurfacePatch, u: np.ndarray, nu: np.ndarray, ys: Sequence[float]
-) -> np.ndarray:
-    """``fermi_volume_ratio`` for each y, from one evaluation of the stencil.
-
-    The surface points and unit normals at the 2n stencil points around u do
-    not depend on y, so they are evaluated once; each y then displaces them
-    with the same arithmetic as the one-point function, whose values these are.
-    """
-    u = np.asarray(u, dtype=float)
-    return _fermi_volume_ratios(patch, u, nu, np.asarray(ys, dtype=float), patch.tangent_frame(u))
+    T_0 = patch.tangent_frame(u)
+    return float(np.linalg.det(T.T @ T) / np.linalg.det(T_0.T @ T_0))
 
 
 def _fermi_volume_ratios(
     patch: SurfacePatch, u: np.ndarray, nu: np.ndarray, ys: np.ndarray, frame: np.ndarray
 ) -> np.ndarray:
-    """``fermi_volume_ratios`` from the tangent frame at u."""
-    field, _ = patch._normal_field(_normal_projector(frame), nu)
+    """``fermi_volume_ratio`` for each y, from one evaluation of the stencil.
+
+    The surface points and unit normals at the 2n stencil points around u do
+    not depend on y, so they are evaluated once; each y then displaces them
+    with the same arithmetic as the one-point function, whose values these
+    are.  ``frame`` is the tangent frame at u.
+    """
+    field, _ = _normal_field(patch, _normal_projector(frame), nu)
 
     def displaced(vs: np.ndarray) -> np.ndarray:  # (2n, Y, N): every y at each stencil point
         points = np.stack([patch.point(v) for v in vs])
@@ -228,11 +202,13 @@ def verify_first_order(
 
     Two-sided ratios cancel the O(y^2) term; Richardson extrapolation over
     the decreasing y-sequence removes the next order.  All 2 * len(ys)
-    ratios come from one ``fermi_volume_ratios`` call.  The tangent frame
-    and the second derivatives at u are computed once and shared by the
-    normal, the ratios, the mean curvature and the focal radius.  Passes iff
-    |beta + 2 H^nu| <= FIRST_ORDER_TOL * max(1, |H^nu|) and the largest y stays
-    below the focal radius estimate.
+    ratios come from one pass over the tangent stencil; ``fermi_volume_ratio``
+    is their one-point reference.  The tangent frame and the second
+    derivatives at u are computed once and shared by the normal, the ratios,
+    the mean curvature and the focal radius.  The focal radius is the
+    conservative estimate 1 / sum_nu |g^{-1} A^nu|_2 over an orthonormal
+    normal frame.  Passes iff |beta + 2 H^nu| <= FIRST_ORDER_TOL * max(1, |H^nu|)
+    and the largest y stays below the focal radius estimate.
     """
     ys = np.asarray(sorted(y_sequence, reverse=True), dtype=float)
     if ys.size < 2 or np.any(ys <= 0):
@@ -240,7 +216,7 @@ def verify_first_order(
     u = np.asarray(u, dtype=float)
     frame = patch.tangent_frame(u)
     projector = _normal_projector(frame)
-    _, nu_unit = patch._normal_field(projector, nu)
+    _, nu_unit = _normal_field(patch, projector, nu)
 
     plus, minus = np.split(
         _fermi_volume_ratios(patch, u, nu_unit, np.concatenate([ys, -ys]), frame), 2)
@@ -249,11 +225,13 @@ def verify_first_order(
     ratio = ys[-2] / ys[-1]
     beta = (ratio**2 * betas[-1] - betas[-2]) / (ratio**2 - 1.0)
 
-    gram, second = frame.T @ frame, patch._second_derivatives(u)
+    gram, second = frame.T @ frame, patch.second_derivatives(u)
     H = float(np.trace(_shape_operator(gram, second, nu_unit)))
     expected = -2.0 * H
     error = abs(beta - expected) / max(1.0, abs(H))
-    focal = patch._focal_radius(gram, second, projector)
+    curvature = sum(np.linalg.norm(_shape_operator(gram, second, normal), 2)
+                    for normal in _normal_frame(projector, patch.codim).T)
+    focal = math.inf if curvature == 0.0 else 1.0 / curvature
     return FirstOrderReport(
         fitted_beta=float(beta),
         expected_beta=float(expected),

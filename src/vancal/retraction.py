@@ -26,7 +26,6 @@ from .cutoff import CutoffParams
 from .exterior import (
     SAMPLE_ROUNDS,
     STENCIL_CLEARANCE,
-    PluckerWorkspace,
     _batched_plucker,
     _central_differences,
 )
@@ -57,8 +56,7 @@ DIFFERENTIAL_STEP = 1e-6
 AREA_BLOCK_SAMPLES = 2048
 # within a Jacobian block, it scores the random planes in sub-blocks of about
 # this many plane frames: one Pluecker pass over the frames and one over the
-# sub-block's projected Jacobians, all in one Pluecker workspace, so its
-# Pluecker buffers are allocated once and stay bounded too
+# sub-block's projected Jacobians, so the Pluecker vectors stay bounded too
 AREA_BLOCK_FRAMES = 512
 
 
@@ -155,7 +153,6 @@ def plane_volume_scaling(
     jacobian: np.ndarray,
     plane_frames: np.ndarray,
     plane_basis: np.ndarray,
-    workspace: PluckerWorkspace | None = None,
 ) -> np.ndarray:
     """d-volume scaling |Lambda^d(J) xi| / |xi| of the planes spanned by d-frames.
 
@@ -169,8 +166,7 @@ def plane_volume_scaling(
     of the spanned plane, so any full-rank frame works.  That takes one
     Pluecker pass over the frames, one over the C projected Jacobians BJ and
     one dot product per plane.  Raises ``ValueError`` on a frame that spans
-    no d-plane.  The Pluecker vectors are computed in ``workspace``, which a
-    caller scoring many stacks reuses.
+    no d-plane.
 
     A leak of J off the plane, eps = max |J - B^T B J| (``plane_leak``), only
     lowers the score.  Take F orthonormal and the images in the basis of B
@@ -184,9 +180,8 @@ def plane_volume_scaling(
     """
     *lead, d, N = plane_frames.shape
     projected = (plane_basis @ jacobian).reshape(-1, d, N)
-    # copied out of the workspace, which the frames' pass below reuses
-    projected_plucker = np.array(_batched_plucker(projected, N, d, workspace))
-    plucker = _batched_plucker(plane_frames.reshape(-1, d, N), N, d, workspace)
+    projected_plucker = _batched_plucker(projected, N, d)
+    plucker = _batched_plucker(plane_frames.reshape(-1, d, N), N, d)
     volumes = np.linalg.norm(plucker, axis=1)
     if not np.all(volumes > 0.0):
         raise ValueError("plane frame is rank-deficient: it spans no d-plane")
@@ -313,10 +308,9 @@ def verify_area_nonincreasing(
     block.  Each block's planes are scored in sub-blocks of about
     ``AREA_BLOCK_FRAMES`` plane frames: one Gaussian draw and one
     ``plane_volume_scaling`` call per sub-block, drawn in sample order, so
-    neither block size changes a value, and every sub-block shares one
-    Pluecker workspace.  The tangent plane x + l at a point of the plane
-    must scale by exactly 1 (``identity_on_plane``), through the same
-    scorer.  The map itself is then checked for one-homogeneity,
+    neither block size changes a value.  The tangent plane x + l at a point
+    of the plane must scale by exactly 1 (``identity_on_plane``), through
+    the same scorer.  The map itself is then checked for one-homogeneity,
     idempotence and a finite Lipschitz estimate.
     """
     if samples < 1:
@@ -331,7 +325,6 @@ def verify_area_nonincreasing(
 
     # a sub-block's planes come from one draw, the same stream as one draw per sample
     sub_block = max(1, AREA_BLOCK_FRAMES // planes_per_sample)
-    workspace = PluckerWorkspace(N, d, min(sub_block, samples) * planes_per_sample)
     max_plane = 0.0
     max_top = 0.0
     leak = 0.0
@@ -343,11 +336,8 @@ def verify_area_nonincreasing(
             sub_jacs = jacs[sub : sub + sub_block]
             mats = rng.standard_normal((len(sub_jacs) * planes_per_sample, N, d))
             frames = np.swapaxes(mats, 1, 2).reshape(len(sub_jacs), -1, d, N)
-            scalings = plane_volume_scaling(sub_jacs, frames, basis, workspace)
+            scalings = plane_volume_scaling(sub_jacs, frames, basis)
             max_plane = max(max_plane, float(scalings.max()))
-    # freed before the map checks below, whose 20 000-pair Lipschitz sample
-    # would otherwise raise the peak heap by the workspace
-    del workspace
 
     # tangent plane x + l at a point of the calibrated plane scales exactly by 1
     x_point = coords.assemble(
