@@ -190,6 +190,13 @@ class InequalityReport(CheckedReport):
     grid_min_middle: float
     argmin_t: float
     kappa: float
+    # the constant of the upper bound 1 - delta t^2, as ``_with_constants``
+    # computes it: (n-2)^2 (a(n+2) - 4n) / (a^2 n), > 0 iff a > 4n/(n+2).
+    # Just above that bound a(n+2) - 4n cancels: at n = 4 the first double
+    # above the float 4n/(n+2) gives a(n+2) = 4n exactly, so delta reads 0
+    # (true value 2.5e-16) and delta_positive fails on an a that
+    # make_params admits; two doubles above, delta reads 5e-16 and it passes
+    delta: float
     axis_t_squared: float
     axis_in_range: bool
     endpoint_gamma: float  # gamma at tan theta from the left (continuity)
@@ -198,6 +205,8 @@ class InequalityReport(CheckedReport):
         slack_tol = -INEQUALITY_SLACK_TOL
         checks = [
             Check("admissible", self.kappa > 0.0, measured=self.a, detail="kappa > 0"),
+            Check("delta_positive", self.delta > 0.0, measured=self.delta, threshold=0.0,
+                  detail="the upper bound 1 - delta t^2 must fall below 1: a > 4n/(n+2)"),
             Check("lower_bound_slack", self.min_slack_lower >= INEQUALITY_SLACK_TOL,
                   measured=self.min_slack_lower, threshold=0.0, tolerance=slack_tol,
                   detail="min over grid of middle - kappa"),
@@ -273,6 +282,7 @@ def verify_inequality_one(params: CutoffParams, grid_points: int) -> InequalityR
         grid_min_middle=grid_min,
         argmin_t=argmin_t,
         kappa=params.kappa,
+        delta=params.delta,
         axis_t_squared=axis,
         axis_in_range=bool(0.0 <= axis <= params.tan_theta**2),
         endpoint_gamma=float(1.0 - params.c * params.tan_theta**2),

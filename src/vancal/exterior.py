@@ -16,6 +16,10 @@ supremum over orthonormal k-frames) is computed two independent ways:
   an optional derivative-free refinement.  It shares only the Pluecker
   kernel and the QR helper with the optimizer, never its starts.
 
+Every Haar-plane score, the oracle's and the retraction's, comes from one
+scorer, ``_plane_values``, which pairs each frame's normalized Pluecker
+vector with a tensor per run of frames, ``PLANE_CHUNK`` frames per pass.
+
 ``ComassReport`` holds the two values and the one rule that relates them.
 
 Every finite difference in the package comes from one batched stencil,
@@ -39,13 +43,13 @@ MAX_AMBIENT_DIM = 16
 # how far the sampling oracle, a lower bound, may exceed the optimizer
 ORACLE_DOMINANCE_TOL = 1e-6
 
-# planes per sampling-oracle pass: keeps the Pluecker gathers in cache.  The
-# passes share one Pluecker workspace.  When each pass allocated its levels
-# anew (229-287 KB each for omega^2/2 on R^8), glibc trimmed them off the
-# heap on free and the next pass faulted them back in: 12 951-13 591 minor
-# faults for one 20 000-sample call in a fresh process, against 243-244 with
-# the workspace
-_ORACLE_CHUNK = 512
+# planes per Pluecker pass of a plane-scoring loop, the sampling oracle's and
+# the retraction's: keeps the Pluecker gathers in cache.  The oracle's passes
+# share one Pluecker workspace.  When each pass allocated its levels anew
+# (229-287 KB each for omega^2/2 on R^8), glibc trimmed them off the heap on
+# free and the next pass faulted them back in: 12 951-13 591 minor faults for
+# one 20 000-sample call in a fresh process, against 243-244 with the workspace
+PLANE_CHUNK = 512
 # finite-difference steps of the closedness order fit
 FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 
@@ -507,16 +511,22 @@ def comass(
 
 
 def _plane_values(
-    frames: np.ndarray, u: AlternatingTensor, workspace: PluckerWorkspace | None = None
+    frames: np.ndarray, tensors: np.ndarray, workspace: PluckerWorkspace | None = None
 ) -> np.ndarray:
-    """|u| on the unit simple k-vectors spanned by a (S, k, N) stack of frames.
+    """|<u, P(F)>| / |P(F)| for a (S, k, N) stack of frames F, as (S,) scores.
 
-    The rows need not be orthonormal: u pairs with the Pluecker vector of
-    the frame divided by its norm.  A rank-deficient frame spans no k-plane
-    and scores 0.  The Pluecker vectors are computed in ``workspace``.
+    ``tensors`` is (G, M), M = C(N, k): row g is the u of the g-th of G
+    equal runs of consecutive frames.  P(F) is the Pluecker vector of the
+    rows of F, which need not be orthonormal, so a score is |u| on the unit
+    simple k-vector of the plane that F spans.  A rank-deficient frame spans
+    no k-plane and scores 0.  The Pluecker vectors are computed in
+    ``workspace``.  This is the one plane scorer: the sampling oracle passes
+    one tensor, and the retraction one pulled-back tensor per sample.
     """
-    plucker = _batched_plucker(frames, u.ambient_dim, u.degree, workspace)
-    values = np.abs(plucker @ u.coefficients)
+    _, k, N = frames.shape
+    plucker = _batched_plucker(frames, N, k, workspace)
+    runs = plucker.reshape(len(tensors), -1, plucker.shape[1])
+    values = np.abs(runs @ tensors[:, :, None]).ravel()
     # np.linalg.norm(plucker, axis=1), squaring in place instead of into a
     # new array of the same layout, so the sums run in the same order
     norms = np.sqrt(np.add.reduce(np.multiply(plucker, plucker, out=plucker), axis=1))
@@ -534,13 +544,13 @@ def _sampled_maximum(u: AlternatingTensor, samples: int, rng: np.random.Generato
     if samples < 1:
         raise ValueError("samples must be >= 1")
     N, k = u.ambient_dim, u.degree
-    chunk = min(_ORACLE_CHUNK, samples)
+    chunk = min(PLANE_CHUNK, samples)
     workspace = PluckerWorkspace(N, k, chunk)
     draws = np.empty((chunk, N, k))
     best, best_matrix = -math.inf, None
     for drawn in range(0, samples, chunk):
         mats = rng.standard_normal(out=draws[: min(chunk, samples - drawn)])
-        values = _plane_values(np.swapaxes(mats, 1, 2), u, workspace)
+        values = _plane_values(np.swapaxes(mats, 1, 2), u.coefficients[None], workspace)
         j = int(np.argmax(values))
         if values[j] > best:
             best, best_matrix = float(values[j]), mats[j].copy()
@@ -579,7 +589,7 @@ def comass_oracle_refined(u: AlternatingTensor, samples: int, seed: int) -> floa
     workspace = PluckerWorkspace(N, k, 128)
     for _ in range(64):
         cand = sigma * rng.standard_normal((128, N, k)) + centre[None, :, :]
-        vals = _plane_values(np.swapaxes(cand, 1, 2), u, workspace)
+        vals = _plane_values(np.swapaxes(cand, 1, 2), u.coefficients[None], workspace)
         j = int(np.argmax(vals))
         if vals[j] > val:
             val = float(vals[j])

@@ -208,11 +208,14 @@ def verify_first_order(
     the mean curvature and the focal radius.  The focal radius is the
     conservative estimate 1 / sum_nu |g^{-1} A^nu|_2 over an orthonormal
     normal frame.  Passes iff |beta + 2 H^nu| <= FIRST_ORDER_TOL * max(1, |H^nu|)
-    and the largest y stays below the focal radius estimate.
+    and the largest y stays below the focal radius estimate.  Raises
+    ``ValueError`` unless the y values are at least two, positive and distinct.
     """
     ys = np.asarray(sorted(y_sequence, reverse=True), dtype=float)
     if ys.size < 2 or np.any(ys <= 0):
         raise ValueError("y_sequence must contain at least two positive values")
+    if np.any(ys[1:] == ys[:-1]):  # the Richardson step divides by ratio^2 - 1
+        raise ValueError("y_sequence must not repeat a value")
     u = np.asarray(u, dtype=float)
     frame = patch.tangent_frame(u)
     projector = _normal_projector(frame)

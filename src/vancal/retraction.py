@@ -21,6 +21,7 @@ from functools import partial
 
 import numpy as np
 
+from . import exterior
 from .coords import WedgeCoordinates, squared_norms
 from .cutoff import CutoffParams
 from .exterior import (
@@ -28,17 +29,25 @@ from .exterior import (
     STENCIL_CLEARANCE,
     _batched_plucker,
     _central_differences,
+    _plane_values,
 )
 from .reports import Check, CheckedReport
 
 IDENTITY_ON_PLANE_TOL = 1e-8
-# bound on max |J - B^T B J|, how far a scored Jacobian maps off the calibrated
-# plane x + l.  The plane scalings are computed through the plane, so a leak eps
-# lowers them; where the true scaling is >= 1 by at most (s_1 ... s_{d-1} N eps)^2
-# (see plane_volume_scaling).  The central-difference Jacobians leak about 1e-10
-# on rotated frames and 0 on axis frames.  s_1 ... s_{d-1} stayed below 30 over
-# three seeds of 20 000 samples up to the interface, for n = 3..7 and N <= 10,
-# so there the bound at this tolerance is below 1e-11, far under AREA_SCALING_TOL
+# bound on eps = max |J - B^T B J|, how far a scored Jacobian maps off the
+# calibrated plane x + l with orthonormal basis B.  The plane scalings are
+# computed through the plane, so a leak only lowers them.  Take a frame F
+# orthonormal and its images in the basis of B and of its complement Q:
+# [A C], A = F (BJ)^T, C = F (QJ)^T.  The true scaling S and the score s
+# satisfy S^2 = det(AA^T + CC^T) >= det(AA^T) = s^2, and S^2 - s^2 <=
+# tr(adj(AA^T + CC^T) CC^T) <= (s_1 ... s_{d-1})^2 |C|_F^2, with s_i the
+# singular values of J and |C|_F <= |QJ|_F <= N eps.  Where S >= 1, the only
+# place where a lowered score could hide a scaling above 1, S - s <= S^2 - s^2
+# <= (s_1 ... s_{d-1} N eps)^2: second order in the leak.  The central-
+# difference Jacobians leak about 1e-10 on rotated frames and 0 on axis
+# frames.  s_1 ... s_{d-1} stayed below 30 over three seeds of 20 000 samples
+# up to the interface, for n = 3..7 and N <= 10, so there the bound at this
+# tolerance is below 1e-11, far under AREA_SCALING_TOL
 PLANE_LEAK_TOL = 1e-8
 # slack on the volume scalings' bound of 1
 AREA_SCALING_TOL = 1e-8
@@ -50,14 +59,15 @@ PLANE_WITHIN_TOP_TOL = 1e-12
 MAP_IDENTITY_TOL = 1e-12
 # step of the central-difference Jacobian that verify_area_nonincreasing samples
 DIFFERENTIAL_STEP = 1e-6
-# verify_area_nonincreasing takes Jacobians (one stencil call) and their
-# singular values for blocks of this many samples, so the stencil and the
-# Jacobians (49 doubles per sample on R^7) do not grow with the sample count
-AREA_BLOCK_SAMPLES = 2048
-# within a Jacobian block, it scores the random planes in sub-blocks of about
-# this many plane frames: one Pluecker pass over the frames and one over the
-# sub-block's projected Jacobians, so the Pluecker vectors stay bounded too
-AREA_BLOCK_FRAMES = 512
+# verify_area_nonincreasing takes Jacobians (one stencil call), their
+# singular values and their pulled-back tensors for blocks of this many
+# samples, so the stencil, the Jacobians (49 doubles per sample on R^7) and
+# the tensors do not grow with the sample count.  The tensors' Pluecker pass
+# holds four buffers of C(N, n + k) doubles per sample, so a block is no
+# larger than a plane chunk: `vancal retraction --n 6 --a 10 --m 6 --samples
+# 2048 --planes 1` (R^12) peaked at 105 MB RSS in blocks of 2048 samples and
+# at 62 MB in blocks of 512 (2-vCPU Xeon, Python 3.11, numpy 2.4)
+AREA_BLOCK_SAMPLES = exterior.PLANE_CHUNK
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,46 +157,6 @@ class RetractionMap:
         jac += G * (coords.x_frame.T @ coords.x_frame)
         jac += Gp * np.outer(x_amb, grad_t)
         return jac
-
-
-def plane_volume_scaling(
-    jacobian: np.ndarray,
-    plane_frames: np.ndarray,
-    plane_basis: np.ndarray,
-) -> np.ndarray:
-    """d-volume scaling |Lambda^d(J) xi| / |xi| of the planes spanned by d-frames.
-
-    ``jacobian`` is (N, N) with ``plane_frames`` (count, d, N), or a stack
-    (C, N, N) with frames (C, count, d, N); the result is (count,) or
-    (C, count).  ``plane_basis`` is an orthonormal (d, N) basis B of the
-    plane that the Jacobians map into, range(J) in span(B).  Then the images
-    of a frame F are F J^T = (F (BJ)^T) B, so their d-volume is
-    |det(F (BJ)^T)| = |<P(F), P(BJ)>| by Cauchy-Binet, with P the Pluecker
-    vector.  Divided by |P(F)|, the d-volume of the frame, it is the scaling
-    of the spanned plane, so any full-rank frame works.  That takes one
-    Pluecker pass over the frames, one over the C projected Jacobians BJ and
-    one dot product per plane.  Raises ``ValueError`` on a frame that spans
-    no d-plane.
-
-    A leak of J off the plane, eps = max |J - B^T B J| (``plane_leak``), only
-    lowers the score.  Take F orthonormal and the images in the basis of B
-    and of its complement Q: [A C], A = F (BJ)^T, C = F (QJ)^T.  The true
-    scaling S and the score s satisfy S^2 = det(AA^T + CC^T) >= det(AA^T) =
-    s^2, and S^2 - s^2 <= tr(adj(AA^T + CC^T) CC^T) <= (s_1 ... s_{d-1})^2
-    |C|_F^2, with s_i the singular values of J and |C|_F <= |QJ|_F <= N eps.
-    Where S >= 1, the only place where a lowered score could hide a scaling
-    above 1, S - s <= S^2 - s^2 <= (s_1 ... s_{d-1} N eps)^2: second order
-    in the leak.
-    """
-    *lead, d, N = plane_frames.shape
-    projected = (plane_basis @ jacobian).reshape(-1, d, N)
-    projected_plucker = _batched_plucker(projected, N, d)
-    plucker = _batched_plucker(plane_frames.reshape(-1, d, N), N, d)
-    volumes = np.linalg.norm(plucker, axis=1)
-    if not np.all(volumes > 0.0):
-        raise ValueError("plane frame is rank-deficient: it spans no d-plane")
-    dots = plucker.reshape(len(projected), -1, plucker.shape[1]) @ projected_plucker[:, :, None]
-    return (np.abs(dots).ravel() / volumes).reshape(lead)
 
 
 def plane_leak(jacobian: np.ndarray, plane_basis: np.ndarray) -> float:
@@ -294,24 +264,31 @@ def verify_area_nonincreasing(
 
     The calibrated plane x + l has dimension n + k, so that is the volume
     the map must not increase.  At every sampled interior point the
-    finite-difference Jacobian is restricted to Haar-random (n+k)-planes,
+    finite-difference Jacobian J is restricted to Haar-random (n+k)-planes,
     and additionally maximized over all planes via its top n + k singular
     values.  The points are drawn up front by ``sample_wedge_points``, with
     t up to the interface and clear of it by the stencil's clearance.  Each
-    plane is the span of a Gaussian (N, n + k) matrix, scored through
-    Pluecker vectors by ``plane_volume_scaling`` without orthonormalizing it,
-    through the calibrated plane that the map lands in: ``maps_into_plane``
-    checks that every Jacobian does, to ``PLANE_LEAK_TOL``.  The SVD bound
-    does not assume it, so ``plane_within_top`` cross-checks the two.
+    plane is the span of a Gaussian (N, n + k) matrix F, not orthonormalized.
+    The map lands in the calibrated plane, with orthonormal basis B, so the
+    images of F are F J^T = (F (BJ)^T) B, and their volume is
+    |det(F (BJ)^T)| = |<P(BJ), P(F)>| by Cauchy-Binet, with P the Pluecker
+    vector.  So a plane scales by the oracle's score ``_plane_values`` of
+    the pulled-back tensor P(BJ): |<P(BJ), P(F)>| / |P(F)|.  A frame that
+    spans no plane scores 0, as in the oracle.  ``maps_into_plane`` checks
+    that every Jacobian maps into the plane, to ``PLANE_LEAK_TOL``, whose
+    comment bounds what a leak can hide.  The SVD bound does not assume the
+    plane, so ``plane_within_top`` cross-checks the two.
+
     Samples are taken in blocks of ``AREA_BLOCK_SAMPLES``: one
-    ``differential`` call, one batched SVD and one leak measurement per
-    block.  Each block's planes are scored in sub-blocks of about
-    ``AREA_BLOCK_FRAMES`` plane frames: one Gaussian draw and one
-    ``plane_volume_scaling`` call per sub-block, drawn in sample order, so
-    neither block size changes a value.  The tangent plane x + l at a point
-    of the plane must scale by exactly 1 (``identity_on_plane``), through
-    the same scorer.  The map itself is then checked for one-homogeneity,
-    idempotence and a finite Lipschitz estimate.
+    ``differential`` call, one batched SVD, one leak measurement and one
+    Pluecker pass for the tensors P(BJ) per block.  Each block's planes are
+    scored in sub-blocks of about ``exterior.PLANE_CHUNK`` planes: one
+    Gaussian draw and one ``_plane_values`` call per sub-block, drawn in
+    sample order, so neither block size changes a value.  The tangent plane
+    x + l at a point of the plane must scale by exactly 1
+    (``identity_on_plane``), through the same scorer.  The map itself is
+    then checked for one-homogeneity, idempotence and a finite Lipschitz
+    estimate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -324,7 +301,7 @@ def verify_area_nonincreasing(
     points = sample_wedge_points(coords, params, samples, rng, t_fraction=(0.05, 1.0))
 
     # a sub-block's planes come from one draw, the same stream as one draw per sample
-    sub_block = max(1, AREA_BLOCK_FRAMES // planes_per_sample)
+    sub_block = max(1, exterior.PLANE_CHUNK // planes_per_sample)
     max_plane = 0.0
     max_top = 0.0
     leak = 0.0
@@ -332,11 +309,11 @@ def verify_area_nonincreasing(
         jacs = retraction.differential(points[start : start + AREA_BLOCK_SAMPLES])
         max_top = max(max_top, float(top_volume_scaling(jacs, d).max()))
         leak = max(leak, plane_leak(jacs, basis))
+        pulled_back = _batched_plucker(basis @ jacs, N, d)
         for sub in range(0, len(jacs), sub_block):
-            sub_jacs = jacs[sub : sub + sub_block]
-            mats = rng.standard_normal((len(sub_jacs) * planes_per_sample, N, d))
-            frames = np.swapaxes(mats, 1, 2).reshape(len(sub_jacs), -1, d, N)
-            scalings = plane_volume_scaling(sub_jacs, frames, basis)
+            tensors = pulled_back[sub : sub + sub_block]
+            mats = rng.standard_normal((len(tensors) * planes_per_sample, N, d))
+            scalings = _plane_values(np.swapaxes(mats, 1, 2), tensors)
             max_plane = max(max_plane, float(scalings.max()))
 
     # tangent plane x + l at a point of the calibrated plane scales exactly by 1
@@ -344,7 +321,8 @@ def verify_area_nonincreasing(
         np.full(coords.n, 1.0 / math.sqrt(coords.n)), np.zeros(coords.m)
     )
     jac0 = retraction.differential(x_point)
-    x_err = abs(float(plane_volume_scaling(jac0, basis[None], basis)[0]) - 1.0)
+    tangent = _plane_values(basis[None], _batched_plucker((basis @ jac0)[None], N, d))
+    x_err = abs(float(tangent[0]) - 1.0)
     leak = max(leak, plane_leak(jac0, basis))
 
     # the map itself: one-homogeneous, a retraction, Lipschitz on a box

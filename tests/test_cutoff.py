@@ -240,6 +240,23 @@ def test_grid_min_at_endpoint_when_axis_outside():
     assert rep.passed
 
 
+@pytest.mark.parametrize("grid", [10, 500, 10_000])
+def test_delta_positive_fails_on_the_forced_control(grid):
+    # a = 1.5 < 4n/(n+2) = 2.4: both slacks hold, only delta > 0 fails
+    rep = verify_inequality_one(CutoffParams.forced(3, 2.0), grid)
+    assert rep.delta == pytest.approx(-2.0 / 3.0, rel=1e-15)
+    assert [c.name for c in rep.checks() if not c.passed] == ["delta_positive"]
+
+
+def test_delta_positive_reads_delta_as_rounded():
+    # the first double above 8/3 makes 6a round to 16: delta reads 0 at n = 4
+    a = math.nextafter(8.0 / 3.0, math.inf)
+    rep = verify_inequality_one(make_params(4, a), 500)
+    assert rep.delta == make_params(4, a).delta == 0.0
+    assert [c.name for c in rep.checks() if not c.passed] == ["delta_positive"]
+    assert verify_inequality_one(make_params(4, math.nextafter(a, math.inf)), 500).passed
+
+
 def test_delta_tends_to_zero_at_lower_bound():
     n = 5
     lo, _ = admissible_interval(n)

@@ -557,7 +557,7 @@ def test_comass_oracle_scores_every_chunk_in_one_workspace(monkeypatch):
         return _batched_plucker(frames, ambient_dim, degree, workspace)
 
     monkeypatch.setattr(exterior, "_batched_plucker", spy)
-    comass_oracle(half_kahler_square(), 5 * exterior._ORACLE_CHUNK // 2, 3)
+    comass_oracle(half_kahler_square(), 5 * exterior.PLANE_CHUNK // 2, 3)
     assert len(workspaces) == 3
     assert isinstance(workspaces[0], PluckerWorkspace)
     assert all(w is workspaces[0] for w in workspaces)
@@ -565,9 +565,9 @@ def test_comass_oracle_scores_every_chunk_in_one_workspace(monkeypatch):
 
 def test_comass_oracle_does_not_depend_on_the_chunk_size(monkeypatch):
     u = half_kahler_square()
-    samples = 5 * exterior._ORACLE_CHUNK // 2
+    samples = 5 * exterior.PLANE_CHUNK // 2
     chunked = comass_oracle(u, samples, 3), comass_oracle_refined(u, samples, 3)
-    monkeypatch.setattr(exterior, "_ORACLE_CHUNK", 1 << 20)
+    monkeypatch.setattr(exterior, "PLANE_CHUNK", 1 << 20)
     assert (comass_oracle(u, samples, 3), comass_oracle_refined(u, samples, 3)) == chunked
 
 
@@ -575,11 +575,26 @@ def test_plane_values_score_rank_deficient_frames_zero():
     u = special_lagrangian_form()
     frames = np.random.default_rng(4).standard_normal((2, 3, 6))
     frames[0, 2] = 0.0  # spans no 3-plane: its Pluecker vector is exactly 0
-    values = _plane_values(frames, u)
+    values = _plane_values(frames, u.coefficients[None])
     q = np.linalg.qr(frames[1].T)[0].T
     assert values[0] == 0.0
     assert values[1] == pytest.approx(abs(evaluate(u, q)), abs=1e-14)
     assert int(np.argmax(values)) == 1
+
+
+def test_plane_values_score_each_run_of_frames_with_its_own_tensor():
+    rng = np.random.default_rng(5)
+    N, k, runs, run = 6, 3, 4, 25
+    tensors = rng.standard_normal((runs, n_coefficients(N, k)))
+    frames = rng.standard_normal((runs * run, k, N))
+    grouped = _plane_values(frames, tensors)
+    one_by_one = [_plane_values(frames[g * run : (g + 1) * run], tensors[g][None])
+                  for g in range(runs)]
+    assert np.array_equal(grouped, np.concatenate(one_by_one))
+    for j, frame in enumerate(frames):
+        u = AlternatingTensor(N, k, tensors[j // run])
+        q = np.linalg.qr(frame.T)[0].T
+        assert grouped[j] == pytest.approx(abs(evaluate(u, q)), rel=1e-12, abs=1e-14)
 
 
 def test_comass_oracle_memory_is_bounded():

@@ -181,6 +181,14 @@ def test_y_sequence_validation():
         verify_first_order(patch, np.zeros(2), np.array([0, 0, 1.0]), [0.1])
 
 
+@pytest.mark.parametrize("ys", [[0.02, 0.02], [0.04, 0.02, 0.02], [0.02, 0.04, 0.04]])
+def test_y_sequence_rejects_repeated_values(ys):
+    # a repeated finest pair made the Richardson step divide by ratio^2 - 1 = 0
+    patch = sphere_patch(1.0, 2)
+    with pytest.raises(ValueError, match="repeat"):
+        verify_first_order(patch, np.array([0.7, 0.8]), np.array([0, 0, 1.0]), ys)
+
+
 def test_verify_first_order_evaluates_the_stencil_normals_once(monkeypatch):
     # the normals at the 2n stencil points do not depend on y: one evaluation
     # serves all six displacements (220 parameterization calls when each y

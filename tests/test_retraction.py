@@ -5,19 +5,24 @@ import numpy as np
 import pytest
 
 import vancal.retraction as retraction_module
+from vancal import exterior
 from vancal.calibration import build_vanishing_calibration
 from vancal.coords import WedgeCoordinates
 from vancal.cutoff import CutoffParams, make_params
-from vancal.exterior import STENCIL_CLEARANCE, _batched_plucker, random_orthonormal_frames
+from vancal.exterior import (
+    PLANE_CHUNK,
+    STENCIL_CLEARANCE,
+    _batched_plucker,
+    _plane_values,
+    random_orthonormal_frames,
+)
 from vancal.retraction import (
-    AREA_BLOCK_FRAMES,
     AREA_BLOCK_SAMPLES,
     DIFFERENTIAL_STEP,
     PLANE_LEAK_TOL,
     RetractionMap,
     level_set_curve_consistency,
     lipschitz_estimate,
-    plane_volume_scaling,
     sample_wedge_points,
     top_volume_scaling,
     verify_area_nonincreasing,
@@ -155,12 +160,19 @@ def test_volume_scaling_equals_middle_expression(retraction):
         assert measured == pytest.approx(expected, rel=1e-10)
 
 
+def plane_scalings(jacobians, frames, basis):
+    """(C, count) scalings of (C, count, d, N) frames: the score of the pulled-back P(BJ)."""
+    C, count, d, N = frames.shape
+    tensors = _batched_plucker(basis @ jacobians, N, d)
+    return _plane_values(frames.reshape(-1, d, N), tensors).reshape(C, count)
+
+
 def test_tangent_plane_scaling_is_one(retraction):
     p = np.array([0.8, 0.5, -0.3, 0.0, 0.0, 0.0])
     jac = retraction.differential(p, 1e-6)
     x_frame = retraction.coords.x_frame
-    scaling = plane_volume_scaling(jac, x_frame[None], x_frame)
-    assert scaling[0] == pytest.approx(1.0, abs=1e-9)
+    scaling = plane_scalings(jac[None], x_frame[None, None], x_frame)
+    assert scaling[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_plane_volume_scaling_depends_only_on_the_plane(retraction):
@@ -172,19 +184,8 @@ def test_plane_volume_scaling_depends_only_on_the_plane(retraction):
     orthonormal = np.linalg.qr(mats)[0]
     gaussian = np.swapaxes(mats, 1, 2).reshape(4, 30, 3, 6)
     x_frame = retraction.coords.x_frame
-    expected = plane_volume_scaling(
-        jacs, np.swapaxes(orthonormal, 1, 2).reshape(4, 30, 3, 6), x_frame)
-    assert np.allclose(plane_volume_scaling(jacs, gaussian, x_frame), expected,
-                       rtol=1e-13, atol=0.0)
-
-
-def test_plane_volume_scaling_rejects_rank_deficient_frames(retraction):
-    p = np.array([0.8, 0.5, -0.3, 0.1, 0.0, 0.0])
-    jac = retraction.differential(p, 1e-6)
-    frames = np.random.default_rng(2).standard_normal((1, 2, 3, 6))
-    frames[0, 1, 1] = frames[0, 1, 0]  # a repeated row: the Pluecker vector is exactly 0
-    with pytest.raises(ValueError, match="rank-deficient"):
-        plane_volume_scaling(jac[None], frames, retraction.coords.x_frame)
+    expected = plane_scalings(jacs, np.swapaxes(orthonormal, 1, 2).reshape(4, 30, 3, 6), x_frame)
+    assert np.allclose(plane_scalings(jacs, gaussian, x_frame), expected, rtol=1e-13, atol=0.0)
 
 
 def two_pass_plane_volume_scaling(jacobian, plane_frames):
@@ -210,7 +211,7 @@ def test_plane_volume_scaling_matches_the_two_pass_formula(N, n, k, a):
     points = sample_wedge_points(coords, retraction.params, 20, rng)
     jacs = np.array([retraction.differential_exact(p) for p in points])
     frames = rng.standard_normal((20, 40, n + k, N))
-    scalings = plane_volume_scaling(jacs, frames, np.vstack([coords.x_frame, coords.l_frame]))
+    scalings = plane_scalings(jacs, frames, np.vstack([coords.x_frame, coords.l_frame]))
     expected = two_pass_plane_volume_scaling(jacs, frames)
     # relative to each Jacobian's largest scaling: both formulas cancel in the
     # minors of a thin plane, whose own relative error reaches 1e-11
@@ -289,8 +290,8 @@ def test_verify_area_nonincreasing_matches_per_sample_loop(retraction, profile_c
         retraction = RetractionMap(retraction.coords, CutoffParams.forced(3, profile_c))
     samples, planes, jacobian_block = 12, 100, 7
     monkeypatch.setattr(retraction_module, "AREA_BLOCK_SAMPLES", jacobian_block)
-    sub_block = max(1, AREA_BLOCK_FRAMES // planes)
-    assert samples * planes > 2 * AREA_BLOCK_FRAMES  # several plane sub-blocks
+    sub_block = max(1, PLANE_CHUNK // planes)
+    assert samples * planes > 2 * PLANE_CHUNK  # several plane sub-blocks
     # several Jacobian blocks, the last one partial, and sub-blocks that end
     # inside a Jacobian block as well as at its end
     assert samples > jacobian_block and samples % jacobian_block != 0
@@ -316,6 +317,46 @@ def test_verify_area_nonincreasing_takes_one_differential_per_jacobian_block(
     monkeypatch.setattr(RetractionMap, "differential", counted)
     verify_area_nonincreasing(retraction, 500, 100, seed=0)
     assert shapes == [(500, 6), (6,)]
+
+
+@pytest.mark.parametrize("samples, planes", [(12, 100), (3, 600)], ids=["100-planes", "600-planes"])
+def test_verify_area_nonincreasing_does_not_depend_on_the_plane_chunk(
+        retraction, samples, planes, monkeypatch):
+    # at chunk 1 every sample has more planes than a chunk, as the 600-plane
+    # samples have at the default chunk
+    reports = []
+    for chunk in (PLANE_CHUNK, 1, 1 << 20):
+        monkeypatch.setattr(exterior, "PLANE_CHUNK", chunk)
+        reports.append(verify_area_nonincreasing(retraction, samples, planes, seed=5))
+    assert reports[0].max_plane_scaling > 0.5
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_verify_area_nonincreasing_takes_one_pulled_back_pass_per_jacobian_block(
+        retraction, monkeypatch):
+    # 12 samples in Jacobian blocks of 7: two P(BJ) passes, then the tangent
+    # plane's; at 100 planes a sample a chunk holds 5 samples, so the blocks'
+    # 7 + 5 samples take three scorer passes, and the tangent plane one
+    monkeypatch.setattr(retraction_module, "AREA_BLOCK_SAMPLES", 7)
+    pulled_back, scored = [], []
+
+    def spy(calls):
+        def kernel(frames, ambient_dim, degree, workspace=None):
+            calls.append(frames.shape)
+            return _batched_plucker(frames, ambient_dim, degree, workspace)
+        return kernel
+
+    monkeypatch.setattr(retraction_module, "_batched_plucker", spy(pulled_back))
+    monkeypatch.setattr(exterior, "_batched_plucker", spy(scored))
+    verify_area_nonincreasing(retraction, 12, 100, seed=0)
+    assert pulled_back == [(7, 3, 6), (5, 3, 6), (1, 3, 6)]
+    assert scored == [(500, 3, 6), (200, 3, 6), (500, 3, 6), (1, 3, 6)]
+    # one Jacobian block of 500 samples: 2 + 101 kernel calls
+    monkeypatch.setattr(retraction_module, "AREA_BLOCK_SAMPLES", AREA_BLOCK_SAMPLES)
+    pulled_back.clear()
+    scored.clear()
+    verify_area_nonincreasing(retraction, 500, 100, seed=0)
+    assert (len(pulled_back), len(scored)) == (2, 101)
 
 
 def test_negative_control_detects_expansion():
