@@ -55,12 +55,12 @@ ENVELOPE_SLACK_TOL = 1e-9
 # tail points per scan chunk.  The scan's buffers are allocated once, and a
 # chunk's projections are reused by every head row, so the size only trades
 # NumPy's per-call overhead against keeping those projections in cache.  On
-# a shared 2-vCPU Xeon, the 16^6 scan of verify_calibration (squared norms,
-# no sampled checks) took a median 0.287, 0.364 and 0.326 s of CPU at 8 192,
-# 0.242, 0.349 and 0.314 s at 16 384 and 0.256, 0.340 and 0.309 s at 32 768
-# in three interleaved series (7, 11 and 11 runs each): 8 192 was slowest in
-# each, and 32 768 was no faster beyond the noise, while its larger buffers
-# add to the peak RSS
+# a shared 2-vCPU Xeon, the 16^6 scan of verify_calibration (squared norms
+# through ``_BlockNorms``, no sampled checks) took a median 0.171, 0.172 and
+# 0.176 s of CPU at 8 192, 0.143, 0.142 and 0.142 s at 16 384 and 0.142,
+# 0.142 and 0.141 s at 32 768 in three interleaved series of 9 runs each:
+# 8 192 was slowest in each, and 32 768 was no faster beyond the noise,
+# while its larger buffers add to the peak RSS
 _SCAN_CHUNK = 16384
 
 
@@ -231,22 +231,81 @@ def _comass_buffers(size: int) -> tuple:
     return np.empty(size), np.empty(size, dtype=bool), np.empty(size), np.empty(size)
 
 
-def _block_squared_norms(rows: np.ndarray, offset: np.ndarray, out: np.ndarray,
-                         diff: np.ndarray) -> np.ndarray:
-    """Per-column |rows[:, j] + offset|^2 into ``out``, squares summed in row order.
+class _BlockNorms:
+    """Squared norms |x F^T|^2 of one (rows, N) frame block F, streamed over a grid scan.
 
-    The order is ``squared_norms``'s; ``diff`` is a work array of ``out``'s size.
+    A grid point x splits into its first ``h`` coordinates (the head) and the
+    rest (the tail), so x F^T = T + H with T = tail @ F[:, h:].T and
+    H = head @ F[:, :h].T, and |x F^T|^2 = sum_r (T_r + H_r)^2, summed in
+    row order as ``squared_norms`` sums it.  Each row is classified once per
+    scan by its exact zeros.  A tail-only row (F[r, :h] == 0) has H_r = +-0
+    at every head point, so its term is T_r^2, squared once per tail chunk;
+    a head-only row (F[r, h:] == 0) has T_r = +-0, so its term is the
+    scalar H_r^2, squared once per scan; a mixed row adds and squares per
+    point.  A leading run of tail-only rows is summed once per chunk, and a
+    leading run of head-only rows once per scan; the other rows are added
+    per head point in row order.  Floating-point addition commutes, so every
+    value is bit-identical to adding and squaring every row, and a block of
+    tail-only rows costs no work per head point.  The classification reads
+    only exact zeros, so it never changes a value; a rotated frame has only
+    mixed rows.  ``load`` takes a tail chunk, and ``norms`` gives the
+    block's squared norms at one head point in a buffer, allocated once per
+    scan, that the next call overwrites.
     """
-    if not len(rows):
-        out.fill(0.0)
-        return out
-    np.add(rows[0], offset[0], out=out)
-    out *= out
-    for row, h in zip(rows[1:], offset[1:]):
-        np.add(row, h, out=diff)
-        diff *= diff
-        out += diff
-    return out
+
+    def __init__(self, F: np.ndarray, h: int, head: np.ndarray, width: int):
+        kinds = ["tail" if not row[:h].any() else "head" if not row[h:].any() else "mixed"
+                 for row in F]
+        lead = 0
+        while lead < len(kinds) and kinds[lead] == kinds[0] != "mixed":
+            lead += 1
+        self.rest = list(enumerate(kinds))[lead:]
+        self.tail_rows = [r for r, kind in enumerate(kinds) if kind == "tail"]
+        self.tail_lead = lead if kinds[:1] == ["tail"] else 0
+        self.frame_tail = F[:, h:]
+        self.head_proj = F[:, :h] @ head.T  # (rows, head points)
+        self.head_sq = self.head_proj * self.head_proj
+        self.head_lead = None  # per head point, the sum of the leading head-only rows
+        if kinds[:1] == ["head"]:
+            self.head_lead = self.head_sq[0].copy()
+            for row in self.head_sq[1:lead]:
+                self.head_lead += row
+        self.out_buffer = np.zeros(width)  # stays 0 for a block without rows
+
+    def load(self, tail: np.ndarray) -> None:
+        """Project a tail chunk, square its tail-only rows and sum the leading ones."""
+        proj = self.frame_tail @ tail.T  # (rows, points): each row is one contiguous pass
+        for r in self.tail_rows:
+            proj[r] *= proj[r]
+        for r in range(1, self.tail_lead):
+            proj[0] += proj[r]
+        self.proj, self.out = proj, self.out_buffer[: tail.shape[0]]
+        self.start = proj[0] if self.tail_lead else None
+
+    def norms(self, i: int, diff: np.ndarray) -> np.ndarray:
+        """Squared norms at head point i over the loaded chunk; ``diff`` is a work array."""
+        proj, out = self.proj, self.out
+        acc = self.start if self.head_lead is None else self.head_lead[i]
+        for r, kind in self.rest:
+            if kind == "tail":
+                term = proj[r]
+            elif kind == "head":
+                term = self.head_sq[r, i]
+            else:
+                term = np.add(proj[r], self.head_proj[r, i], out=diff if acc is out else out)
+                term *= term
+            if acc is None:
+                acc = term
+            elif acc is out:
+                out += term
+            else:  # the leading sum plus the first term after it
+                acc = np.add(acc, term, out=out)
+        if acc is None:  # no rows: the zeros that out was allocated with
+            return out
+        if isinstance(acc, float):  # only head-only rows
+            out.fill(acc)
+            return out
+        return acc
 
 
 def _scan_grid(
@@ -261,29 +320,32 @@ def _scan_grid(
     head @ F[:, :2].T + tail @ F[:, 2:].T, with head over the first two
     axes and tail over the rest.  The tail is walked in chunks of
     ``_SCAN_CHUNK`` points; each chunk's projections are computed once and
-    reused by all grid^2 head rows, which add their offsets and yield the
-    list of per-point squared norms |x F_b^T|^2 for every (rows, N) block
-    F_b, in tail-chunk order and then head-row order; no square root is
-    taken.  Nothing of the grid's size is materialised: memory is
-    O(``_SCAN_CHUNK``) per block, whatever the grid or N.  The squared norms
-    are written in place into one buffer per block, allocated once per
-    scan, so each yielded list holds views that the next yield overwrites.
+    reused by all grid^2 head rows, and each head row yields the list of
+    per-point squared norms |x F_b^T|^2 for every (rows, N) block F_b, in
+    tail-chunk order and then head-row order; no square root is taken.
+    ``_BlockNorms`` sums each block's rows: a row that misses the head or
+    the tail axes is squared once per scan or once per chunk, so on
+    coordinate frames a head row costs one pass per row after the block's
+    leading run of tail-only rows, and none when every row is tail-only.
+    Nothing of the grid's size is materialised: memory is O(``_SCAN_CHUNK``)
+    per block, whatever the grid or N.  The squared norms are written in
+    place into buffers allocated once per scan, so each yielded list holds
+    views that the next yield overwrites.
     """
     axes = [np.linspace(lo, hi, grid) for lo, hi in zip(lows, highs)]
     h = min(2, len(axes))
     head = _grid_rows(axes[:h], 0, grid**h)
-    # (rows, points) layout: each frame row is one contiguous pass per head row
-    head_proj = [F[:, :h] @ head.T for F in blocks]
     tail_size = grid ** (len(axes) - h)
     width = min(_SCAN_CHUNK, tail_size)
-    norms, diff = [np.empty(width) for _ in blocks], np.empty(width)
+    plans = [_BlockNorms(F, h, head, width) for F in blocks]
+    diff = np.empty(width)
     for j in range(0, tail_size, width):
         tail = _grid_rows(axes[h:], j, min(j + width, tail_size))
-        size = tail.shape[0]
-        tail_proj = [F[:, h:] @ tail.T for F in blocks]
+        for plan in plans:
+            plan.load(tail)
+        work = diff[: tail.shape[0]]
         for i in range(head.shape[0]):
-            yield [_block_squared_norms(T, H[:, i], out[:size], diff[:size])
-                   for T, H, out in zip(tail_proj, head_proj, norms)]
+            yield [plan.norms(i, work) for plan in plans]
 
 
 # -- verification ------------------------------------------------------------
@@ -401,7 +463,10 @@ def _verify(
     the sum is each summand's closed form sqrt(c^2 + s^2) inside its own
     wedge and 0 outside all of them.  The grid scan streams every grid^N
     point through that closed form in one loop (``_scan_grid``: tail chunk,
-    then head row, memory O(``_SCAN_CHUNK``)), on squared norms only.  Per
+    then head row, memory O(``_SCAN_CHUNK``)), on squared norms only; a
+    frame row that misses the head or the tail axes is squared once per
+    scan or per chunk, not per point (``_BlockNorms``), so coordinate frames
+    cost at most one pass per row and point, and rotated frames three.  Per
     yield and summand, ``_comass_rz`` writes the closed form, the wedge mask
     and u = z^2 / r^2 into buffers allocated on the first yield, the
     envelope sqrt(1 - delta u) - comass goes into the spare buffer, and the

@@ -144,7 +144,13 @@ def _with_constants(n: int, a: float, c: float, tan_theta: float) -> CutoffParam
 
 
 def make_params(n: int, a: float) -> CutoffParams:
-    """Build the derived constants, enforcing 4n/(n+2) < a < n(n-2)."""
+    """Build the derived constants, enforcing 4n/(n+2) < a < n(n-2) and delta > 0.
+
+    delta > 0 is the same condition as a > 4n/(n+2) in exact arithmetic, but
+    just above that bound a(n+2) - 4n cancels, so an a whose computed delta
+    rounds to 0 or below is rejected too: the upper bound 1 - delta t^2 must
+    fall below 1 for every parameter set that this function admits.
+    """
     n = _plane_dimension(n)
     lo, hi = admissible_interval(n)
     if not a > lo:
@@ -156,7 +162,13 @@ def make_params(n: int, a: float) -> CutoffParams:
             f"inadmissible a={a:g}: requires a < n(n-2) = {hi:g} for n={n}"
         )
     a = float(a)
-    return _with_constants(n, a, n * (n - 2) / a, math.sqrt(a / (n * (n - 2))))
+    params = _with_constants(n, a, n * (n - 2) / a, math.sqrt(a / (n * (n - 2))))
+    if not params.delta > 0.0:
+        raise ValueError(
+            f"inadmissible a={a!r}: delta = (n-2)^2 (a(n+2) - 4n) / (a^2 n) rounds to "
+            f"{params.delta:g} for n={n}; it must be > 0"
+        )
+    return params
 
 
 def quartic_expansion(params: CutoffParams, t) -> np.ndarray | float:
@@ -194,8 +206,9 @@ class InequalityReport(CheckedReport):
     # computes it: (n-2)^2 (a(n+2) - 4n) / (a^2 n), > 0 iff a > 4n/(n+2).
     # Just above that bound a(n+2) - 4n cancels: at n = 4 the first double
     # above the float 4n/(n+2) gives a(n+2) = 4n exactly, so delta reads 0
-    # (true value 2.5e-16) and delta_positive fails on an a that
-    # make_params admits; two doubles above, delta reads 5e-16 and it passes
+    # (true value 2.5e-16), and make_params rejects that a; two doubles
+    # above, delta reads 5e-16 and every check passes.  So delta_positive
+    # fails only on a forced cutoff, such as CutoffParams.forced(3, 2.0)
     delta: float
     axis_t_squared: float
     axis_in_range: bool

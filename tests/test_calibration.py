@@ -377,6 +377,106 @@ def test_scan_norms_are_bit_identical_to_linalg_norm_on_axis_frames(cal, monkeyp
     assert np.array_equal(np.sqrt(z2), np.linalg.norm(y, axis=-1))
 
 
+def per_row_squared_norms(rows: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """|rows[:, j] + offset|^2 with every row added and squared, in row order.
+
+    The scan's kernel before it sorted rows by their zeros, kept here as the
+    reference that the hoisted rows must reproduce bit for bit.
+    """
+    out = np.zeros(rows.shape[1])
+    if len(rows):
+        np.add(rows[0], offset[0], out=out)
+        out *= out
+    for row, h in zip(rows[1:], offset[1:]):
+        diff = row + h
+        diff *= diff
+        out += diff
+    return out
+
+
+def per_row_scan(lows, highs, grid: int, blocks, chunk: int):
+    """The scan's yields, in its order, from ``per_row_squared_norms``."""
+    axes = [np.linspace(lo, hi, grid) for lo, hi in zip(lows, highs)]
+    head = calibration._grid_rows(axes[:2], 0, grid**2)
+    head_proj = [F[:, :2] @ head.T for F in blocks]
+    tail_size = grid ** (len(axes) - 2)
+    width = min(chunk, tail_size)
+    for j in range(0, tail_size, width):
+        tail = calibration._grid_rows(axes[2:], j, min(j + width, tail_size))
+        tail_proj = [F[:, 2:] @ tail.T for F in blocks]
+        for i in range(head.shape[0]):
+            yield [per_row_squared_norms(T, H[:, i]) for T, H in zip(tail_proj, head_proj)]
+
+
+def signed_axes(*rows) -> np.ndarray:
+    """A frame block of R^6 whose row i is sign_i e_(axis_i), for (axis, sign) pairs."""
+    frame = np.zeros((len(rows), 6))
+    for i, (axis, sign) in enumerate(rows):
+        frame[i, axis] = sign
+    return frame
+
+
+# the head is axes 0 and 1: H marks a head-only row, T a tail-only row and M a
+# mixed one.  The grid steps are not dyadic, so sums of squares round, and a
+# sum taken out of row order would show in the last bits
+SKEWED_REGION = ([-1.3, -0.7, -0.9, -1.1, -0.35, -1.7], [1.1, 0.9, 1.3, 0.7, 1.45, 1.3])
+
+
+def mixed_pair_blocks() -> tuple:
+    # the CI pair: adapted blocks MTH, MTT, MTT and MTH, with -0.0 entries
+    p1 = OrientedSubspace(6, np.array([[0.8, 0, 0, 0.6, 0, 0], [0, 1, 0, 0, 0, 0],
+                                       [0, 0, 1, 0, 0, 0]]))
+    p2 = OrientedSubspace(6, np.array([[-0.6, 0, 0, 0.8, 0, 0], [0, 0, 0, 0, 1, 0],
+                                       [0, 0, 0, 0, 0, 1]]))
+    c1, c2 = adapted_wedge_coordinates(intersect_and_split(p1, p2))[:2]
+    return [c1.x_frame, c1.y_frame, c2.x_frame, c2.y_frame], ([-1.2] * 6, [1.2] * 6)
+
+
+def rotated_blocks() -> tuple:
+    # rotated_cal's frames: every row mixed
+    q = random_rotation(6, 11)
+    cal = build_vanishing_calibration(make_params(3, 2.5), WedgeCoordinates(6, q[:3], q[3:]))
+    return [cal.coords.x_frame, cal.coords.y_frame], rotated_region(cal)
+
+
+def head_rows_mixing_axes() -> tuple:
+    # HTT/HTT whose head-only rows have two nonzero head entries
+    x = np.vstack([[0.6, 0.8, 0, 0, 0, 0], signed_axes((2, 1), (3, -1))])
+    y = np.vstack([[-0.8, 0.6, 0, 0, 0, 0], signed_axes((4, 1), (5, 1))])
+    return [x, y], SKEWED_REGION
+
+
+SCAN_NORM_CASES = {
+    "HHT/TTT": lambda: ([signed_axes((0, 1), (1, -1), (2, 1)),
+                         signed_axes((3, -1), (4, 1), (5, 1))], SKEWED_REGION),
+    "THT/HTT": lambda: ([signed_axes((2, 1), (0, -1), (3, 1)),
+                         signed_axes((1, 1), (4, -1), (5, 1))], SKEWED_REGION),
+    "TTH/TTH": lambda: ([signed_axes((2, -1), (3, 1), (0, 1)),
+                         signed_axes((4, 1), (5, -1), (1, 1))], SKEWED_REGION),
+    "HTH/TTT": lambda: ([signed_axes((0, 1), (2, 1), (1, -1)),
+                         signed_axes((3, 1), (4, 1), (5, -1))], SKEWED_REGION),
+    "head-rows-mixing-axes": head_rows_mixing_axes,
+    "rotated": rotated_blocks,
+    "MTH/MTT-pair": mixed_pair_blocks,
+    "m=0": lambda: ([signed_axes((0, 1), (2, 1), (3, 1)), np.zeros((0, 6))], SKEWED_REGION),
+}
+
+
+@pytest.mark.parametrize("chunk", [1000, 1 << 20])
+@pytest.mark.parametrize("case", list(SCAN_NORM_CASES))
+def test_scan_norms_are_bit_identical_to_the_per_row_kernel(case, chunk, monkeypatch):
+    # 7^4 = 2 401 tail points: chunks of 1 000, 1 000 and 401, or one chunk
+    blocks, region = SCAN_NORM_CASES[case]()
+    monkeypatch.setattr(calibration, "_SCAN_CHUNK", chunk)
+    lows, highs = calibration.region_box(*region)
+    yields = 0
+    for got, want in zip(calibration._scan_grid(lows, highs, 7, blocks),
+                         per_row_scan(lows, highs, 7, blocks, chunk), strict=True):
+        assert [norm.tobytes() for norm in got] == [norm.tobytes() for norm in want]
+        yields += 1
+    assert yields == 7**2 * (3 if chunk == 1000 else 1)
+
+
 @pytest.mark.parametrize("region, grid", [
     (STANDARD_REGION, 6),
     (STANDARD_REGION, 9),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -248,13 +249,29 @@ def test_delta_positive_fails_on_the_forced_control(grid):
     assert [c.name for c in rep.checks() if not c.passed] == ["delta_positive"]
 
 
-def test_delta_positive_reads_delta_as_rounded():
-    # the first double above 8/3 makes 6a round to 16: delta reads 0 at n = 4
+def test_make_params_rejects_an_a_whose_delta_rounds_to_zero():
+    # the first double above 8/3 clears the float bound 4n/(n+2) at n = 4, but
+    # 6a rounds to 16, so delta reads 0 (true value 2.5e-16): make_params
+    # rejects it, so delta_positive cannot fail on an a that make_params admits
     a = math.nextafter(8.0 / 3.0, math.inf)
-    rep = verify_inequality_one(make_params(4, a), 500)
-    assert rep.delta == make_params(4, a).delta == 0.0
-    assert [c.name for c in rep.checks() if not c.passed] == ["delta_positive"]
-    assert verify_inequality_one(make_params(4, math.nextafter(a, math.inf)), 500).passed
+    assert a > admissible_interval(4)[0]
+    with pytest.raises(ValueError, match="rounds to 0 for n=4"):
+        make_params(4, a)
+    above = make_params(4, math.nextafter(a, math.inf))
+    assert above.delta > 0.0
+    assert verify_inequality_one(above, 500).passed
+
+
+@pytest.mark.parametrize("grid", [10, 500, 10_000])
+def test_profile_continuous_at_interface_fails_on_an_early_cut(grid):
+    # the cut 1 % before gamma's zero: gamma(tan theta) = 1 - 0.99^2 = 0.0199,
+    # and the slacks, delta and the minimum on the shorter interval still hold
+    params = make_params(3, 2.5)
+    early = dataclasses.replace(params, tan_theta=0.99 * params.tan_theta)
+    rep = verify_inequality_one(early, grid)
+    assert rep.endpoint_gamma == pytest.approx(1.0 - 0.99**2, rel=1e-12)
+    assert [c.name for c in rep.checks() if not c.passed] == [
+        "profile_continuous_at_interface"]
 
 
 def test_delta_tends_to_zero_at_lower_bound():
