@@ -52,15 +52,11 @@ CALIBRATED_VALUE_TOL = 1e-10
 CLOSEDNESS_MIN_ORDER = 1.8
 OPTIMIZER_AGREEMENT_TOL = 1e-6
 ENVELOPE_SLACK_TOL = 1e-9
-# tail points per scan chunk.  The scan's buffers are allocated once, and a
-# chunk's projections are reused by every head row, so the size only trades
-# NumPy's per-call overhead against keeping those projections in cache.  On
-# a shared 2-vCPU Xeon, the 16^6 scan of verify_calibration (squared norms
-# through ``_BlockNorms``, no sampled checks) took a median 0.171, 0.172 and
-# 0.176 s of CPU at 8 192, 0.143, 0.142 and 0.142 s at 16 384 and 0.142,
-# 0.142 and 0.141 s at 32 768 in three interleaved series of 9 runs each:
-# 8 192 was slowest in each, and 32 768 was no faster beyond the noise,
-# while its larger buffers add to the peak RSS
+# entries per scan chunk (tail points when streaming) and the most points of
+# an axis group's sub-grid in a factored scan.  On a shared 2-vCPU Xeon, the
+# 16^6 scan of verify_calibration without sampled checks took a median 7.7,
+# 7.6 and 8.6 ms of CPU on coordinate frames (factored) and 0.32, 0.30 and
+# 0.34 s on rotated ones (streamed) at 8 192, 16 384 and 32 768, over 7 runs
 _SCAN_CHUNK = 16384
 
 
@@ -231,81 +227,32 @@ def _comass_buffers(size: int) -> tuple:
     return np.empty(size), np.empty(size, dtype=bool), np.empty(size), np.empty(size)
 
 
-class _BlockNorms:
-    """Squared norms |x F^T|^2 of one (rows, N) frame block F, streamed over a grid scan.
+def _block_squared_norms(rows: np.ndarray, offset: np.ndarray, out: np.ndarray,
+                         diff: np.ndarray) -> np.ndarray:
+    """Per-column |rows[:, j] + offset|^2 into ``out``, in row order; ``diff`` is work space."""
+    if not len(rows):
+        out.fill(0.0)
+        return out
+    np.add(rows[0], offset[0], out=out)
+    out *= out
+    for row, h in zip(rows[1:], offset[1:]):
+        np.add(row, h, out=diff)
+        diff *= diff
+        out += diff
+    return out
 
-    A grid point x splits into its first ``h`` coordinates (the head) and the
-    rest (the tail), so x F^T = T + H with T = tail @ F[:, h:].T and
-    H = head @ F[:, :h].T, and |x F^T|^2 = sum_r (T_r + H_r)^2, summed in
-    row order as ``squared_norms`` sums it.  Each row is classified once per
-    scan by its exact zeros.  A tail-only row (F[r, :h] == 0) has H_r = +-0
-    at every head point, so its term is T_r^2, squared once per tail chunk;
-    a head-only row (F[r, h:] == 0) has T_r = +-0, so its term is the
-    scalar H_r^2, squared once per scan; a mixed row adds and squares per
-    point.  A leading run of tail-only rows is summed once per chunk, and a
-    leading run of head-only rows once per scan; the other rows are added
-    per head point in row order.  Floating-point addition commutes, so every
-    value is bit-identical to adding and squaring every row, and a block of
-    tail-only rows costs no work per head point.  The classification reads
-    only exact zeros, so it never changes a value; a rotated frame has only
-    mixed rows.  ``load`` takes a tail chunk, and ``norms`` gives the
-    block's squared norms at one head point in a buffer, allocated once per
-    scan, that the next call overwrites.
-    """
 
-    def __init__(self, F: np.ndarray, h: int, head: np.ndarray, width: int):
-        kinds = ["tail" if not row[:h].any() else "head" if not row[h:].any() else "mixed"
-                 for row in F]
-        lead = 0
-        while lead < len(kinds) and kinds[lead] == kinds[0] != "mixed":
-            lead += 1
-        self.rest = list(enumerate(kinds))[lead:]
-        self.tail_rows = [r for r, kind in enumerate(kinds) if kind == "tail"]
-        self.tail_lead = lead if kinds[:1] == ["tail"] else 0
-        self.frame_tail = F[:, h:]
-        self.head_proj = F[:, :h] @ head.T  # (rows, head points)
-        self.head_sq = self.head_proj * self.head_proj
-        self.head_lead = None  # per head point, the sum of the leading head-only rows
-        if kinds[:1] == ["head"]:
-            self.head_lead = self.head_sq[0].copy()
-            for row in self.head_sq[1:lead]:
-                self.head_lead += row
-        self.out_buffer = np.zeros(width)  # stays 0 for a block without rows
-
-    def load(self, tail: np.ndarray) -> None:
-        """Project a tail chunk, square its tail-only rows and sum the leading ones."""
-        proj = self.frame_tail @ tail.T  # (rows, points): each row is one contiguous pass
-        for r in self.tail_rows:
-            proj[r] *= proj[r]
-        for r in range(1, self.tail_lead):
-            proj[0] += proj[r]
-        self.proj, self.out = proj, self.out_buffer[: tail.shape[0]]
-        self.start = proj[0] if self.tail_lead else None
-
-    def norms(self, i: int, diff: np.ndarray) -> np.ndarray:
-        """Squared norms at head point i over the loaded chunk; ``diff`` is a work array."""
-        proj, out = self.proj, self.out
-        acc = self.start if self.head_lead is None else self.head_lead[i]
-        for r, kind in self.rest:
-            if kind == "tail":
-                term = proj[r]
-            elif kind == "head":
-                term = self.head_sq[r, i]
-            else:
-                term = np.add(proj[r], self.head_proj[r, i], out=diff if acc is out else out)
-                term *= term
-            if acc is None:
-                acc = term
-            elif acc is out:
-                out += term
-            else:  # the leading sum plus the first term after it
-                acc = np.add(acc, term, out=out)
-        if acc is None:  # no rows: the zeros that out was allocated with
-            return out
-        if isinstance(acc, float):  # only head-only rows
-            out.fill(acc)
-            return out
-        return acc
+def _axis_groups(blocks: Sequence[np.ndarray]) -> list[tuple[list, list]]:
+    """(axes, block indices) per group of blocks joined by the axes of their nonzero columns."""
+    groups: list[tuple[set, list]] = []
+    for b, F in enumerate(blocks):
+        axes, members = set(np.flatnonzero(np.any(F != 0.0, axis=0)).tolist()), [b]
+        for other in [g for g in groups if g[0] & axes]:
+            groups.remove(other)
+            axes |= other[0]
+            members += other[1]
+        groups.append((axes, members))
+    return [(sorted(axes), sorted(members)) for axes, members in groups]
 
 
 def _scan_grid(
@@ -313,39 +260,71 @@ def _scan_grid(
     highs: np.ndarray,
     grid: int,
     blocks: Sequence[np.ndarray],
-) -> Iterator[list]:
+) -> Iterator[tuple[list, np.ndarray | None]]:
     """Stream a grid^N box scan through the squared norms of its projections onto frame blocks.
 
-    The grid is a tensor product, so a point's projection onto a frame F is
-    head @ F[:, :2].T + tail @ F[:, 2:].T, with head over the first two
-    axes and tail over the rest.  The tail is walked in chunks of
-    ``_SCAN_CHUNK`` points; each chunk's projections are computed once and
-    reused by all grid^2 head rows, and each head row yields the list of
-    per-point squared norms |x F_b^T|^2 for every (rows, N) block F_b, in
-    tail-chunk order and then head-row order; no square root is taken.
-    ``_BlockNorms`` sums each block's rows: a row that misses the head or
-    the tail axes is squared once per scan or once per chunk, so on
-    coordinate frames a head row costs one pass per row after the block's
-    leading run of tail-only rows, and none when every row is tail-only.
-    Nothing of the grid's size is materialised: memory is O(``_SCAN_CHUNK``)
-    per block, whatever the grid or N.  The squared norms are written in
-    place into buffers allocated once per scan, so each yielded list holds
-    views that the next yield overwrites.
+    Each yield is (norms, weights): the squared norms |x F_b^T|^2 per (rows,
+    N) block F_b, which the next yield may overwrite, and the int64 count of
+    grid points each entry stands for, or None for one point each.  Memory
+    is O(``_SCAN_CHUNK``) per block, whatever the grid or N.
+
+    Factored: ``_axis_groups`` joins the blocks into groups with disjoint
+    axes (a block without rows is a group without axes).  When no group
+    spans all N axes and each group's sub-grid has at most ``_SCAN_CHUNK``
+    points, each group's distinct rows of block norms (``squared_norms`` on
+    its sub-grid) are kept with their counts, and their product is walked in
+    chunks of ``_SCAN_CHUNK`` entries, weighted by the product of the counts
+    times grid^(free axes, which no block touches).  A 16^6 box on
+    coordinate frames is about 150 000 entries, but a coordinate pair at
+    grid 26 has groups of 26^3 = 17 576 points and streams.
+
+    Streamed, otherwise: a point's projection onto F is head @ F[:, :2].T +
+    tail @ F[:, 2:].T, with head over the first two axes and tail over the
+    rest.  The tail is walked in chunks of ``_SCAN_CHUNK`` points, whose
+    projections are reused by all grid^2 head rows, in tail-chunk order and
+    then head-row order.  Rotated frames always stream.
     """
     axes = [np.linspace(lo, hi, grid) for lo, hi in zip(lows, highs)]
+    groups = _axis_groups(blocks)
+    if all(len(ax) < len(axes) and grid ** len(ax) <= _SCAN_CHUNK for ax, _ in groups):
+        yield from _factored_scan(axes, grid, blocks, groups)
+        return
     h = min(2, len(axes))
     head = _grid_rows(axes[:h], 0, grid**h)
+    # (rows, points) layout: each frame row is one contiguous pass per head row
+    head_proj = [F[:, :h] @ head.T for F in blocks]
     tail_size = grid ** (len(axes) - h)
     width = min(_SCAN_CHUNK, tail_size)
-    plans = [_BlockNorms(F, h, head, width) for F in blocks]
-    diff = np.empty(width)
+    norms, diff = [np.empty(width) for _ in blocks], np.empty(width)
     for j in range(0, tail_size, width):
         tail = _grid_rows(axes[h:], j, min(j + width, tail_size))
-        for plan in plans:
-            plan.load(tail)
-        work = diff[: tail.shape[0]]
+        size = tail.shape[0]
+        tail_proj = [F[:, h:] @ tail.T for F in blocks]
         for i in range(head.shape[0]):
-            yield [plan.norms(i, work) for plan in plans]
+            yield [_block_squared_norms(T, H[:, i], out[:size], diff[:size])
+                   for T, H, out in zip(tail_proj, head_proj, norms)], None
+
+
+def _factored_scan(axes: list, grid: int, blocks: Sequence[np.ndarray],
+                   groups: list) -> Iterator[tuple[list, np.ndarray]]:
+    """``_scan_grid``'s factored path: distinct norms per axis group, walked as a product."""
+    tables = []  # per group: its blocks' distinct columns of norms, and their counts
+    for ax, members in groups:
+        points = _grid_rows([axes[a] for a in ax], 0, grid ** len(ax))
+        norms = np.stack([squared_norms(points @ blocks[b][:, ax].T) for b in members])
+        norms = norms[:, np.lexsort(norms)]
+        starts = np.flatnonzero(np.r_[True, np.any(norms[:, 1:] != norms[:, :-1], axis=0)])
+        tables.append((norms[:, starts], np.diff(np.r_[starts, norms.shape[1]])))
+    sizes = [counts.size for _, counts in tables]
+    total, scale = math.prod(sizes), grid ** (len(axes) - sum(len(ax) for ax, _ in groups))
+    for j in range(0, total, _SCAN_CHUNK):
+        index = np.unravel_index(np.arange(j, min(j + _SCAN_CHUNK, total)), sizes)
+        norms, weights = [None] * len(blocks), np.full(index[0].size, scale)
+        for (rows, counts), (_, members), i in zip(tables, groups, index):
+            weights *= counts[i]
+            for row, b in zip(rows, members):
+                norms[b] = row[i]
+        yield norms, weights
 
 
 # -- verification ------------------------------------------------------------
@@ -366,7 +345,9 @@ class CalibrationReport(CheckedReport):
     overlap_count: int  # grid points inside two or more wedges
     min_grid_r: float  # smallest distance from a grid point to a summand's axis
     max_comass: float
+    t_at_max_comass: float | None  # t = sqrt(u) there (smallest on a tie), None if no point
     envelope_min_slack: float  # min of sqrt(1 - delta u) - comass inside the wedges
+    t_at_min_envelope_slack: float | None  # likewise
     optimizer_max_deviation: float
     optimizer_samples: int
     closedness_max_residual: float
@@ -389,12 +370,14 @@ class CalibrationReport(CheckedReport):
             Check("wedges_disjoint", self.overlap_count == 0, measured=self.overlap_count,
                   threshold=0),
             Check("max_comass", self.max_comass <= 1.0 + COMASS_GRID_TOL,
-                  measured=self.max_comass, threshold=1.0, tolerance=COMASS_GRID_TOL),
+                  measured=self.max_comass, threshold=1.0, tolerance=COMASS_GRID_TOL,
+                  detail=_at_t(self.t_at_max_comass)),
             Check("envelope",
                   self.points_in_wedge > 0 and self.envelope_min_slack >= -ENVELOPE_SLACK_TOL,
                   measured=self.envelope_min_slack, threshold=0.0,
                   tolerance=ENVELOPE_SLACK_TOL,
-                  detail=f"{self.points_in_wedge} grid points inside a wedge"),
+                  detail=f"{self.points_in_wedge} grid points inside a wedge, "
+                         f"{_at_t(self.t_at_min_envelope_slack)}"),
             Check("optimizer_agreement",
                   self.optimizer_samples > 0
                   and self.optimizer_max_deviation <= OPTIMIZER_AGREEMENT_TOL,
@@ -417,6 +400,10 @@ class CalibrationReport(CheckedReport):
                   measured=self.vanishing_max_abs, threshold=0.0,
                   detail=f"{self.vanishing_samples} samples outside {outside}"),
         ]
+
+
+def _at_t(t: float | None) -> str:
+    return "no grid point inside a wedge" if t is None else f"attained at t = {t!r}"
 
 
 def _box_sample(
@@ -448,6 +435,16 @@ def _box_sample(
     return np.array(picked).reshape(-1, lows.size)
 
 
+def _count(mask: np.ndarray, weights: np.ndarray | None) -> int:
+    """The grid points that a scan yield's ``mask`` selects, with its ``weights``."""
+    return int(np.count_nonzero(mask) if weights is None else weights.sum(where=mask))
+
+
+def _u_at(u: np.ndarray, values: np.ndarray, found: float, best: float, u_best: float) -> float:
+    """The smallest u where ``values`` equals ``found``, and ``u_best`` too if it ties ``best``."""
+    return float(u.min(where=values == found, initial=u_best if found == best else math.inf))
+
+
 def _verify(
     field: FormField,
     cals: Sequence[VanishingCalibration],
@@ -461,20 +458,17 @@ def _verify(
 
     The summands share one cutoff and have disjoint wedges, so the comass of
     the sum is each summand's closed form sqrt(c^2 + s^2) inside its own
-    wedge and 0 outside all of them.  The grid scan streams every grid^N
-    point through that closed form in one loop (``_scan_grid``: tail chunk,
-    then head row, memory O(``_SCAN_CHUNK``)), on squared norms only; a
-    frame row that misses the head or the tail axes is squared once per
-    scan or per chunk, not per point (``_BlockNorms``), so coordinate frames
-    cost at most one pass per row and point, and rotated frames three.  Per
-    yield and summand, ``_comass_rz`` writes the closed form, the wedge mask
-    and u = z^2 / r^2 into buffers allocated on the first yield, the
-    envelope sqrt(1 - delta u) - comass goes into the spare buffer, and the
-    fold keeps running counts, minima and maxima over the points inside the
-    wedge (outside it the closed form and the envelope are overwritten with
-    the neutral values 0 and inf first, so nothing there counts), plus, for
-    a pair, the count of points inside both wedges.  None of these depends
-    on the order of the points.  Seeded box samples (``_box_sample``), none
+    wedge and 0 outside all of them.  ``_scan_grid`` yields the squared
+    norms, per grid point or, factored, per distinct entry with its weight,
+    the grid points it stands for.  Per yield and summand, ``_comass_rz``
+    writes the closed form, the wedge mask and u = z^2 / r^2 into buffers
+    allocated on the first yield, the envelope sqrt(1 - delta u) - comass
+    goes into the spare buffer, and the fold keeps weighted counts, minima
+    and maxima inside the wedge (outside it the closed form and the envelope
+    are first set to the neutral 0 and inf), and for a pair the count inside
+    both wedges.  None of these depends on the order of the points, nor does
+    the t = sqrt(u) of the largest comass and the smallest envelope slack,
+    the smallest u on a tie.  Seeded box samples (``_box_sample``), none
     of them flagged by ``field.singular_locus_descriptor`` at the stencil's
     margin ``STENCIL_CLEARANCE * max(FD_STEPS)``, then check the closed form
     against the frame optimizer (``optimizer_subsample`` per wedge) and fit
@@ -497,9 +491,10 @@ def _verify(
     blocks = [F for cal in cals for F in (cal.coords.x_frame, cal.coords.y_frame)]
     total = in_wedge = overlap = 0
     min_r2, top, envelope_min = math.inf, 0.0, math.inf
+    u_top = u_env = math.inf  # the smallest u where top and envelope_min are attained
     buffers = None
     with np.errstate(divide="ignore", invalid="ignore"):  # r = 0 lies outside
-        for norms in _scan_grid(lows, highs, grid, blocks):
+        for norms, weights in _scan_grid(lows, highs, grid, blocks):
             size = norms[0].size
             if buffers is None:  # the first yield is the widest
                 buffers = [_comass_buffers(size) for _ in cals]
@@ -514,21 +509,23 @@ def _verify(
                 np.subtract(1.0, envelope, out=envelope)
                 np.sqrt(envelope, out=envelope)
                 envelope -= values
-                # neutral values outside the wedge, then plain reductions:
-                # on the 16^6 box this took 0.033 s against 0.057 s for
-                # where=inside reductions
+                # neutral values outside the wedge, then plain reductions
                 outside = np.logical_not(inside, out=outside_buffer[:size])
                 np.copyto(values, 0.0, where=outside)
                 np.copyto(envelope, math.inf, where=outside)
-                top = max(top, float(values.max()))
-                envelope_min = min(envelope_min, float(envelope.min()))
+                high = float(values.max())
+                if high > 0.0 and high >= top:
+                    top, u_top = high, _u_at(u, values, high, top, u_top)
+                low = float(envelope.min())
+                if low < math.inf and low <= envelope_min:
+                    envelope_min, u_env = low, _u_at(u, envelope, low, envelope_min, u_env)
                 min_r2 = min(min_r2, float(r2.min()))
                 insides.append(inside)
-            total += size
-            in_wedge += int(np.count_nonzero(insides[0]))
+            total += size if weights is None else int(weights.sum())
+            in_wedge += _count(insides[0], weights)
             if len(insides) == 2:  # a pair: inclusion-exclusion
-                both = int(np.count_nonzero(np.logical_and(*insides, out=both_buffer[:size])))
-                in_wedge += int(np.count_nonzero(insides[1])) - both
+                both = _count(np.logical_and(*insides, out=both_buffer[:size]), weights)
+                in_wedge += _count(insides[1], weights) - both
                 overlap += both
 
     # optimizer cross-check of the closed-form pointwise comass, in every wedge
@@ -582,7 +579,9 @@ def _verify(
         overlap_count=overlap,
         min_grid_r=math.sqrt(min_r2),
         max_comass=top,
+        t_at_max_comass=math.sqrt(u_top) if u_top < math.inf else None,
         envelope_min_slack=envelope_min if envelope_min < math.inf else 0.0,
+        t_at_min_envelope_slack=math.sqrt(u_env) if u_env < math.inf else None,
         optimizer_max_deviation=opt_dev,
         optimizer_samples=len(opt_pts),
         closedness_max_residual=max_res,

@@ -18,7 +18,7 @@ from vancal.calibration import (
     verify_calibration,
     verify_pair_calibration,
 )
-from vancal.coords import WedgeCoordinates
+from vancal.coords import WedgeCoordinates, squared_norms
 from vancal.cutoff import CutoffParams, make_params
 from vancal.exterior import (
     FD_STEPS,
@@ -189,6 +189,9 @@ def test_verify_calibration_region_fully_outside_wedge(cal):
                              closedness_points=0, r_margin=0.01)
     assert rep.max_comass == 0.0
     assert rep.points_in_wedge == 0
+    assert rep.t_at_max_comass is None and rep.t_at_min_envelope_slack is None
+    details = {check.name: check.detail for check in rep.checks()}
+    assert details["max_comass"] == "no grid point inside a wedge"
 
 
 def test_negative_control_inadmissible_a_exceeds_comass_one():
@@ -260,8 +263,12 @@ def rotated_region(cal, halfwidth: float = 0.4):
 
 
 def reference_scan(cals, pts) -> dict:
-    """The scan fields from the materialised grid, one plain NumPy pass per summand."""
-    values, insides, slacks, radii = [], [], [], []
+    """The scan fields from the materialised grid, one plain NumPy pass per summand.
+
+    The t fields are sqrt of the smallest u, over all summands, among the
+    wedge points where the extreme is attained.
+    """
+    values, insides, slacks, radii, us = [], [], [], [], []
     for cal in cals:
         r = cal.coords.r(pts)
         u = cal.coords.u(pts)
@@ -271,10 +278,17 @@ def reference_scan(cals, pts) -> dict:
         values.append(value)
         insides.append(inside)
         radii.append(r)
+        us.append(u[inside])
     hits = np.sum(insides, axis=0)
+    top = float(np.max(values, axis=0).max())
+    slack = float(np.concatenate(slacks).min())
+    at_top = [u[value[inside] == top] for u, value, inside in zip(us, values, insides)]
+    at_slack = [u[s == slack] for u, s in zip(us, slacks)]
     return {
-        "max_comass": float(np.max(values, axis=0).max()),
-        "envelope_min_slack": float(np.concatenate(slacks).min()),
+        "max_comass": top,
+        "t_at_max_comass": math.sqrt(float(np.concatenate(at_top).min())),
+        "envelope_min_slack": slack,
+        "t_at_min_envelope_slack": math.sqrt(float(np.concatenate(at_slack).min())),
         "min_grid_r": float(np.min(radii)),
         "points_in_wedge": int((hits > 0).sum()),
         "overlap_count": int((hits > 1).sum()),
@@ -355,22 +369,63 @@ def test_scan_does_not_depend_on_the_chunk_size(rotated_cal, monkeypatch):
         assert scans() == default
 
 
+def scan_entries(lows, highs, grid: int, blocks, factored: bool) -> tuple:
+    """The scan's yields as np.unique(..., return_counts=True) of its rows of block norms.
+
+    Asserts the yield contract first: weights on every yield of a factored
+    scan and none on a streamed one, and at most ``_SCAN_CHUNK`` entries per
+    yield; a streamed entry stands for one point.
+    """
+    rows, weights = [], []
+    for norms, weight in calibration._scan_grid(lows, highs, grid, blocks):
+        assert (weight is not None) == factored
+        assert norms[0].size <= calibration._SCAN_CHUNK
+        rows.append(np.stack(norms, axis=1))
+        weights.append(np.ones(norms[0].size, dtype=np.int64) if weight is None else weight.copy())
+    values, inverse = np.unique(np.concatenate(rows), axis=0, return_inverse=True)
+    counts = np.zeros(len(values), dtype=np.int64)
+    np.add.at(counts, inverse.reshape(-1), np.concatenate(weights))
+    return values, counts
+
+
+def brute_force_entries(region, grid: int, blocks) -> tuple:
+    """np.unique(..., return_counts=True) of the materialised grid's rows of block norms."""
+    pts = brute_force_grid(region, grid)
+    return np.unique(np.stack([squared_norms(pts @ F.T) for F in blocks], axis=1), axis=0,
+                     return_counts=True)
+
+
+def assert_same_entries(got: tuple, want: tuple) -> None:
+    assert got[0].tobytes() == want[0].tobytes()
+    assert np.array_equal(got[1], want[1])
+
+
 def test_scan_norms_are_bit_identical_to_linalg_norm_on_axis_frames(cal, monkeypatch):
-    # every streamed r^2 and z^2, whose square roots are np.linalg.norm's r
-    # and z; 7^4 = 2 401 tail points make chunks of 1 000, 1 000 and 401,
-    # each yielded for the 7^2 head rows in turn, so the yields are put back
-    # into grid order (head row, then tail chunk)
-    monkeypatch.setattr(calibration, "_SCAN_CHUNK", 1000)
+    # every r^2 and z^2, whose square roots are np.linalg.norm's r and z.
+    # Factored, each distinct (r^2, z^2) comes with its count of grid points
     lows, highs = calibration.region_box(*STANDARD_REGION)
     blocks = [cal.coords.x_frame, cal.coords.y_frame]
-    yields = [[norm.copy() for norm in norms]
-              for norms in calibration._scan_grid(lows, highs, 7, blocks)]
     pts = brute_force_grid(STANDARD_REGION, 7)
-    assert len(yields) == 7**2 * 3
-    chunks = [yields[chunk * 7**2 + row] for row in range(7**2) for chunk in range(3)]
+    x, y = cal.coords.x_part(pts), cal.coords.y_part(pts)
+    values, entry, counts = np.unique(
+        np.stack([np.add.reduce(x * x, axis=-1), np.add.reduce(y * y, axis=-1)], axis=1),
+        axis=0, return_inverse=True, return_counts=True)
+    entries, weights = scan_entries(lows, highs, 7, blocks, factored=True)
+    assert_same_entries((entries, weights), (values, counts))
+    assert np.array_equal(np.sqrt(entries[entry.reshape(-1)]),
+                          np.stack([np.linalg.norm(x, axis=-1), np.linalg.norm(y, axis=-1)], 1))
+    # streamed, since 7^3 = 343 > 100: 7^4 = 2 401 tail points make 24 chunks
+    # of 100 and one of 1, each yielded for the 7^2 head rows in turn, so the
+    # yields are put back into grid order (head row, then tail chunk)
+    monkeypatch.setattr(calibration, "_SCAN_CHUNK", 100)
+    yields = []
+    for norms, weights in calibration._scan_grid(lows, highs, 7, blocks):
+        assert weights is None
+        yields.append([norm.copy() for norm in norms])
+    assert len(yields) == 7**2 * 25
+    chunks = [yields[chunk * 7**2 + row] for row in range(7**2) for chunk in range(25)]
     r2 = np.concatenate([r2 for r2, _ in chunks])
     z2 = np.concatenate([z2 for _, z2 in chunks])
-    x, y = cal.coords.x_part(pts), cal.coords.y_part(pts)
     assert np.array_equal(r2, np.add.reduce(x * x, axis=-1))
     assert np.array_equal(z2, np.add.reduce(y * y, axis=-1))
     assert np.array_equal(np.sqrt(r2), np.linalg.norm(x, axis=-1))
@@ -378,11 +433,7 @@ def test_scan_norms_are_bit_identical_to_linalg_norm_on_axis_frames(cal, monkeyp
 
 
 def per_row_squared_norms(rows: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """|rows[:, j] + offset|^2 with every row added and squared, in row order.
-
-    The scan's kernel before it sorted rows by their zeros, kept here as the
-    reference that the hoisted rows must reproduce bit for bit.
-    """
+    """|rows[:, j] + offset|^2 with every row added and squared, in row order."""
     out = np.zeros(rows.shape[1])
     if len(rows):
         np.add(rows[0], offset[0], out=out)
@@ -395,7 +446,7 @@ def per_row_squared_norms(rows: np.ndarray, offset: np.ndarray) -> np.ndarray:
 
 
 def per_row_scan(lows, highs, grid: int, blocks, chunk: int):
-    """The scan's yields, in its order, from ``per_row_squared_norms``."""
+    """A streamed scan's yields, in its order, from ``per_row_squared_norms``."""
     axes = [np.linspace(lo, hi, grid) for lo, hi in zip(lows, highs)]
     head = calibration._grid_rows(axes[:2], 0, grid**2)
     head_proj = [F[:, :2] @ head.T for F in blocks]
@@ -405,7 +456,7 @@ def per_row_scan(lows, highs, grid: int, blocks, chunk: int):
         tail = calibration._grid_rows(axes[2:], j, min(j + width, tail_size))
         tail_proj = [F[:, 2:] @ tail.T for F in blocks]
         for i in range(head.shape[0]):
-            yield [per_row_squared_norms(T, H[:, i]) for T, H in zip(tail_proj, head_proj)]
+            yield [per_row_squared_norms(T, H[:, i]) for T, H in zip(tail_proj, head_proj)], None
 
 
 def signed_axes(*rows) -> np.ndarray:
@@ -446,35 +497,50 @@ def head_rows_mixing_axes() -> tuple:
     return [x, y], SKEWED_REGION
 
 
+# case: (blocks and region, whether the blocks split the axes into groups);
+# the frames that touch every axis stream
 SCAN_NORM_CASES = {
-    "HHT/TTT": lambda: ([signed_axes((0, 1), (1, -1), (2, 1)),
-                         signed_axes((3, -1), (4, 1), (5, 1))], SKEWED_REGION),
-    "THT/HTT": lambda: ([signed_axes((2, 1), (0, -1), (3, 1)),
-                         signed_axes((1, 1), (4, -1), (5, 1))], SKEWED_REGION),
-    "TTH/TTH": lambda: ([signed_axes((2, -1), (3, 1), (0, 1)),
-                         signed_axes((4, 1), (5, -1), (1, 1))], SKEWED_REGION),
-    "HTH/TTT": lambda: ([signed_axes((0, 1), (2, 1), (1, -1)),
-                         signed_axes((3, 1), (4, 1), (5, -1))], SKEWED_REGION),
-    "head-rows-mixing-axes": head_rows_mixing_axes,
-    "rotated": rotated_blocks,
-    "MTH/MTT-pair": mixed_pair_blocks,
-    "m=0": lambda: ([signed_axes((0, 1), (2, 1), (3, 1)), np.zeros((0, 6))], SKEWED_REGION),
+    "HHT/TTT": (lambda: ([signed_axes((0, 1), (1, -1), (2, 1)),
+                          signed_axes((3, -1), (4, 1), (5, 1))], SKEWED_REGION), True),
+    "THT/HTT": (lambda: ([signed_axes((2, 1), (0, -1), (3, 1)),
+                          signed_axes((1, 1), (4, -1), (5, 1))], SKEWED_REGION), True),
+    "TTH/TTH": (lambda: ([signed_axes((2, -1), (3, 1), (0, 1)),
+                          signed_axes((4, 1), (5, -1), (1, 1))], SKEWED_REGION), True),
+    "HTH/TTT": (lambda: ([signed_axes((0, 1), (2, 1), (1, -1)),
+                          signed_axes((3, 1), (4, 1), (5, -1))], SKEWED_REGION), True),
+    "head-rows-mixing-axes": (head_rows_mixing_axes, False),
+    "rotated": (rotated_blocks, False),
+    "MTH/MTT-pair": (mixed_pair_blocks, False),
+    # axes 1, 4 and 5 are free
+    "m=0": (lambda: ([signed_axes((0, 1), (2, 1), (3, 1)), np.zeros((0, 6))], SKEWED_REGION),
+            True),
 }
 
 
-@pytest.mark.parametrize("chunk", [1000, 1 << 20])
+@pytest.mark.parametrize("chunk", [100, 1000, 1 << 20])
 @pytest.mark.parametrize("case", list(SCAN_NORM_CASES))
 def test_scan_norms_are_bit_identical_to_the_per_row_kernel(case, chunk, monkeypatch):
-    # 7^4 = 2 401 tail points: chunks of 1 000, 1 000 and 401, or one chunk
-    blocks, region = SCAN_NORM_CASES[case]()
+    # a group of 3 axes has 7^3 = 343 points, so a chunk of 100 streams every
+    # case.  Streamed, 7^4 = 2 401 tail points make chunks of 100 (24 and one
+    # of 1), of 1 000 (1 000, 1 000 and 401) or one chunk, each yielded as
+    # the per-row kernel yields it.  Factored, the weighted rows of block
+    # norms are those of the materialised grid
+    build, splits = SCAN_NORM_CASES[case]
+    blocks, region = build()
     monkeypatch.setattr(calibration, "_SCAN_CHUNK", chunk)
     lows, highs = calibration.region_box(*region)
+    if splits and chunk > 7**3:
+        got = scan_entries(lows, highs, 7, blocks, factored=True)
+        assert_same_entries(got, brute_force_entries(region, 7, blocks))
+        assert got[1].sum() == 7**6
+        return
     yields = 0
     for got, want in zip(calibration._scan_grid(lows, highs, 7, blocks),
                          per_row_scan(lows, highs, 7, blocks, chunk), strict=True):
-        assert [norm.tobytes() for norm in got] == [norm.tobytes() for norm in want]
+        assert got[1] is None
+        assert [norm.tobytes() for norm in got[0]] == [norm.tobytes() for norm in want[0]]
         yields += 1
-    assert yields == 7**2 * (3 if chunk == 1000 else 1)
+    assert yields == 7**2 * math.ceil(7**4 / chunk)
 
 
 @pytest.mark.parametrize("region, grid", [
@@ -511,27 +577,30 @@ def test_scan_wedge_is_the_field_support_on_the_r7_pair():
     # criterion 06's R^7 pair at grid 5: in exact arithmetic 2 880 grid points
     # per summand lie on its interface u = 5/6 (1 920 of them with u equal to
     # tan^2(theta) in floating point too), so a second wedge rule in the scan
-    # or in the field would disagree there; the field raises on r = z = 0
+    # or in the field would disagree there; the field raises on r = z = 0.
+    # The scan factors (axis 3 is free), so each grid point is counted
+    # through the entry of its own rows of block norms
     params = make_params(3, 2.5)
     _, cals = sum_pair_calibration(params, shared_axis_pair())
     region = ([-1.1] * 7, [1.1] * 7)
     lows, highs = calibration.region_box(*region)
     blocks = [F for cal in cals for F in (cal.coords.x_frame, cal.coords.y_frame)]
-    yields = [[norm.copy() for norm in norms]
-              for norms in calibration._scan_grid(lows, highs, 5, blocks)]
-    assert len(yields) == 5**2  # one tail chunk, so the yields are in grid order
+    entries, weights = scan_entries(lows, highs, 5, blocks, factored=True)
     pts = brute_force_grid(region, 5)
+    rows = np.stack([squared_norms(pts @ F.T) for F in blocks], axis=1)
+    values, entry, counts = np.unique(rows, axis=0, return_inverse=True, return_counts=True)
+    assert_same_entries((entries, weights), (values, counts))
+    entry = entry.reshape(-1)  # the scan entry that stands for each grid point
     for i, cal in enumerate(cals):
-        r2 = np.concatenate([norms[2 * i] for norms in yields])
-        z2 = np.concatenate([norms[2 * i + 1] for norms in yields])
+        r2, z2 = entries[:, 2 * i], entries[:, 2 * i + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
             _, inside, u = cal._comass_rz(r2, z2, calibration._comass_buffers(r2.size))
-        assert np.count_nonzero(np.isclose(u, 5.0 / 6.0, rtol=1e-12, atol=0.0)) == 2880
-        assert np.count_nonzero(u == params.tan_theta * params.tan_theta) == 1920
-        defined = (r2 > 0.0) | (z2 > 0.0)
+        assert weights[np.isclose(u, 5.0 / 6.0, rtol=1e-12, atol=0.0)].sum() == 2880
+        assert weights[u == params.tan_theta * params.tan_theta].sum() == 1920
+        defined = (rows[:, 2 * i] > 0.0) | (rows[:, 2 * i + 1] > 0.0)
         support = np.any(cal.field.coefficients(pts[defined]) != 0.0, axis=1)
-        assert np.array_equal(inside[defined], support)
-        assert not inside[~defined].any()
+        assert np.array_equal(inside[entry][defined], support)
+        assert not inside[entry][~defined].any()
 
 
 def test_scan_of_a_plane_with_no_normal_block():
@@ -544,6 +613,98 @@ def test_scan_of_a_plane_with_no_normal_block():
     expected = reference_scan([cal], brute_force_grid(region, 5))
     assert expected["points_in_wedge"] == 5**3
     assert {name: getattr(rep, name) for name in expected} == expected
+
+
+def m0_plane_with_a_free_axis():
+    # m = 0 in R^5: the y-block has no rows, and axes 3 (the l-block) and 4 are free
+    coords = WedgeCoordinates.from_axes(5, (0, 1, 2), (), (3,))
+    return build_vanishing_calibration(make_params(3, 2.5), coords)
+
+
+def coordinate_pair6():
+    return intersect_and_split(coordinate_plane(6, (0, 1, 2)), coordinate_plane(6, (3, 4, 5)))
+
+
+FACTORED_SCANS = {
+    "plane": lambda cal: verify_calibration(cal, STANDARD_REGION, 7, seed=0),
+    "pair6": lambda cal: verify_pair_calibration(make_params(3, 2.5), coordinate_pair6(),
+                                                 ([-1.2] * 6, [1.2] * 6), 7, seed=0)[0],
+    # axis 3, the shared one, is free
+    "pair7": lambda cal: verify_pair_calibration(make_params(3, 2.5), shared_axis_pair(),
+                                                 ([-1.1] * 7, [1.1] * 7), 7, seed=0)[0],
+    "m=0": lambda cal: verify_calibration(m0_plane_with_a_free_axis(),
+                                          ([0.5] * 3 + [-1.0] * 2, [1.5] * 3 + [1.0] * 2), 7,
+                                          seed=0),
+}
+
+
+@pytest.mark.parametrize("case", list(FACTORED_SCANS))
+def test_streaming_an_axis_frame_scan_gives_the_factored_report(cal, case, monkeypatch):
+    # at grid 7 each axis group has 7^3 = 343 points: the default chunk
+    # factors the scan, and a chunk of 342 makes it stream
+    spy = []
+
+    def scan(*args):
+        for norms, weights in real_scan(*args):
+            spy.append(weights is None)
+            yield norms, weights
+
+    real_scan = calibration._scan_grid
+    monkeypatch.setattr(calibration, "_scan_grid", scan)
+    factored = FACTORED_SCANS[case](cal)
+    assert spy and not any(spy)
+    spy.clear()
+    monkeypatch.setattr(calibration, "_SCAN_CHUNK", 7**3 - 1)
+    streamed = FACTORED_SCANS[case](cal)
+    assert spy and all(spy)
+    N = 5 if case == "m=0" else 7 if case == "pair7" else 6
+    assert factored.grid_points_total == streamed.grid_points_total == 7**N
+    assert factored.points_in_wedge > 0 and factored.t_at_max_comass is not None
+    assert factored == streamed
+    details = {check.name: check.detail for check in factored.checks()}
+    assert details["max_comass"] == f"attained at t = {factored.t_at_max_comass!r}"
+    assert details["envelope"].endswith(f"attained at t = {factored.t_at_min_envelope_slack!r}")
+
+
+def test_rotated_frames_stream(rotated_cal, monkeypatch):
+    # a rotated block touches every axis, so its group spans the grid and the
+    # scan streams, whatever the chunk; the tightest t does not depend on it
+    blocks = [rotated_cal.coords.x_frame, rotated_cal.coords.y_frame]
+    assert [axes for axes, _ in calibration._axis_groups(blocks)] == [list(range(6))]
+    lows, highs = calibration.region_box(*rotated_region(rotated_cal))
+    reports = []
+    for chunk in (1000, 1 << 20):
+        monkeypatch.setattr(calibration, "_SCAN_CHUNK", chunk)
+        scan = calibration._scan_grid(lows, highs, 6, blocks)
+        assert all(weights is None for _, weights in scan)
+        reports.append(verify_calibration(rotated_cal, rotated_region(rotated_cal), 7, seed=0,
+                                          optimizer_subsample=0, closedness_points=0))
+    t_fields = [(rep.t_at_max_comass, rep.t_at_min_envelope_slack) for rep in reports]
+    assert t_fields[0] == t_fields[1] and None not in t_fields[0]
+
+
+def test_tightest_t_is_the_smallest_u_on_a_tie_in_either_order(cal, monkeypatch):
+    # comass^2 = 1 - 0.16 u (1 - u) at n = 3, a = 2.5 is symmetric about
+    # u = 1/2, so u = 0.2 and its mirror tie for the largest comass, and two
+    # adjacent floats near the interface tie for the smallest envelope
+    # slack.  Each tie spans two scan yields, and either order must report
+    # the smaller u
+    near = 0.8325
+    ties = {"t_at_max_comass": (0.2, 0.8000000000000003),
+            "t_at_min_envelope_slack": (near, math.nextafter(near, 1.0))}
+    for name, pair in ties.items():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values, _, u = cal._comass_rz(np.ones(2), np.array(pair),
+                                          calibration._comass_buffers(2))
+        envelope = np.sqrt(1.0 - cal.params.delta * u) - values
+        tied = values if name == "t_at_max_comass" else envelope
+        assert tied[0] == tied[1]
+        for order in (pair, pair[::-1]):
+            monkeypatch.setattr(calibration, "_scan_grid", lambda *args, order=order: (
+                ([np.ones(1), np.array([z2])], None) for z2 in order))
+            rep = verify_calibration(cal, STANDARD_REGION, 2, seed=0, optimizer_subsample=0,
+                                     closedness_points=0)
+            assert getattr(rep, name) == math.sqrt(pair[0])
 
 
 def test_scan_memory_does_not_grow_with_the_grid(cal):
