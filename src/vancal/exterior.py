@@ -8,9 +8,10 @@ Pluecker kernel, ``_batched_plucker``, which works in the buffers of a
 supremum over orthonormal k-frames) is computed two independent ways:
 
 - alternating maximization over unit vectors (the higher-order power
-  method), with multistarts.  Replacing one frame vector at a time by its
-  normalized gradient never lowers the value, and by Hadamard's inequality
-  the value on unit vectors never exceeds the comass;
+  method) from multistarts, in one sweep loop that runs a stack of tensors
+  at once.  Setting one frame vector at a time to its normalized gradient
+  never lowers the value, and by Hadamard's inequality the value on unit
+  vectors never exceeds the comass;
 - a brute-force sampling oracle over Haar-random k-planes, each the span
   of a Gaussian matrix scored through its normalized Pluecker vector, with
   an optional derivative-free refinement.  It shares only the Pluecker
@@ -440,74 +441,71 @@ def random_orthonormal_frames(
     count: int, ambient_dim: int, degree: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Haar-distributed orthonormal frames, shape (count, degree, ambient_dim)."""
-    if degree == 0:
-        return np.zeros((count, 0, ambient_dim))
     return _orthonormal_rows(rng.standard_normal((count, ambient_dim, degree)))
 
 
-def comass(
-    u: AlternatingTensor,
-    multistarts: int = 64,
-    tol: float = 1e-10,
-    *,
-    seed: int = 0,
-    max_iter: int = 10_000,
-) -> float:
-    """Comass by alternating maximization over unit vectors, with multistarts.
+def _comass_rows(coefficients: np.ndarray, ambient_dim: int, degree: int, multistarts: int,
+                 tol: float, *, seed: int, max_iter: int = 10_000) -> tuple[np.ndarray, int]:
+    """Comass of each row of a (P, C(N, k)) stack by one alternating-maximization loop.
 
     The higher-order power method (De Lathauwer, De Moor & Vandewalle 2000):
-    each sweep replaces every frame vector in turn by its normalized
-    gradient, v_b <- g_b / |g_b| with g_b = u(v_1, .., e_j, .., v_k) (e_j in
-    slot b), leaving v_b alone where g_b = 0.  The value u(V) = |g_b| after
-    each update never decreases, so no step size is needed.  On unit vectors
-    |u(V)| <= comass * |v_1 ^ .. ^ v_k| <= comass by Hadamard's inequality,
-    so every value is a lower bound; and since each new v_b is orthogonal to
-    the other rows, the frame is orthonormal after one sweep.  A start is
-    converged when a sweep moves its frame by less than ``tol``; the largest
-    value over all starts is returned.
+    each sweep sets every frame vector v_b in turn to its normalized gradient
+    g_b / |g_b|, g_b = u(v_1, .., e_j, .., v_k) (e_j in slot b), unless g_b = 0;
+    each new v_b is orthogonal to the other rows, so the frame is orthonormal
+    after one sweep.  Every row gets the same ``multistarts`` Haar starts from
+    ``seed``; all P * multistarts frames sweep together in one Pluecker
+    workspace, and each row's arithmetic is as in a stack of one.  A start is
+    done when a sweep moves it by less than ``tol``; a zero row has no start.
+    Returns each row's largest value, as (P,), and the count of starts not
+    done after ``max_iter`` sweeps, which one RuntimeWarning also reports.
     """
     if multistarts < 1:
         raise ValueError("multistarts must be >= 1")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and > 0")
-    N, k = u.ambient_dim, u.degree
+    N, k, P = ambient_dim, degree, len(coefficients)
     if k == 0:
-        return abs(float(u.coefficients[0]))
-    if u.is_zero():
-        return 0.0
-
-    rng = np.random.default_rng(seed)
-    frames = random_orthonormal_frames(multistarts, N, k, rng)
-    workspace = PluckerWorkspace(N, k, multistarts)
-    # u(w_1, .., w_{k-1}, e_j) = (plucker(W) @ last_slot)[j]
+        return np.abs(coefficients[:, 0]), 0
+    active = np.flatnonzero(np.repeat(coefficients.any(axis=1), multistarts))
+    if active.size == 0:
+        return np.zeros(P), 0
+    starts = random_orthonormal_frames(multistarts, N, k, np.random.default_rng(seed))
+    frames, started = np.tile(starts, (P, 1, 1)), active.size
+    workspace = PluckerWorkspace(N, k, P * multistarts)
+    # u(w_1, .., w_{k-1}, e_j) = (plucker(W) @ last_slot[row])[j]
     faces, axes, out, signs = _wedge_table(N, k - 1, 1)
-    last_slot = np.zeros((n_coefficients(N, k - 1), N))
-    last_slot[faces, axes] = signs * u.coefficients[out]
-    active = np.arange(multistarts)
+    last_slot = np.zeros((P, n_coefficients(N, k - 1), N))
+    last_slot[:, faces, axes] = signs * coefficients[:, out]
+    complements = [np.flatnonzero(np.arange(k) != b) for b in range(k)]  # slots other than b
     for _ in range(max_iter):
         if active.size == 0:
             break
-        sweep = frames[active]
-        before = sweep.copy()
-        for b in range(k):
+        sweep, before = frames[active], frames[active]
+        runs = np.searchsorted(active, np.arange(P + 1) * multistarts).tolist()
+        grad = np.empty((active.size, N))
+        for b, others in enumerate(complements):
             # moving slot b to the end takes k-1-b transpositions
-            grad = _batched_plucker(np.delete(sweep, b, axis=1), N, k - 1, workspace) @ last_slot
+            minors = _batched_plucker(sweep.take(others, axis=1), N, k - 1, workspace)
+            for table, lo, hi in zip(last_slot, runs, runs[1:]):  # each row's starts
+                np.matmul(minors[lo:hi], table, out=grad[lo:hi])
             norm = np.linalg.norm(grad, axis=1)
             moved = norm > 0.0
             sign = -1.0 if (k - 1 - b) % 2 else 1.0
             sweep[moved, b] = (sign / norm[moved])[:, None] * grad[moved]
         frames[active] = sweep
-        step = np.linalg.norm((sweep - before).reshape(active.size, -1), axis=1)
-        active = active[step >= tol]
-
+        active = active[np.linalg.norm((sweep - before).reshape(active.size, -1), axis=1) >= tol]
     if active.size:
-        warnings.warn(
-            f"comass: {active.size} of {multistarts} starts did not "
-            f"converge within {max_iter} sweeps",
-            RuntimeWarning,
-        )
-    values = _batched_plucker(frames, N, k, workspace) @ u.coefficients
-    return float(np.abs(values).max())
+        warnings.warn(f"comass: {active.size} of {started} starts did not converge within "
+                      f"{max_iter} sweeps", RuntimeWarning)
+    plucker = _batched_plucker(frames, N, k, workspace).reshape(P, multistarts, -1)
+    return np.abs(plucker @ coefficients[:, :, None]).max(axis=(1, 2)), int(active.size)
+
+
+def comass(u: AlternatingTensor, multistarts: int = 64, tol: float = 1e-10, *, seed: int = 0,
+           max_iter: int = 10_000) -> float:
+    """Comass by alternating maximization over unit vectors: ``_comass_rows`` on one row."""
+    return float(_comass_rows(u.coefficients[None], u.ambient_dim, u.degree, multistarts, tol,
+                              seed=seed, max_iter=max_iter)[0][0])
 
 
 def _plane_values(

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
-from vancal import calibration
+from vancal import calibration, exterior
 from vancal.calibration import (
     CalibrationReport,
     adapted_wedge_coordinates,
@@ -820,6 +821,67 @@ def test_sampled_checks_fail_without_samples(cal):
     assert [c.name for c in outside.checks() if not c.passed] == [
         "envelope", "optimizer_agreement", "closedness_order"]
     assert outside.passed is False
+
+
+def per_point_comass_rows(coefficients, N, k, multistarts, tol, *, seed):
+    """The optimizer cross-check as one ``comass`` call per sampled point."""
+    values = [comass(AlternatingTensor(N, k, row), multistarts, tol, seed=seed)
+              for row in coefficients]
+    return np.array(values), 0
+
+
+def signed_axes_criterion_05(seed: int):
+    """Criterion 05's calibration and box with the axes signed and permuted by ``seed``."""
+    rng = np.random.default_rng(seed)
+    perm, signs = rng.permutation(6), rng.choice([-1.0, 1.0], size=6)
+    frames = [signed_axes(*((perm[a], signs[a]) for a in block))
+              for block in ((0, 1, 2), (3, 4, 5))]
+    lows, highs = np.zeros(6), np.zeros(6)
+    for axis in range(6):
+        ends = signs[axis] * np.array([STANDARD_REGION[0][axis], STANDARD_REGION[1][axis]])
+        lows[perm[axis]], highs[perm[axis]] = ends.min(), ends.max()
+    cal = build_vanishing_calibration(make_params(3, 2.5), WedgeCoordinates(6, *frames))
+    return cal, (lows, highs)
+
+
+PER_POINT_CASES = {
+    **{f"criterion-05 axes {seed}": (
+        lambda seed=seed: verify_calibration(*signed_axes_criterion_05(seed), 20, seed=0))
+       for seed in range(3)},
+    "p6": lambda: verify_pair_calibration(make_params(3, 2.5), coordinate_pair6(),
+                                          ([-1.2] * 6, [1.2] * 6), 7, seed=0)[0],
+    "p7": lambda: verify_pair_calibration(make_params(3, 2.5), shared_axis_pair(),
+                                          ([-1.1] * 7, [1.1] * 7), 9, seed=0)[0],
+}
+
+
+@pytest.mark.parametrize("case", list(PER_POINT_CASES))
+def test_batched_optimizer_report_equals_the_per_point_one(case, monkeypatch):
+    batched = PER_POINT_CASES[case]()
+    monkeypatch.setattr(calibration, "_comass_rows", per_point_comass_rows)
+    per_point = PER_POINT_CASES[case]()
+    assert batched.passed and per_point.passed and batched.optimizer_unconverged == 0
+    assert abs(batched.optimizer_max_deviation - per_point.optimizer_max_deviation) <= 1e-15
+    exact = {**vars(batched), "optimizer_max_deviation": None}
+    assert exact == {**vars(per_point), "optimizer_max_deviation": None}
+    for got, want in zip(batched.checks(), per_point.checks(), strict=True):
+        assert (got.name, got.passed, got.detail) == (want.name, want.passed, want.detail)
+        if got.name != "optimizer_agreement":
+            assert got == want
+
+
+def test_unconverged_optimizer_starts_are_counted_and_stated(cal, monkeypatch):
+    rep = verify_calibration(cal, STANDARD_REGION, 5, seed=0)
+    check = next(c for c in rep.checks() if c.name == "optimizer_agreement")
+    assert rep.optimizer_unconverged == 0 and check.passed
+    assert check.detail == "6 samples, 0 unconverged optimizer starts"
+    # one sweep moves every start, so none of the 6 x 24 starts has converged
+    monkeypatch.setattr(calibration, "_comass_rows", partial(exterior._comass_rows, max_iter=1))
+    with pytest.warns(RuntimeWarning, match="144 of 144 starts did not converge"):
+        rep = verify_calibration(cal, STANDARD_REGION, 5, seed=0)
+    check = next(c for c in rep.checks() if c.name == "optimizer_agreement")
+    assert rep.optimizer_unconverged == 144
+    assert check.detail == "6 samples, 144 unconverged optimizer starts"
 
 
 def test_pair_samples_near_a_plane_keep_clear_of_the_singular_set_only():

@@ -14,6 +14,7 @@ from vancal.exterior import (
     ComassReport,
     PluckerWorkspace,
     _batched_plucker,
+    _comass_rows,
     _interior_table,
     _plane_values,
     _wedge_table,
@@ -399,6 +400,53 @@ def test_comass_warns_when_starts_do_not_converge():
     u = random_tensor(6, 3, np.random.default_rng(14))
     with pytest.warns(RuntimeWarning, match="did not converge"):
         comass(u, max_iter=1)
+
+
+def comass_stacks():
+    """(N, k, rows) stacks: random rows, then a zero row and the first row times 1e3."""
+    rng = np.random.default_rng(29)
+    stacks = {
+        "(6,3)": (6, 3, rng.standard_normal((4, 20))),
+        "(7,4)": (7, 4, rng.standard_normal((4, 35))),
+        "associative": (7, 3, associative_form().coefficients[None]),
+        "omega^2/2": (8, 4, half_kahler_square().coefficients[None]),
+    }
+    return {name: (N, k, np.vstack([rows, np.zeros(rows.shape[1]), 1e3 * rows[0]]))
+            for name, (N, k, rows) in stacks.items()}
+
+
+@pytest.mark.parametrize("name", list(comass_stacks()))
+def test_comass_rows_equal_one_row_calls(name):
+    # each start's path does not depend on the other rows' starts
+    N, k, rows = comass_stacks()[name]
+    values, unconverged = _comass_rows(rows, N, k, 24, 1e-12, seed=5)
+    assert values.shape == (len(rows),) and unconverged == 0
+    assert values[-2] == 0.0
+    for row, value in zip(rows, values):
+        alone = comass(AlternatingTensor(N, k, row), 24, 1e-12, seed=5)
+        assert abs(value - alone) <= 1e-15 * max(1.0, np.linalg.norm(row))
+
+
+def test_comass_rows_of_an_empty_stack_and_degree_zero():
+    values, unconverged = _comass_rows(np.zeros((0, 20)), 6, 3, 24, 1e-12, seed=0)
+    assert values.shape == (0,) and unconverged == 0
+    values, unconverged = _comass_rows(np.array([[-2.5], [0.0]]), 3, 0, 24, 1e-12, seed=0)
+    assert values.tolist() == [2.5, 0.0] and unconverged == 0
+
+
+def test_comass_rows_count_the_starts_that_do_not_converge():
+    rows = np.random.default_rng(14).standard_normal((3, 20))
+    rows[1] = 0.0  # a zero row has no start to run
+    with pytest.warns(RuntimeWarning, match="of 48 starts did not converge") as caught:
+        _, unconverged = _comass_rows(rows, 6, 3, 24, 1e-12, seed=0, max_iter=1)
+    assert len(caught) == 1
+    assert 0 < unconverged <= 48
+    assert str(caught[0].message).startswith(f"comass: {unconverged} of 48")
+    with pytest.raises(ValueError, match="multistarts"):
+        _comass_rows(rows, 6, 3, 0, 1e-12, seed=0)
+    for tol in (math.nan, math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="tol"):
+            _comass_rows(rows, 6, 3, 24, tol, seed=0)
 
 
 def orthogonal_matrix(N, rng):
