@@ -20,6 +20,11 @@ supremum over orthonormal k-frames) is computed two independent ways:
 Every Haar-plane score, the oracle's and the retraction's, comes from one
 scorer, ``_plane_values``, which pairs each frame's normalized Pluecker
 vector with a tensor per run of frames, ``PLANE_CHUNK`` frames per pass.
+Both loops take their Gaussian frames from ``_normal_chunks``, whose helper
+thread draws the next chunk while the current one is scored.  The draws
+stay one per chunk in the same order, so no value depends on the prefetch,
+and no option turns it off; it holds one extra chunk buffer (131 KB for
+omega^2/2 on R^8).
 
 ``ComassReport`` holds the two values and the one rule that relates them.
 
@@ -30,7 +35,9 @@ Every finite difference in the package comes from one batched stencil,
 from __future__ import annotations
 
 import math
+import threading
 import warnings
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -51,6 +58,16 @@ ORACLE_DOMINANCE_TOL = 1e-6
 # free and the next pass faulted them back in: 12 951-13 591 minor faults for
 # one 20 000-sample call in a fresh process, against 243-244 with the workspace
 PLANE_CHUNK = 512
+# stack of the thread that draws the next plane chunk's Gaussians, which
+# runs one loop of C draws.  glibc keeps a joined thread's stack mapped for
+# the next thread.  With the default 8 MiB stack, a process that runs every
+# CLI command (perfbench's pointwise-pipeline) peaked at 60.4-60.8 MB RSS
+# instead of 59.5 MB in about half of its passes, one 2 MiB huge page more
+# (Linux 6.18, glibc, transparent huge pages on madvise); at 256 KiB, 24 of
+# 24 passes read 59.4-59.7 MB.  threading.stack_size is process-wide, so the
+# lock keeps concurrent loops from leaving it set
+HELPER_STACK = 256 << 10
+_HELPER_START = threading.Lock()
 # finite-difference steps of the closedness order fit
 FD_STEPS = (1e-2, 5e-3, 2.5e-3)
 
@@ -531,27 +548,91 @@ def _plane_values(
     return np.divide(values, norms, out=np.zeros_like(values), where=norms > 0.0)
 
 
+def _normal_chunks(rng: np.random.Generator, sizes: list[int], shape: tuple[int, ...]):
+    """Yield standard-normal chunks of ``sizes[i]`` arrays of ``shape``, one chunk ahead.
+
+    Chunk i is what ``rng.standard_normal(out=...)`` on it alone would draw,
+    in order, so the stream is that of one draw per chunk, and after a loop
+    run to the end ``rng`` is where those draws leave it.  One helper thread
+    makes every draw, the only use of ``rng`` while the loop runs: it fills
+    chunk i + 1 in the second of two buffers while the caller scores chunk
+    i, which is valid until the caller asks for the next one.  The draw
+    releases the GIL, so the two overlap.  Lock hand-offs pass the buffers
+    back and forth; a thread per chunk would cost a start and a join each.
+    An error in a draw is raised here.  However the loop ends, the helper
+    is joined before the generator finishes; a caller that may stop early
+    closes it (``contextlib.closing``), and ``rng`` may then be one chunk on.
+    """
+    buffers = [np.empty((max(sizes), *shape)) for _ in range(2)]
+    # free[b] is held while buffer b is filled or scored; ready[b] is
+    # released when buffer b holds the next chunk (or the draw failed)
+    free = (threading.Lock(), threading.Lock())
+    ready = (threading.Lock(), threading.Lock())
+    for lock in ready:
+        lock.acquire()
+    failure = []
+    stop = False
+
+    def draw():
+        for i, size in enumerate(sizes):
+            free[i % 2].acquire()
+            if stop:
+                return
+            try:
+                rng.standard_normal(out=buffers[i % 2][:size])
+            except BaseException as exc:  # raised again in the caller
+                failure.append(exc)
+                return
+            finally:
+                ready[i % 2].release()
+
+    helper = threading.Thread(target=draw, name="vancal-normal-chunks")
+    with _HELPER_START:
+        previous = threading.stack_size(HELPER_STACK)
+        try:
+            helper.start()
+        finally:
+            threading.stack_size(previous)
+    held = None
+    try:
+        for i, size in enumerate(sizes):
+            ready[i % 2].acquire()
+            if failure:
+                raise failure[0]
+            held = i % 2
+            yield buffers[held][:size]
+            free[held].release()
+            held = None
+    finally:
+        stop = True
+        if held is not None:
+            free[held].release()  # the helper may wait for this buffer
+        helper.join()
+
+
 def _sampled_maximum(u: AlternatingTensor, samples: int, rng: np.random.Generator):
     """Largest |u| over Haar-random k-planes, drawn in cache-sized chunks.
 
     Each plane is the span of a Gaussian (N, k) matrix, and is scored by
-    ``_plane_values`` without orthonormalizing it.  Every chunk is drawn
-    into the same buffer and scored in the same Pluecker workspace.  Returns
-    the value and the winning Gaussian matrix.
+    ``_plane_values`` without orthonormalizing it.  ``_normal_chunks`` draws
+    the next chunk while this one is scored in the loop's one Pluecker
+    workspace; the draws are those of one ``rng`` call per chunk, in order,
+    whatever the prefetch.  Returns the value and the winning Gaussian matrix.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     N, k = u.ambient_dim, u.degree
     chunk = min(PLANE_CHUNK, samples)
     workspace = PluckerWorkspace(N, k, chunk)
-    draws = np.empty((chunk, N, k))
+    sizes = [min(chunk, samples - drawn) for drawn in range(0, samples, chunk)]
     best, best_matrix = -math.inf, None
-    for drawn in range(0, samples, chunk):
-        mats = rng.standard_normal(out=draws[: min(chunk, samples - drawn)])
-        values = _plane_values(np.swapaxes(mats, 1, 2), u.coefficients[None], workspace)
-        j = int(np.argmax(values))
-        if values[j] > best:
-            best, best_matrix = float(values[j]), mats[j].copy()
+    with closing(_normal_chunks(rng, sizes, (N, k))) as chunks:
+        for mats in chunks:
+            values = _plane_values(np.swapaxes(mats, 1, 2), u.coefficients[None], workspace)
+            j = int(np.argmax(values))
+            if values[j] > best:
+                # a copy: the buffer is drawn into again
+                best, best_matrix = float(values[j]), mats[j].copy()
     return best, best_matrix
 
 

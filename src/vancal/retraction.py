@@ -16,6 +16,7 @@ sampler redraws points by the stencil's clearance test,
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from functools import partial
 
@@ -29,6 +30,7 @@ from .exterior import (
     STENCIL_CLEARANCE,
     _batched_plucker,
     _central_differences,
+    _normal_chunks,
     _plane_values,
 )
 from .reports import Check, CheckedReport
@@ -233,13 +235,13 @@ def sample_wedge_points(
 
     def draw(size):
         x_dir = rng.standard_normal((size, n))
-        x_dir /= np.linalg.norm(x_dir, axis=1, keepdims=True)
+        x_dir /= np.sqrt(squared_norms(x_dir))[:, None]
         r = rng.uniform(0.5, 1.5, size=size)
         t = rng.uniform(*t_fraction, size=size) * params.tan_theta
         points = (r[:, None] * x_dir) @ coords.x_frame
         if m:
             y_dir = rng.standard_normal((size, m))
-            y_dir /= np.linalg.norm(y_dir, axis=1, keepdims=True)
+            y_dir /= np.sqrt(squared_norms(y_dir))[:, None]
             points = points + ((r * t)[:, None] * y_dir) @ coords.y_frame
         if k:
             points = points + rng.uniform(-1.0, 1.0, size=(size, k)) @ coords.l_frame
@@ -282,13 +284,15 @@ def verify_area_nonincreasing(
     Samples are taken in blocks of ``AREA_BLOCK_SAMPLES``: one
     ``differential`` call, one batched SVD, one leak measurement and one
     Pluecker pass for the tensors P(BJ) per block.  Each block's planes are
-    scored in sub-blocks of about ``exterior.PLANE_CHUNK`` planes: one
-    Gaussian draw and one ``_plane_values`` call per sub-block, drawn in
-    sample order, so neither block size changes a value.  The tangent plane
-    x + l at a point of the plane must scale by exactly 1
-    (``identity_on_plane``), through the same scorer.  The map itself is
-    then checked for one-homogeneity, idempotence and a finite Lipschitz
-    estimate.
+    scored in sub-blocks of about ``exterior.PLANE_CHUNK`` planes, one
+    ``_plane_values`` call each; a block of 512 samples at 100 planes ends
+    in a sub-block of 2 samples.  ``_normal_chunks`` draws the next
+    sub-block's Gaussians while this one is scored, one draw per sub-block
+    in sample order as without the prefetch, so neither block size nor the
+    prefetch changes a value.  The tangent plane x + l at a point of the
+    plane must scale by exactly 1 (``identity_on_plane``), through the same
+    scorer.  The map itself is then checked for one-homogeneity,
+    idempotence and a finite Lipschitz estimate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -302,19 +306,23 @@ def verify_area_nonincreasing(
 
     # a sub-block's planes come from one draw, the same stream as one draw per sample
     sub_block = max(1, exterior.PLANE_CHUNK // planes_per_sample)
+    blocks = [points[start : start + AREA_BLOCK_SAMPLES]
+              for start in range(0, samples, AREA_BLOCK_SAMPLES)]
+    sizes = [min(sub_block, len(block) - sub) * planes_per_sample
+             for block in blocks for sub in range(0, len(block), sub_block)]
     max_plane = 0.0
     max_top = 0.0
     leak = 0.0
-    for start in range(0, samples, AREA_BLOCK_SAMPLES):
-        jacs = retraction.differential(points[start : start + AREA_BLOCK_SAMPLES])
-        max_top = max(max_top, float(top_volume_scaling(jacs, d).max()))
-        leak = max(leak, plane_leak(jacs, basis))
-        pulled_back = _batched_plucker(basis @ jacs, N, d)
-        for sub in range(0, len(jacs), sub_block):
-            tensors = pulled_back[sub : sub + sub_block]
-            mats = rng.standard_normal((len(tensors) * planes_per_sample, N, d))
-            scalings = _plane_values(np.swapaxes(mats, 1, 2), tensors)
-            max_plane = max(max_plane, float(scalings.max()))
+    with closing(_normal_chunks(rng, sizes, (N, d))) as chunks:
+        for block in blocks:
+            jacs = retraction.differential(block)
+            max_top = max(max_top, float(top_volume_scaling(jacs, d).max()))
+            leak = max(leak, plane_leak(jacs, basis))
+            pulled_back = _batched_plucker(basis @ jacs, N, d)
+            for sub in range(0, len(jacs), sub_block):
+                scalings = _plane_values(np.swapaxes(next(chunks), 1, 2),
+                                         pulled_back[sub : sub + sub_block])
+                max_plane = max(max_plane, float(scalings.max()))
 
     # tangent plane x + l at a point of the calibrated plane scales exactly by 1
     x_point = coords.assemble(
@@ -350,8 +358,8 @@ def lipschitz_estimate(retraction: RetractionMap, pairs: int, seed: int) -> floa
     N = retraction.coords.ambient_dim
     p = rng.uniform(-2.0, 2.0, size=(pairs, N))
     q = rng.uniform(-2.0, 2.0, size=(pairs, N))
-    num = np.linalg.norm(retraction.apply(p) - retraction.apply(q), axis=1)
-    den = np.linalg.norm(p - q, axis=1)
+    num = np.sqrt(squared_norms(retraction.apply(p) - retraction.apply(q)))
+    den = np.sqrt(squared_norms(p - q))
     keep = den > 1e-12
     return float((num[keep] / den[keep]).max())
 

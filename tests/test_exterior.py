@@ -1,6 +1,10 @@
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from vancal.exterior import (
     _batched_plucker,
     _comass_rows,
     _interior_table,
+    _normal_chunks,
     _plane_values,
     _wedge_table,
     FormField,
@@ -617,6 +622,120 @@ def test_comass_oracle_does_not_depend_on_the_chunk_size(monkeypatch):
     chunked = comass_oracle(u, samples, 3), comass_oracle_refined(u, samples, 3)
     monkeypatch.setattr(exterior, "PLANE_CHUNK", 1 << 20)
     assert (comass_oracle(u, samples, 3), comass_oracle_refined(u, samples, 3)) == chunked
+
+
+@pytest.mark.parametrize("sizes", [[7], [512, 512], [512, 512, 512, 112], [500, 500, 200]])
+def test_normal_chunks_are_the_serial_draws(sizes):
+    # one chunk, two, more, and a partial last chunk
+    rng, serial = np.random.default_rng(11), np.random.default_rng(11)
+    drawn = [chunk.copy() for chunk in _normal_chunks(rng, sizes, (4, 2))]
+    expected = [serial.standard_normal(out=np.empty((size, 4, 2))) for size in sizes]
+    assert len(drawn) == len(expected)
+    for got, want in zip(drawn, expected):
+        assert np.array_equal(got, want)
+    # comass_oracle_refined keeps drawing from the same generator
+    assert rng.bit_generator.state == serial.bit_generator.state
+
+
+def test_normal_chunks_alternate_two_buffers():
+    with closing(_normal_chunks(np.random.default_rng(2), [64] * 4, (3,))) as chunks:
+        first = next(chunks)
+        kept = first.copy()
+        time.sleep(0.01)  # the helper fills the other buffer meanwhile
+        assert np.array_equal(first, kept)
+        second = next(chunks)
+        assert not np.shares_memory(first, second)
+        assert np.shares_memory(next(chunks), first)
+
+
+def test_normal_chunks_keep_every_stream_under_fast_thread_switches():
+    # four loops at once, each with its helper (eight threads on the cores),
+    # switching every microsecond: a buffer handed over too early would change
+    # a chunk while its consumer reads it, or a chunk's draw
+    sizes, shape, seeds = [37] * 60 + [5], (3,), range(4)
+    results = {}
+
+    def consume(seed):
+        chunks = []
+        for chunk in _normal_chunks(np.random.default_rng(seed), sizes, shape):
+            first = chunk.copy()
+            for _ in range(3):
+                np.sqrt(np.abs(chunk)).sum()
+            assert np.array_equal(chunk, first)
+            chunks.append(first)
+        results[seed] = chunks
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        loops = [threading.Thread(target=consume, args=(seed,)) for seed in seeds]
+        for loop in loops:
+            loop.start()
+        for loop in loops:
+            loop.join(timeout=60)
+        assert not any(loop.is_alive() for loop in loops)
+    finally:
+        sys.setswitchinterval(switch)
+    assert threading.stack_size() == 0
+    assert sorted(results) == list(seeds)  # no consumer failed
+    for seed in seeds:
+        serial = np.random.default_rng(seed)
+        expected = [serial.standard_normal(out=np.empty((size, *shape))) for size in sizes]
+        assert len(results[seed]) == len(sizes)
+        assert all(np.array_equal(a, b) for a, b in zip(results[seed], expected))
+
+
+class FailingRng:
+    """Draws like a Generator until its second ``standard_normal`` call, which raises."""
+
+    def __init__(self):
+        self.calls, self.rng = 0, np.random.default_rng(0)
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == 2:
+            raise FloatingPointError("draw failed")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def vancal_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("vancal")]
+
+
+def test_normal_chunks_raise_a_failed_draw_in_the_caller():
+    before = threading.active_count()
+    chunks = _normal_chunks(FailingRng(), [16] * 5, (3, 2))
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        for _ in chunks:
+            pass
+    assert threading.active_count() == before
+    assert not vancal_threads()
+    with pytest.raises(FloatingPointError, match="draw failed"):
+        exterior._sampled_maximum(half_kahler_square(), 3 * exterior.PLANE_CHUNK, FailingRng())
+    assert threading.active_count() == before
+    assert not vancal_threads()
+
+
+def test_normal_chunks_join_their_helper_when_the_consumer_stops_early():
+    before = threading.active_count()
+    with closing(_normal_chunks(np.random.default_rng(0), [16] * 5, (3, 2))) as chunks:
+        for _ in chunks:
+            break
+    assert threading.active_count() == before
+    with pytest.raises(KeyError):
+        with closing(_normal_chunks(np.random.default_rng(0), [16] * 5, (3, 2))) as chunks:
+            for _ in chunks:
+                raise KeyError("consumer failed")
+    assert threading.active_count() == before
+    assert not vancal_threads()
+
+
+def test_comass_oracles_leave_no_thread_running():
+    before = threading.active_count()
+    comass_oracle(half_kahler_square(), 3 * exterior.PLANE_CHUNK, 1)
+    comass_oracle_refined(half_kahler_square(), 1, 1)
+    assert threading.active_count() == before
+    assert not vancal_threads()
 
 
 def test_plane_values_score_rank_deficient_frames_zero():

@@ -1,4 +1,5 @@
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -317,6 +318,25 @@ def test_verify_area_nonincreasing_takes_one_differential_per_jacobian_block(
     monkeypatch.setattr(RetractionMap, "differential", counted)
     verify_area_nonincreasing(retraction, 500, 100, seed=0)
     assert shapes == [(500, 6), (6,)]
+
+
+def test_verify_area_nonincreasing_draws_one_chunk_per_plane_sub_block(retraction, monkeypatch):
+    # 600 samples of 100 planes: the first Jacobian block of 512 samples is
+    # 102 sub-blocks of 5 and ends in one of 2, the second block of 88 is 17
+    # of 5 and one of 3; each sub-block's planes are one chunk
+    assert AREA_BLOCK_SAMPLES == 512 and PLANE_CHUNK // 100 == 5
+    draws = retraction_module._normal_chunks
+    sizes = []
+
+    def spy(rng, chunk_sizes, shape):
+        sizes.extend(chunk_sizes)
+        return draws(rng, chunk_sizes, shape)
+
+    monkeypatch.setattr(retraction_module, "_normal_chunks", spy)
+    before = threading.active_count()
+    verify_area_nonincreasing(retraction, 600, 100, seed=0)
+    assert sizes == [500] * 102 + [200] + [500] * 17 + [300]
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("samples, planes", [(12, 100), (3, 600)], ids=["100-planes", "600-planes"])
