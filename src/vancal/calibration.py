@@ -2,7 +2,7 @@
 
 The basic field is (c dr + s dz) ^ (n/r) psi_bar (^ dl on a shared
 block), supported on the open angular wedge z < tan(theta) r around the
-calibrated plane.  The wedge, c, the comass and the primitive are functions
+calibrated plane.  The wedge, c and the comass are functions
 of u = t^2 = z^2 / r^2, and s dz = s_slope (z/r) (eta/z) = s_slope eta / r,
 so everything below works on the squared norms r^2 and z^2 and takes no
 square root of z: ``CutoffParams.inside`` is the one copy of the wedge rule,
@@ -136,11 +136,6 @@ class VanishingCalibration:
         self.params.inside(u, out=inside)
         middle = self.params.middle_u(u, values, spare)
         return np.sqrt(middle, out=values), inside, u
-
-    def primitive_norm(self, points: np.ndarray) -> np.ndarray:
-        """Norm of the Lipschitz primitive gamma * psi_bar (up to the l factor)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return self.params.gamma_u(self.coords.u(points)) * self.coords.r(points) / self.coords.n
 
 
 def build_vanishing_calibration(
@@ -358,7 +353,6 @@ class CalibrationReport(CheckedReport):
     plane_value_max_errors: tuple  # one per summand
     vanishing_max_abs: float
     vanishing_samples: int  # points outside every wedge behind vanishing_max_abs
-    primitive_interface_norm: float
 
     @property
     def plane_value_max_error(self) -> float:
@@ -563,19 +557,10 @@ def _verify(
     vanish_pts = _box_sample(field, cals, lows, highs, 50, rng, 0.0, None)
     vanish_max = float(np.abs(field.coefficients(vanish_pts)).max(initial=0.0))
 
-    # the Lipschitz primitive gamma psi_bar tends to 0 at the interface: its
-    # norm at r = 1 and t = tan(theta)(1 - 1e-8); the summands share one
-    # cutoff, so the first one stands for all
-    cal = cals[0]
-    n, m = cal.coords.n, cal.coords.m
-    t = cal.params.tan_theta * (1.0 - 1e-8)
-    prim = cal.primitive_norm(cal.coords.assemble(
-        np.full(n, 1.0 / math.sqrt(n)), np.full(m, t / math.sqrt(m)) if m else None))
-
     return CalibrationReport(
         grid=grid,
         grid_points_total=total,
-        intersection_dim=cal.coords.k,
+        intersection_dim=cals[0].coords.k,
         points_in_wedge=in_wedge,
         overlap_count=overlap,
         min_grid_r=math.sqrt(min_r2),
@@ -592,7 +577,6 @@ def _verify(
         plane_value_max_errors=tuple(plane_errs),
         vanishing_max_abs=vanish_max,
         vanishing_samples=len(vanish_pts),
-        primitive_interface_norm=float(prim[0]),
     )
 
 

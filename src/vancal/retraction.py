@@ -186,7 +186,6 @@ class AreaScalingReport(CheckedReport):
     max_plane_leak: float  # max |J - B^T B J| over every scored Jacobian, B the basis of x + l
     homogeneity_error: float  # max |R(s p) - s R(p)|
     idempotence_error: float  # max |R(R(p)) - R(p)|
-    lipschitz: float  # largest sampled difference quotient
 
     def checks(self) -> list[Check]:
         return [
@@ -210,7 +209,6 @@ class AreaScalingReport(CheckedReport):
                   measured=self.homogeneity_error, tolerance=MAP_IDENTITY_TOL),
             Check("idempotent", self.idempotence_error <= MAP_IDENTITY_TOL,
                   measured=self.idempotence_error, tolerance=MAP_IDENTITY_TOL),
-            Check("lipschitz_finite", math.isfinite(self.lipschitz), measured=self.lipschitz),
         ]
 
 
@@ -291,8 +289,10 @@ def verify_area_nonincreasing(
     in sample order as without the prefetch, so neither block size nor the
     prefetch changes a value.  The tangent plane x + l at a point of the
     plane must scale by exactly 1 (``identity_on_plane``), through the same
-    scorer.  The map itself is then checked for one-homogeneity,
-    idempotence and a finite Lipschitz estimate.
+    scorer.  The map itself is then checked for one-homogeneity and
+    idempotence on 200 box points.  No difference-quotient bound is checked:
+    the map is only Hoelder-1/n at the wedge interface, where gamma^{1/n} has
+    infinite slope.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -333,7 +333,7 @@ def verify_area_nonincreasing(
     x_err = abs(float(tangent[0]) - 1.0)
     leak = max(leak, plane_leak(jac0, basis))
 
-    # the map itself: one-homogeneous, a retraction, Lipschitz on a box
+    # the map itself: one-homogeneous and a retraction
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.5, 1.5, size=(200, N))
     scales = rng.uniform(0.1, 3.0, size=(200, 1))
@@ -348,20 +348,7 @@ def verify_area_nonincreasing(
         max_plane_leak=leak,
         homogeneity_error=float(np.abs(retraction.apply(scales * pts) - scales * image).max()),
         idempotence_error=float(np.abs(retraction.apply(image) - image).max()),
-        lipschitz=lipschitz_estimate(retraction, 20_000, seed),
     )
-
-
-def lipschitz_estimate(retraction: RetractionMap, pairs: int, seed: int) -> float:
-    """Largest sampled difference quotient of the retraction on the box [-2, 2]^N."""
-    rng = np.random.default_rng(seed)
-    N = retraction.coords.ambient_dim
-    p = rng.uniform(-2.0, 2.0, size=(pairs, N))
-    q = rng.uniform(-2.0, 2.0, size=(pairs, N))
-    num = np.sqrt(squared_norms(retraction.apply(p) - retraction.apply(q)))
-    den = np.sqrt(squared_norms(p - q))
-    keep = den > 1e-12
-    return float((num[keep] / den[keep]).max())
 
 
 def level_set_curve_consistency(

@@ -579,7 +579,7 @@ def test_retraction_renders_library_checks(capsys):
     ]:
         rep = verify_area_nonincreasing(RetractionMap(coords, params), 60, 10, 3)
         assert [c.name for c in rep.checks()][4:] == [
-            "maps_into_plane", "one_homogeneous", "idempotent", "lipschitz_finite"]
+            "maps_into_plane", "one_homogeneous", "idempotent"]
         assert assert_renders(capsys, argv + extra, rep.checks()) == code
 
 

@@ -249,6 +249,15 @@ def test_delta_positive_fails_on_the_forced_control(grid):
     assert [c.name for c in rep.checks() if not c.passed] == ["delta_positive"]
 
 
+def test_admissible_fails_on_the_forced_control_with_nonpositive_kappa():
+    # c = 3 gives a = 1.0, where kappa = 4 (a - 1) / a^2 = 0, and
+    # delta = -7/3 < 0: those two fail, and nothing else
+    rep = verify_inequality_one(CutoffParams.forced(3, 3.0), 1000)
+    checks = {c.name: c for c in rep.checks()}
+    assert checks["admissible"].measured == 1.0
+    assert [c.name for c in rep.checks() if not c.passed] == ["admissible", "delta_positive"]
+
+
 def test_make_params_rejects_an_a_whose_delta_rounds_to_zero():
     # the first double above 8/3 clears the float bound 4n/(n+2) at n = 4, but
     # 6a rounds to 16, so delta reads 0 (true value 2.5e-16): make_params

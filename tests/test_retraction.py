@@ -23,7 +23,6 @@ from vancal.retraction import (
     PLANE_LEAK_TOL,
     RetractionMap,
     level_set_curve_consistency,
-    lipschitz_estimate,
     sample_wedge_points,
     top_volume_scaling,
     verify_area_nonincreasing,
@@ -389,10 +388,42 @@ def test_negative_control_detects_expansion():
     assert rep.max_top_scaling > 1.0
 
 
-def test_lipschitz_estimate_finite(retraction):
-    lip = lipschitz_estimate(retraction, 50_000, seed=4)
-    assert math.isfinite(lip)
-    assert lip >= 1.0  # the map is the identity on the plane
+def test_plane_volume_scaling_catches_the_expanding_cutoff():
+    # 1000 x 100 Haar planes reach the expansion that the top scaling shows;
+    # 500 x 100 and 200 x 20 sampled planes stay below 1 + AREA_SCALING_TOL
+    coords = WedgeCoordinates.from_axes(6, (0, 1, 2), (3, 4, 5))
+    rep = verify_area_nonincreasing(RetractionMap(coords, CutoffParams.forced(3, 2.0)),
+                                    1000, 100, seed=0)
+    plane = {c.name: c for c in rep.checks()}["plane_volume_scaling"]
+    assert plane.measured == pytest.approx(1.0130, abs=1e-4)
+    assert [c.name for c in rep.checks() if not c.passed] == [
+        "plane_volume_scaling", "top_volume_scaling"]
+
+
+def test_plane_within_top_catches_a_halved_top_scaling(retraction, monkeypatch):
+    def halved_top_volume_scaling(jacobian, n):
+        return 0.5 * top_volume_scaling(jacobian, n)
+
+    monkeypatch.setattr(retraction_module, "top_volume_scaling", halved_top_volume_scaling)
+    rep = verify_area_nonincreasing(retraction, 200, 20, seed=0)
+    within = {c.name: c for c in rep.checks()}["plane_within_top"]
+    assert within.measured > within.threshold == rep.max_top_scaling
+    assert [c.name for c in rep.checks() if not c.passed] == ["plane_within_top"]
+
+
+class OffsetRetraction(RetractionMap):
+    """Adds a fixed offset to the image: R(s p) = s R(p) fails for s != 1."""
+
+    def apply(self, points):
+        return super().apply(points) + 0.01
+
+
+def test_one_homogeneous_catches_an_offset_map(retraction):
+    offset = OffsetRetraction(retraction.coords, retraction.params)
+    rep = verify_area_nonincreasing(offset, 200, 20, seed=0)
+    homogeneous = {c.name: c for c in rep.checks()}["one_homogeneous"]
+    assert not homogeneous.passed
+    assert homogeneous.measured > 1e-3
 
 
 def test_level_set_curve_identity(retraction):
