@@ -9,6 +9,7 @@ k-vector of each simplex.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,13 +44,15 @@ class TriangulatedCurrent:
     ``simplices`` is a read-only (S, k+1, N) vertex stack and
     ``multiplicities`` a read-only (S,) int64 array of signed multiplicities;
     the sign is the orientation.  Rows of multiplicity 0 are the zero chain
-    and are dropped.
+    and are dropped.  ``volumes`` is the read-only (S,) array of simplex
+    k-volumes that the degeneracy check computes, kept for ``mass``.
     """
 
     ambient_dim: int
     degree: int
     simplices: np.ndarray
     multiplicities: np.ndarray
+    volumes: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         vertices = np.array(self.simplices, dtype=float)
@@ -69,20 +72,21 @@ class TriangulatedCurrent:
             raise ValueError("multiplicities must be integers")
         live = multiplicities != 0
         vertices, multiplicities = vertices[live], multiplicities[live]
-        if self.degree >= 1 and np.any(_volumes(vertices) <= DEGENERACY_TOL):
+        volumes = _volumes(vertices)
+        if self.degree >= 1 and np.any(volumes <= DEGENERACY_TOL):
             raise ValueError("degenerate simplex (volume below tolerance)")
-        vertices.flags.writeable = False
-        multiplicities.flags.writeable = False
-        object.__setattr__(self, "simplices", vertices)
-        object.__setattr__(self, "multiplicities", multiplicities)
+        for name, value in (("simplices", vertices), ("multiplicities", multiplicities),
+                            ("volumes", volumes)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.simplices)
 
 
 def mass(current: TriangulatedCurrent) -> float:
-    """Total k-volume weighted by |multiplicity|."""
-    return float(np.sum(np.abs(current.multiplicities) * _volumes(current.simplices)))
+    """Total k-volume weighted by |multiplicity|, from the stored ``volumes``."""
+    return float(np.sum(np.abs(current.multiplicities) * current.volumes))
 
 
 # -- boundary ----------------------------------------------------------------
@@ -264,6 +268,13 @@ def write_mesh(current: TriangulatedCurrent, path) -> None:
 
 
 def read_mesh(path) -> TriangulatedCurrent:
+    """Read the format of ``write_mesh``.
+
+    Simplices that share a vertex repeat its coordinate strings, so each
+    distinct string is converted by ``float`` once and its repeats are looked
+    up; every value is the one ``float`` gives that token.  The first token
+    in the file that is not a number raises ValueError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         tokens = fh.read().split()
     if len(tokens) < 3:
@@ -277,7 +288,10 @@ def read_mesh(path) -> TriangulatedCurrent:
         )
     multiplicities = [int(tok) for tok in body[per - 1 :: per]]
     del body[per - 1 :: per]
-    vertices = np.array([float(tok) for tok in body]).reshape(count, k + 1, N)
+    values = dict.fromkeys(body)  # in file order, so the first bad token is the one named
+    for tok in values:
+        values[tok] = float(tok)
+    vertices = np.array([values[tok] for tok in body]).reshape(count, k + 1, N)
     return TriangulatedCurrent(N, k, vertices, multiplicities)
 
 

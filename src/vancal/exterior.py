@@ -201,35 +201,52 @@ class AlternatingTensor:
 # -- wedge -----------------------------------------------------------------
 
 
+def _index_rows(ambient_dim: int, degree: int) -> np.ndarray:
+    """``multi_indices(N, degree)`` as a (C(N, degree), degree) array."""
+    return np.array(multi_indices(ambient_dim, degree), dtype=np.intp).reshape(
+        n_coefficients(ambient_dim, degree), degree)
+
+
+def _lex_positions(ambient_dim: int, degree: int, indices: np.ndarray) -> np.ndarray:
+    """Positions in ``multi_indices(N, degree)`` of the rows on the last axis of ``indices``.
+
+    A multi-index's code, the sum of 2^(N-1-axis) over its axes, falls as its
+    lexicographic position rises, so a search on negated codes finds it.
+    The codes are integers below 2^N, exact in float.
+    """
+    codes = 2.0 ** np.arange(ambient_dim - 1, -1, -1)
+    listed = codes[_index_rows(ambient_dim, degree)].sum(axis=1)
+    return np.searchsorted(-listed, -codes[indices].sum(axis=-1))
+
+
 @lru_cache(maxsize=None)
 def _wedge_table(ambient_dim: int, deg_a: int, deg_b: int):
     """Sparse multiplication table (pos_a, pos_b, pos_out, sign) for the wedge.
 
     Rows are sorted by a key symmetric in the two factors, so u ^ v and
     v ^ u accumulate in the same order and graded anticommutativity holds
-    bit-exactly.
+    bit-exactly.  The rows are built with array operations: each output
+    multi-index J splits into e_I ^ e_K once per choice of the deg_a slots of
+    J that I takes, and the sign is the parity of that shuffle of slots, the
+    same for every J.  Work and memory grow with the table's own length.
     """
-    out_positions = _index_positions(ambient_dim, deg_a + deg_b)
-    rows = []
-    for pa, ia in enumerate(multi_indices(ambient_dim, deg_a)):
-        set_a = set(ia)
-        for pb, ib in enumerate(multi_indices(ambient_dim, deg_b)):
-            if set_a & set(ib):
-                continue
-            # parity of the merge of two sorted index blocks
-            inversions = sum(1 for x in ia for y in ib if x > y)
-            merged = tuple(sorted(ia + ib))
-            key = (pa, pb) if deg_a < deg_b or (deg_a == deg_b and pa <= pb) else (pb, pa)
-            rows.append(
-                (out_positions[merged], key, pa, pb, -1.0 if inversions % 2 else 1.0)
-            )
-    rows.sort(key=lambda row: (row[0], row[1]))
-    return (
-        np.array([r[2] for r in rows], dtype=np.intp),
-        np.array([r[3] for r in rows], dtype=np.intp),
-        np.array([r[0] for r in rows], dtype=np.intp),
-        np.array([r[4] for r in rows], dtype=float),
-    )
+    degree = deg_a + deg_b
+    joined = _index_rows(ambient_dim, degree)
+    slots_a = _index_rows(degree, deg_a)
+    # the complements of the deg_a-slot choices, in the same order: complements
+    # of lexicographic subsets of range(degree) come in reverse lexicographic order
+    slots_b = _index_rows(degree, deg_b)[::-1]
+    odd = (slots_a[:, :, None] > slots_b[:, None, :]).sum(axis=(1, 2)) % 2 == 1
+    pa = _lex_positions(ambient_dim, deg_a, joined[:, slots_a]).ravel()
+    pb = _lex_positions(ambient_dim, deg_b, joined[:, slots_b]).ravel()
+    pos_out = np.repeat(np.arange(len(joined)), len(slots_a))
+    signs = np.tile(np.where(odd, -1.0, 1.0), len(joined))
+    if deg_a == deg_b:
+        first, second = np.minimum(pa, pb), np.maximum(pa, pb)
+    else:
+        first, second = (pa, pb) if deg_a < deg_b else (pb, pa)
+    order = np.lexsort((pa, second, first, pos_out))  # swap partners by pa
+    return pa[order], pb[order], pos_out[order], signs[order]
 
 
 def _sum_groups(terms: np.ndarray, outputs: int) -> np.ndarray:
@@ -772,7 +789,9 @@ def _exterior_derivatives(field: FormField, points: np.ndarray, steps) -> np.nda
     """Central-difference dF at (P, N) points for each of H steps, as (P, H, C(N, k+1)).
 
     Each dF is the sum of dx_axis ^ (F(p + h e_axis) - F(p - h e_axis)) / 2h,
-    accumulated in axis order, from the partials of ``_central_differences``.
+    accumulated in axis order, from the partials of ``_central_differences``:
+    one gather of ``_wedge_table(N, 1, k)``, whose rows of each output come in
+    increasing axis order, then one ``_sum_groups``.
     """
     N, k = field.ambient_dim, field.degree
     if k >= N:
@@ -780,12 +799,9 @@ def _exterior_derivatives(field: FormField, points: np.ndarray, steps) -> np.nda
     partials = _central_differences(field.coefficients, points, steps,
                                     field.singular_locus_descriptor)
     P, H = partials.shape[:2]
-    partials = partials.reshape(P * H, N, -1)
-    axes = np.eye(N)
-    out = np.zeros((P * H, n_coefficients(N, k + 1)))
-    for axis in range(N):
-        out += _wedge_rows(axes[axis][None], partials[:, axis], N, 1, k)
-    return out.reshape(P, H, -1)
+    axes, inputs, _, signs = _wedge_table(N, 1, k)
+    terms = signs * partials.reshape(P * H, N, -1)[:, axes, inputs]
+    return _sum_groups(terms, n_coefficients(N, k + 1)).reshape(P, H, -1)
 
 
 def finite_difference_exterior_derivative(

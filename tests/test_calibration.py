@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from functools import partial
@@ -820,6 +821,25 @@ def test_sampled_checks_fail_without_samples(cal):
     assert [c.name for c in outside.checks() if not c.passed] == [
         "envelope", "optimizer_agreement", "closedness_order"]
     assert outside.passed is False
+
+
+def test_value_checks_catch_a_field_scaled_off_its_closed_form(cal):
+    # (1 + 0.1 x_1) phi: the closed-form comass that the grid scan reads is
+    # unchanged, but the field is no longer closed, its optimizer comass
+    # leaves the closed form and its value on the plane leaves 1; every
+    # sampled check has samples, so these are the value halves failing
+    def coefficients(points):
+        points = np.asarray(points, dtype=float)
+        return cal.field.coefficients(points) * (1.0 + 0.1 * points[:, :1])
+
+    field = exterior.FormField(6, 3, coefficients, cal.field.singular_locus_descriptor)
+    scaled = dataclasses.replace(cal, field=field)
+    rep = verify_calibration(scaled, STANDARD_REGION, 8, seed=5)
+    assert rep.optimizer_samples > 0 and rep.closedness_samples > 0
+    assert [c.name for c in rep.checks() if not c.passed] == [
+        "optimizer_agreement", "closedness_order", "calibrates_plane1"]
+    assert rep.closedness_order < 0.01
+    assert rep.passed is False
 
 
 def per_point_comass_rows(coefficients, N, k, multistarts, tol, *, seed):

@@ -445,6 +445,16 @@ def test_integrate_rejects_nan_mesh(capsys, tmp_path):
     assert "finite" in captured.err
 
 
+def test_integrate_rejects_a_non_numeric_coordinate(capsys, tmp_path):
+    path = tmp_path / "word.mesh"
+    path.write_text("2 2 1\n0 0 1 0 zero 1 1\n")
+    code = main(["integrate", "--mesh", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "'zero'" in captured.err
+
+
 def test_integrate_command(capsys, tmp_path):
     mesh_path = tmp_path / "square.txt"
     write_mesh(square_mesh(), mesh_path)

@@ -7,6 +7,7 @@ import pytest
 from vancal.calibration import coordinate_plane_sum, sum_pair_calibration
 from vancal.currents import (
     TriangulatedCurrent,
+    _volumes,
     ball_mesh,
     boundary,
     calibration_inequality_check,
@@ -179,6 +180,20 @@ def test_current_arrays_guard_their_inputs():
         kept.multiplicities[0] = 5
 
 
+@pytest.mark.parametrize("current", [
+    square_mesh(multiplicity=3), disk_mesh(6, 4), ball_mesh(1, 6),
+    TriangulatedCurrent(2, 2, square_mesh().simplices, [0, -2]),
+    TriangulatedCurrent(3, 0, np.eye(3)[:, None], [2, -1, 1]),
+], ids=["square", "disk", "ball", "zero-row-dropped", "points"])
+def test_volumes_are_the_read_only_simplex_volumes(current):
+    assert current.volumes.tobytes() == _volumes(current.simplices).tobytes()
+    with pytest.raises(ValueError):
+        current.volumes[0] = 5.0
+    # the sum that mass computed before it read the stored volumes
+    assert mass(current) == float(
+        np.sum(np.abs(current.multiplicities) * _volumes(current.simplices)))
+
+
 # -- boundary ---------------------------------------------------------------------
 
 
@@ -335,6 +350,40 @@ def test_mesh_roundtrip_exact(tmp_path):
     assert len(back) == len(ball)
     assert np.array_equal(back.simplices, ball.simplices)
     assert np.array_equal(back.multiplicities, ball.multiplicities)
+
+
+# shared vertices repeat their tokens; -0.0, exponents, a sign, a bare point
+# and two spellings of 0.5
+REPEATED_TOKEN_MESH = """3 2 3
+0 -0.0 1e-3 1.5E+0 0 2.5e-1 0.5 .5 -2 1
+1.5E+0 0 2.5e-1 0 -0.0 1e-3 5e-1 +3 0 -1
+0.5 .5 -2 5e-1 +3 0 7.25 -1e0 1E-300 2
+"""
+
+
+def test_read_mesh_matches_per_token_float(tmp_path):
+    path = tmp_path / "repeated.mesh"
+    path.write_text(REPEATED_TOKEN_MESH)
+    current = read_mesh(path)
+    rows = [line.split() for line in REPEATED_TOKEN_MESH.splitlines()[1:]]
+    expected = np.array([[float(tok) for tok in row[:-1]] for row in rows]).reshape(3, 3, 3)
+    assert current.simplices.tobytes() == expected.tobytes()
+    assert np.signbit(current.simplices[0, 0, 1]) and np.signbit(current.simplices[1, 1, 1])
+    assert current.multiplicities.tolist() == [1, -1, 2]
+    # a generated mesh: every coordinate as ``float`` reads its token
+    disk = disk_mesh(6, 4)
+    write_mesh(disk, path)
+    tokens = path.read_text().split()[3:]
+    del tokens[12::13]
+    expected = np.array([float(tok) for tok in tokens]).reshape(disk.simplices.shape)
+    assert read_mesh(path).simplices.tobytes() == expected.tobytes()
+
+
+def test_read_mesh_names_the_first_non_numeric_coordinate(tmp_path):
+    path = tmp_path / "bad.mesh"
+    path.write_text("2 2 2\n0 0 1 0 0 1 1\n0 y 1 0 x 1 1\n")
+    with pytest.raises(ValueError, match="could not convert string to float: 'y'"):
+        read_mesh(path)
 
 
 def test_read_mesh_drops_zero_multiplicity_rows(tmp_path):

@@ -143,6 +143,40 @@ def test_wedge_errors():
         wedge(basis(2, (0, 1)), basis(2, (0,)))
 
 
+def loop_wedge_table(N, deg_a, deg_b):
+    """The wedge table built pair by pair, in the order ``_wedge_table`` promises."""
+    out_positions = {idx: pos for pos, idx in enumerate(multi_indices(N, deg_a + deg_b))}
+    rows = []
+    for pa, ia in enumerate(multi_indices(N, deg_a)):
+        for pb, ib in enumerate(multi_indices(N, deg_b)):
+            if set(ia) & set(ib):
+                continue
+            inversions = sum(1 for x in ia for y in ib if x > y)
+            key = (pa, pb) if deg_a < deg_b or (deg_a == deg_b and pa <= pb) else (pb, pa)
+            rows.append((out_positions[tuple(sorted(ia + ib))], key, pa, pb,
+                         -1.0 if inversions % 2 else 1.0))
+    rows.sort(key=lambda row: row[:2])  # stable: equal keys keep (pa, pb) order
+    return (
+        np.array([r[2] for r in rows], dtype=np.intp),
+        np.array([r[3] for r in rows], dtype=np.intp),
+        np.array([r[0] for r in rows], dtype=np.intp),
+        np.array([r[4] for r in rows], dtype=float),
+    )
+
+
+WEDGE_TABLE_CASES = [(N, a, b) for N in range(1, 9) for a in range(N + 1)
+                     for b in range(N + 1 - a)] + [(12, 5, 1), (16, 7, 1)]
+
+
+@pytest.mark.parametrize("N, deg_a, deg_b", WEDGE_TABLE_CASES)
+def test_wedge_table_is_the_pairwise_loop(N, deg_a, deg_b):
+    # uncached, so the array build itself runs for every case
+    table = _wedge_table.__wrapped__(N, deg_a, deg_b)
+    for got, expected in zip(table, loop_wedge_table(N, deg_a, deg_b), strict=True):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
 # -- interior product ----------------------------------------------------------
 
 
@@ -880,6 +914,29 @@ def test_closedness_residuals_match_per_point_loop():
                            - field.evaluator(p - step).coefficients) / (2 * h)
                 d += wedge(basis(3, (axis,)), AlternatingTensor(3, 1, partial)).coefficients
             assert residuals[i, j] == pytest.approx(np.linalg.norm(d), rel=1e-14)
+
+
+def per_axis_exterior_derivatives(field, points, steps):
+    """dF as the sum, in axis order, of one ``_wedge_rows`` call per axis."""
+    N, k = field.ambient_dim, field.degree
+    partials = exterior._central_differences(field.coefficients, points, steps)
+    P, H = partials.shape[:2]
+    partials = partials.reshape(P * H, N, -1)
+    out = np.zeros((P * H, n_coefficients(N, k + 1)))
+    for axis in range(N):
+        out += exterior._wedge_rows(np.eye(N)[axis][None], partials[:, axis], N, 1, k)
+    return out.reshape(P, H, -1)
+
+
+@pytest.mark.parametrize("N, k", [(3, 0), (4, 1), (5, 2), (6, 3), (8, 4), (5, 4)])
+def test_exterior_derivatives_are_the_per_axis_wedge_loop(N, k):
+    rng = np.random.default_rng(N + k)
+    weights = rng.standard_normal((N, N, n_coefficients(N, k)))
+    field = FormField(N, k, lambda p: np.sin(np.einsum("pi,ijm,pj->pm", p, weights, p)))
+    points = rng.uniform(-1.0, 1.0, size=(20, N))
+    got = exterior._exterior_derivatives(field, points, exterior.FD_STEPS)
+    expected = per_axis_exterior_derivatives(field, points, exterior.FD_STEPS)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_closedness_order_flags_exactly_closed_fields():
