@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -260,7 +261,8 @@ def calibration_inequality_check(
 def write_mesh(current: TriangulatedCurrent, path) -> None:
     """First line "N k count"; per simplex, (k+1)*N coordinates then a signed multiplicity."""
     lines = [f"{current.ambient_dim} {current.degree} {len(current)}"]
-    rows = current.simplices.reshape(len(current), -1).tolist()
+    per = (current.degree + 1) * current.ambient_dim
+    rows = current.simplices.reshape(len(current), per).tolist()
     for coords, mult in zip(rows, current.multiplicities.tolist()):
         lines.append(" ".join(map(repr, coords)) + f" {mult}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -268,31 +270,27 @@ def write_mesh(current: TriangulatedCurrent, path) -> None:
 
 
 def read_mesh(path) -> TriangulatedCurrent:
-    """Read the format of ``write_mesh``.
+    """Read the format of ``write_mesh``: the header line, then one simplex per line.
 
-    Simplices that share a vertex repeat its coordinate strings, so each
-    distinct string is converted by ``float`` once and its repeats are looked
-    up; every value is the one ``float`` gives that token.  The first token
-    in the file that is not a number raises ValueError.
+    numpy's C text reader parses the body, so each coordinate is the
+    correctly rounded double of its decimal ASCII token (the value ``float``
+    gives) and each multiplicity an int64 token.  A token that does not
+    parse, ``#`` included, raises ValueError naming it with its row and
+    column; a line with the wrong number of tokens raises ValueError naming
+    its row.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 3:
-        raise ValueError("mesh file must start with 'N k count'")
-    N, k, count = int(tokens[0]), int(tokens[1]), int(tokens[2])
-    per = (k + 1) * N + 1
-    body = tokens[3:]
-    if len(body) != per * count:
-        raise ValueError(
-            f"expected {per * count} tokens for {count} simplices, got {len(body)}"
-        )
-    multiplicities = [int(tok) for tok in body[per - 1 :: per]]
-    del body[per - 1 :: per]
-    values = dict.fromkeys(body)  # in file order, so the first bad token is the one named
-    for tok in values:
-        values[tok] = float(tok)
-    vertices = np.array([values[tok] for tok in body]).reshape(count, k + 1, N)
-    return TriangulatedCurrent(N, k, vertices, multiplicities)
+        header = fh.readline().split()
+        if len(header) != 3:
+            raise ValueError("mesh file must start with a line 'N k count'")
+        N, k, count = map(int, header)
+        with warnings.catch_warnings():  # an empty body is the zero chain
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(fh, dtype=[("v", np.float64, ((k + 1) * N,)), ("m", np.int64)],
+                              comments=None, ndmin=1)
+    if len(rows) != count:
+        raise ValueError(f"expected {count} simplices, one per line, got {len(rows)}")
+    return TriangulatedCurrent(N, k, rows["v"].reshape(count, k + 1, N), rows["m"])
 
 
 # -- mesh generators -------------------------------------------------------------

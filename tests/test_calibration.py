@@ -842,6 +842,30 @@ def test_value_checks_catch_a_field_scaled_off_its_closed_form(cal):
     assert rep.passed is False
 
 
+def test_envelope_fails_on_a_doubled_delta(cal):
+    # the field is built from c and tan(theta) alone, so doubling delta moves
+    # only the envelope sqrt(1 - delta u) that the comass must stay under
+    params = dataclasses.replace(cal.params, delta=2.0 * cal.params.delta)
+    rep = verify_calibration(build_vanishing_calibration(params, cal.coords),
+                             STANDARD_REGION, 8, seed=5)
+    assert rep.points_in_wedge > 0 and rep.envelope_min_slack < -0.01
+    assert [c.name for c in rep.checks() if not c.passed] == ["envelope"]
+
+
+def test_vanishes_outside_wedges_fails_on_a_field_nonzero_outside(cal):
+    # 1e-6 on every coefficient outside the wedge: constant there, so closed,
+    # and zero on the wedge, where the other sampled checks look
+    def coefficients(points):
+        points = np.asarray(points, dtype=float)
+        u = cal.coords.z_squared(points) / cal.coords.r_squared(points)
+        return cal.field.coefficients(points) + 1e-6 * ~cal.params.inside(u)[:, None]
+
+    field = exterior.FormField(6, 3, coefficients, cal.field.singular_locus_descriptor)
+    rep = verify_calibration(dataclasses.replace(cal, field=field), STANDARD_REGION, 8, seed=5)
+    assert rep.vanishing_samples > 0 and rep.vanishing_max_abs == 1e-6
+    assert [c.name for c in rep.checks() if not c.passed] == ["vanishes_outside_wedges"]
+
+
 def per_point_comass_rows(coefficients, N, k, multistarts, tol, *, seed):
     """The optimizer cross-check as one ``comass`` call per sampled point."""
     values = [comass(AlternatingTensor(N, k, row), multistarts, tol, seed=seed)

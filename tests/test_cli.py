@@ -455,6 +455,24 @@ def test_integrate_rejects_a_non_numeric_coordinate(capsys, tmp_path):
     assert captured.err.startswith("error:") and "'zero'" in captured.err
 
 
+@pytest.mark.parametrize(
+    "body, named",
+    [("0 0 1 0 # 1 1", "'#'"), ("0 0 1 0\n0 1 1", "at row 1"),
+     ("0 0 1 0 0 1 1.0", "'1.0'"), ("0 0 1 0 0 1_000 1", "'1_000'"),
+     ("0 0 1 0 0 ١ 1", "'١'")],
+    ids=["hash-token", "split-simplex", "float-multiplicity", "underscore-digits",
+         "arabic-indic-digit"],
+)
+def test_integrate_rejects_mesh_tokens_outside_the_format(capsys, tmp_path, body, named):
+    path = tmp_path / "bad.mesh"
+    path.write_text(f"2 2 1\n{body}\n", encoding="utf-8")
+    code = main(["integrate", "--mesh", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and named in captured.err
+
+
 def test_integrate_command(capsys, tmp_path):
     mesh_path = tmp_path / "square.txt"
     write_mesh(square_mesh(), mesh_path)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import product
 
 import numpy as np
@@ -379,10 +380,57 @@ def test_read_mesh_matches_per_token_float(tmp_path):
     assert read_mesh(path).simplices.tobytes() == expected.tobytes()
 
 
+# -0.0, the smallest subnormal, a subnormal, the smallest normal and 17-digit reprs
+EDGE_COORDINATES = [-0.0, 5e-324, 1.2345678901234567e-310, 2.2250738585072014e-308,
+                    0.30000000000000004, 1.0000000000000002, -123.45678901234568]
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_read_mesh_inverts_write_mesh(tmp_path, N):
+    rng = np.random.default_rng(700 + N)
+    path = tmp_path / "roundtrip.mesh"
+    for k in range(min(3, N) + 1):
+        empty = TriangulatedCurrent(N, k, np.zeros((0, k + 1, N)), [])
+        write_mesh(empty, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = read_mesh(path)
+        assert (back.ambient_dim, back.degree, back.simplices.shape) == (N, k, (0, k + 1, N))
+        for count in range(1, 51):
+            vertices = rng.standard_normal((count, k + 1, N))
+            # edge values on the first vertex only, so no simplex degenerates
+            vertices[:, 0] = rng.choice(EDGE_COORDINATES, size=(count, N))
+            multiplicities = rng.choice([-(2**53) - 1, -3, -1, 1, 2, 2**53 + 1], size=count)
+            current = TriangulatedCurrent(N, k, vertices, multiplicities)
+            write_mesh(current, path)
+            back = read_mesh(path)
+            assert back.simplices.tobytes() == current.simplices.tobytes()
+            assert back.multiplicities.tobytes() == current.multiplicities.tobytes()
+
+
+@pytest.mark.parametrize(
+    "body, match",
+    [("0 0 1 0 # 1 1", "string '#' to float64 at row 0, column 5"),
+     ("0 0 1 0\n0 1 1", "requires 7 columns but 4 were found at row 1"),
+     ("0 0 1 0 0 1 1.0", "string '1.0' to int64 at row 0, column 7"),
+     ("0 0 1 0 0 1_000 1", "string '1_000' to float64 at row 0, column 6"),
+     ("0 0 1 0 0 ١ 1", "string '١' to float64 at row 0, column 6"),
+     ("0 0 1 0 0 １ 1", "string '１' to float64 at row 0, column 6"),
+     ("", "expected 1 simplices, one per line, got 0")],
+    ids=["hash-token", "split-simplex", "float-multiplicity", "underscore-digits",
+         "arabic-indic-digit", "fullwidth-digit", "missing-simplex"],
+)
+def test_read_mesh_rejects_input_outside_the_format(tmp_path, body, match):
+    path = tmp_path / "bad.mesh"
+    path.write_text(f"2 2 1\n{body}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=match):
+        read_mesh(path)
+
+
 def test_read_mesh_names_the_first_non_numeric_coordinate(tmp_path):
     path = tmp_path / "bad.mesh"
     path.write_text("2 2 2\n0 0 1 0 0 1 1\n0 y 1 0 x 1 1\n")
-    with pytest.raises(ValueError, match="could not convert string to float: 'y'"):
+    with pytest.raises(ValueError, match="string 'y' to float64 at row 1, column 2"):
         read_mesh(path)
 
 
@@ -397,13 +445,13 @@ def test_read_mesh_drops_zero_multiplicity_rows(tmp_path):
 def test_read_mesh_token_count_guard(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 1 1\n0 0 1\n")
-    with pytest.raises(ValueError, match="tokens"):
+    with pytest.raises(ValueError, match="requires 5 columns but 3 were found"):
         read_mesh(path)
 
 
 @pytest.mark.parametrize(
     "text, match",
-    [("2 1 1\n0 0 1 0 1.5", "invalid literal"), ("2 1 1\n0 0 0 0 1", "degenerate"),
+    [("2 1 1\n0 0 1 0 1.5", "string '1.5' to int64"), ("2 1 1\n0 0 0 0 1", "degenerate"),
      ("2 2 1\n0 0 1 0 nan 1 1", "finite")],
     ids=["non-integer-multiplicity", "degenerate-simplex", "nan-coordinate"],
 )

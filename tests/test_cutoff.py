@@ -283,6 +283,17 @@ def test_profile_continuous_at_interface_fails_on_an_early_cut(grid):
         "profile_continuous_at_interface"]
 
 
+@pytest.mark.parametrize("grid", [10, 500, 10_000])
+def test_grid_min_matches_kappa_fails_on_a_lowered_kappa(grid):
+    # kappa 1e-3 below the true minimum of c^2 + s^2: the lower slack only
+    # grows, so the refined minimum missing kappa is the one failure
+    params = make_params(3, 2.5)
+    lowered = dataclasses.replace(params, kappa=params.kappa - 1e-3)
+    rep = verify_inequality_one(lowered, grid)
+    assert rep.grid_min_middle - lowered.kappa == pytest.approx(1e-3, rel=1e-9)
+    assert [c.name for c in rep.checks() if not c.passed] == ["grid_min_matches_kappa"]
+
+
 def test_delta_tends_to_zero_at_lower_bound():
     n = 5
     lo, _ = admissible_interval(n)
